@@ -46,6 +46,7 @@ from .errors import (
     LowEnergy,
     MalformedHeader,
     MessageTooLong,
+    NonFiniteSamples,
     NoPeriodicity,
     OutOfRange,
     RatioOutOfRange,
@@ -106,6 +107,7 @@ __all__ = [
     "LowEnergy",
     "MalformedHeader",
     "MessageTooLong",
+    "NonFiniteSamples",
     "NoPeriodicity",
     "OutOfRange",
     "RatioOutOfRange",

@@ -20,6 +20,7 @@ from .errors import (
     ClippingWarning,
     IoError,
     MalformedHeader,
+    NonFiniteSamples,
     OutOfRange,
     SampleRateMismatch,
     UnsupportedFormat,
@@ -27,6 +28,14 @@ from .errors import (
 
 WAVE_FORMAT_PCM = 1
 WAVE_FORMAT_IEEE_FLOAT = 3
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0..3 hold the tag.
+_SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
+
+# Samples per block of the chunked passes over long buffers: large enough
+# that per-block overhead vanishes, small enough that the temporaries stay
+# a few MB whatever the stream length.
+CHUNK_SAMPLES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,12 +62,15 @@ class PcmBuffer:
 def read_wav(path: str) -> PcmBuffer:
     """Read a WAV file into a mono PcmBuffer.
 
-    Accepts 8/16/24-bit integer PCM and 32-bit float, mono or stereo.
-    Stereo is mixed down by channel mean. Integer samples are scaled by
-    the full-scale value of their width (e.g. 16-bit by 1/32768).
+    Accepts 8/16/24-bit integer PCM and 32-bit float, mono or stereo,
+    under a plain format tag or WAVE_FORMAT_EXTENSIBLE with the PCM or
+    IEEE-float subformat. Stereo is mixed down by channel mean. Integer
+    samples are scaled by the full-scale value of their width (e.g.
+    16-bit by 1/32768).
 
     Raises IoError when the file cannot be read, MalformedHeader when the
-    RIFF structure is broken, and UnsupportedFormat for other encodings.
+    RIFF structure is broken, UnsupportedFormat for other encodings, and
+    NonFiniteSamples when float content holds NaN or infinity.
     """
     try:
         with open(path, "rb") as fh:
@@ -72,6 +84,9 @@ def read_wav(path: str) -> PcmBuffer:
     if riff != b"RIFF" or wave_id != b"WAVE":
         raise MalformedHeader(f"{path}: missing RIFF/WAVE signature")
 
+    # chunk bodies are views into the file bytes, so the data chunk is
+    # converted without being copied first
+    view = memoryview(data)
     fmt = None
     raw = None
     pos = 12
@@ -80,13 +95,11 @@ def read_wav(path: str) -> PcmBuffer:
         pos += 8
         if csize > len(data) - pos:
             raise MalformedHeader(f"{path}: chunk {cid!r} extends past end of file")
-        body = data[pos : pos + csize]
+        body = view[pos : pos + csize]
         # chunks are word-aligned; odd sizes carry a pad byte
         pos += csize + (csize & 1)
         if cid == b"fmt ":
-            if csize < 16:
-                raise MalformedHeader(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = _parse_fmt(path, body)
         elif cid == b"data":
             raw = body
 
@@ -108,7 +121,9 @@ def read_wav(path: str) -> PcmBuffer:
         x = (x - 128.0) / 128.0
     elif fmt_tag == WAVE_FORMAT_PCM and bits == 16:
         n = len(raw) // 2
-        x = np.frombuffer(raw[: n * 2], dtype="<i2").astype(np.float64) / 32768.0
+        # one promoting divide; exact because int16 fits float64 and the
+        # divisor is a power of two
+        x = np.frombuffer(raw[: n * 2], dtype="<i2") / 32768.0
     elif fmt_tag == WAVE_FORMAT_PCM and bits == 24:
         n = len(raw) // 3
         triplets = np.frombuffer(raw[: n * 3], dtype=np.uint8).reshape(n, 3)
@@ -122,6 +137,9 @@ def read_wav(path: str) -> PcmBuffer:
     elif fmt_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         n = len(raw) // 4
         x = np.frombuffer(raw[: n * 4], dtype="<f4").astype(np.float64)
+        # only float content can be non-finite; integer PCM skips this pass
+        if not np.isfinite(x).all():
+            raise NonFiniteSamples(f"{path}: float samples include NaN or infinity")
     else:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
 
@@ -132,24 +150,59 @@ def read_wav(path: str) -> PcmBuffer:
     return PcmBuffer(samples=x, sample_rate=int(sample_rate))
 
 
+def _parse_fmt(path: str, body: memoryview) -> tuple[int, int, int, int, int, int]:
+    """(format tag, channels, rate, byte rate, block align, bits) of a fmt
+    chunk body. An EXTENSIBLE chunk reports the tag of its subformat."""
+    if len(body) < 16:
+        raise MalformedHeader(f"{path}: fmt chunk too small")
+    fmt = struct.unpack_from("<HHIIHH", body, 0)
+    if fmt[0] != WAVE_FORMAT_EXTENSIBLE:
+        return fmt
+    if len(body) < 40:
+        raise MalformedHeader(f"{path}: extensible fmt chunk too small")
+    guid = bytes(body[24:40])
+    tag = int.from_bytes(guid[:4], "little")
+    known = tag in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT)
+    if not known or guid[4:] != _SUBFORMAT_GUID_SUFFIX:
+        raise UnsupportedFormat(f"{path}: extensible subformat {guid.hex()} not supported")
+    return (tag,) + fmt[1:]
+
+
 def write_wav(buf: PcmBuffer, path: str) -> None:
     """Write a buffer as 16-bit mono PCM.
 
     Samples outside [-1, 1] are saturated and a ClippingWarning is issued.
+    NaN or infinite samples raise NonFiniteSamples before the file is
+    opened, so no partial file is left behind.
     """
     if len(buf) == 0:
         raise ValueError("refusing to write an empty buffer")
     x = buf.samples
-    if np.max(np.abs(x)) > 1.0:
+    q = np.empty(len(x), dtype="<i2")
+    scaled = np.empty(min(len(x), CHUNK_SAMPLES))
+    clipped = False
+    for i in range(0, len(x), CHUNK_SAMPLES):
+        src = x[i : i + CHUNK_SAMPLES]
+        t = scaled[: len(src)]
+        np.multiply(src, 32768.0, out=t)
+        # max and min propagate NaN, so they double as the finiteness
+        # test; only a finite sample past ~5e303 can scale to infinity
+        hi, lo = t.max(), t.min()
+        if not (np.isfinite(hi) and np.isfinite(lo)) and not np.isfinite(src).all():
+            raise NonFiniteSamples(f"cannot write NaN or infinite samples to {path}")
+        # the scale is a power of two, so this is exactly |x| > 1
+        clipped = clipped or hi > 32768.0 or lo < -32768.0
+        np.rint(t, out=t)
+        np.clip(t, -32768, 32767, out=t)
+        q[i : i + len(src)] = t
+    if clipped:
         warnings.warn(
             "samples outside [-1, 1] were clipped on write", ClippingWarning, stacklevel=2
         )
-    q = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
-    payload = q.tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
-        36 + len(payload),
+        36 + q.nbytes,
         b"WAVE",
         b"fmt ",
         16,
@@ -160,12 +213,12 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
         2,
         16,
         b"data",
-        len(payload),
+        q.nbytes,
     )
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            fh.write(q)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

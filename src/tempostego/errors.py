@@ -35,6 +35,10 @@ class UnsupportedFormat(StegoError):
     """A WAV file uses an encoding this toolkit does not handle."""
 
 
+class NonFiniteSamples(StegoError):
+    """Samples read from or written to a WAV file include NaN or infinity."""
+
+
 class OutOfRange(StegoError):
     """A requested time interval falls outside the buffer."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer
+from .audio import CHUNK_SAMPLES, PcmBuffer
 from .bits import ERASURE, BitString
 from .codec import StegoParams, capacity, decode, encode
 from .errors import StegoError
@@ -287,48 +287,48 @@ def split_on_silence(
     if min_silence_s <= 0:
         raise ValueError("min_silence_s must be positive")
     sr = stream.sample_rate
+    x = stream.samples
     frame_n = max(1, int(round(0.020 * sr)))
     n = len(stream)
+    n_full = n // frame_n
     n_frames = (n + frame_n - 1) // frame_n
-    silent = np.zeros(n_frames, dtype=bool)
-    for f in range(n_frames):
-        piece = stream.samples[f * frame_n : (f + 1) * frame_n]
-        mean_sq = float(np.mean(piece**2))
-        level = float("-inf") if mean_sq == 0.0 else 10.0 * np.log10(mean_sq)
-        silent[f] = level < threshold_dbfs
+
+    # per-frame mean square over whole frames, a block of frames at a time
+    # so the squared temporary stays small; the partial last frame alone
+    mean_sq = np.empty(n_frames)
+    block = max(1, CHUNK_SAMPLES // frame_n)
+    squares = np.empty((min(block, n_full), frame_n))
+    for f0 in range(0, n_full, block):
+        f1 = min(f0 + block, n_full)
+        frames = x[f0 * frame_n : f1 * frame_n].reshape(f1 - f0, frame_n)
+        sq = squares[: f1 - f0]
+        np.multiply(frames, frames, out=sq)
+        np.mean(sq, axis=1, out=mean_sq[f0:f1])
+    if n_frames > n_full:
+        tail = x[n_full * frame_n :]
+        mean_sq[-1] = np.mean(tail * tail)
+    with np.errstate(divide="ignore"):
+        # log10(0) is -inf: digital silence is below any finite threshold
+        silent = 10.0 * np.log10(mean_sq) < threshold_dbfs
     need = max(1, int(np.ceil(min_silence_s * sr / frame_n)))
 
-    # separator frames: silent runs of at least `need`
-    separator = np.zeros(n_frames, dtype=bool)
-    f = 0
-    while f < n_frames:
-        if silent[f]:
-            g = f
-            while g < n_frames and silent[g]:
-                g += 1
-            if g - f >= need:
-                separator[f:g] = True
-            f = g
-        else:
-            f += 1
+    # silent runs [starts, ends); those of at least `need` frames separate
+    edges = np.diff(np.concatenate(([0], silent.view(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    keep = ends - starts >= need
+    # the regions between separators, with their silent edge frames
+    # trimmed to the first and last loud frame inside each
+    region_starts = np.concatenate(([0], ends[keep]))
+    region_ends = np.concatenate((starts[keep], [n_frames]))
+    loud = np.flatnonzero(~silent)
+    first = np.searchsorted(loud, region_starts)
+    last = np.searchsorted(loud, region_ends) - 1
 
     segments = []
-    f = 0
-    while f < n_frames:
-        if separator[f]:
-            f += 1
-            continue
-        g = f
-        while g < n_frames and not separator[g]:
-            g += 1
-        # trim edge silence shorter than a separator
-        a, b = f, g
-        while a < b and silent[a]:
-            a += 1
-        while b > a and silent[b - 1]:
-            b -= 1
-        if b > a:
-            seg = stream.samples[a * frame_n : min(n, b * frame_n)].copy()
+    for i, j in zip(first, last):
+        if i <= j:
+            a, b = loud[i], loud[j] + 1
+            seg = x[a * frame_n : min(n, b * frame_n)].copy()
             segments.append(PcmBuffer(samples=seg, sample_rate=sr))
-        f = g
     return segments

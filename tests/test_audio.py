@@ -7,6 +7,7 @@ from tempostego import (
     ClippingWarning,
     IoError,
     MalformedHeader,
+    NonFiniteSamples,
     OutOfRange,
     PcmBuffer,
     SampleRateMismatch,
@@ -39,6 +40,26 @@ def wav_bytes(fmt_tag, channels, sample_rate, bits, payload):
         len(payload),
     )
     return header + payload
+
+
+KSDATAFORMAT_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
+
+
+def extensible_wav_bytes(subformat, channels, sample_rate, bits, payload,
+                         suffix=KSDATAFORMAT_SUFFIX, fmt_size=40):
+    """A WAVE_FORMAT_EXTENSIBLE file: the 16-byte fmt fields, cbSize 22,
+    valid bits, channel mask and the subformat GUID, cut to fmt_size."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, channels, sample_rate, sample_rate * block, block, bits)
+    fmt += struct.pack("<HHI", 22, bits, (1 << channels) - 1)
+    fmt += struct.pack("<I", subformat) + suffix
+    fmt = fmt[:fmt_size]
+    body = (
+        b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"data" + struct.pack("<I", len(payload)) + payload
+    )
+    return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
 def write_raw(tmp_path, name, blob):
@@ -101,6 +122,59 @@ def test_float32_read(tmp_path):
     buf = read_wav(write_raw(tmp_path, "f32.wav", wav_bytes(3, 1, 44100, 32, payload)))
     assert buf.samples[0] == 0.25
     assert buf.samples[1] == -0.75
+
+
+@pytest.mark.parametrize(
+    "tag,bits,channels,payload",
+    [
+        (1, 24, 1, bytes(range(2, 242))),
+        (1, 24, 2, bytes(range(255, 15, -1))),
+        (1, 16, 1, np.array([16384, -32768, 7], dtype="<i2").tobytes()),
+        (3, 32, 1, np.array([0.25, -0.75, 1e-3], dtype="<f4").tobytes()),
+    ],
+)
+def test_extensible_reads_like_plain_tag(tmp_path, tag, bits, channels, payload):
+    plain_blob = wav_bytes(tag, channels, 48000, bits, payload)
+    ext_blob = extensible_wav_bytes(tag, channels, 48000, bits, payload)
+    plain = read_wav(write_raw(tmp_path, "plain.wav", plain_blob))
+    ext = read_wav(write_raw(tmp_path, "ext.wav", ext_blob))
+    assert ext.sample_rate == plain.sample_rate == 48000
+    assert len(ext) > 0
+    assert ext.samples.tobytes() == plain.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "subformat,suffix",
+    [(7, KSDATAFORMAT_SUFFIX), (2, KSDATAFORMAT_SUFFIX), (1, bytes(12))],
+)
+def test_extensible_foreign_subformat_rejected(tmp_path, subformat, suffix):
+    blob = extensible_wav_bytes(subformat, 1, 8000, 16, bytes(100), suffix=suffix)
+    with pytest.raises(UnsupportedFormat):
+        read_wav(write_raw(tmp_path, "ext.wav", blob))
+
+
+@pytest.mark.parametrize("fmt_size", [16, 18, 39])
+def test_extensible_short_fmt_rejected(tmp_path, fmt_size):
+    blob = extensible_wav_bytes(1, 1, 8000, 16, bytes(100), fmt_size=fmt_size)
+    with pytest.raises(MalformedHeader):
+        read_wav(write_raw(tmp_path, "ext.wav", blob))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_read_rejects_non_finite(tmp_path, bad):
+    payload = np.array([0.25, bad, -0.5], dtype="<f4").tobytes()
+    with pytest.raises(NonFiniteSamples):
+        read_wav(write_raw(tmp_path, "nf.wav", wav_bytes(3, 1, 44100, 32, payload)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite_without_leaving_a_file(tmp_path, bad):
+    x = np.zeros(1000)
+    x[-1] = bad
+    path = tmp_path / "nf.wav"
+    with pytest.raises(NonFiniteSamples):
+        write_wav(PcmBuffer(samples=x, sample_rate=8000), str(path))
+    assert not path.exists()
 
 
 def test_compressed_format_rejected(tmp_path):

@@ -1,0 +1,253 @@
+"""Property tests for the sample path: the silence splitter and WAV I/O.
+
+The splitter and the 16-bit writer work in fixed-size blocks. The
+oracles below are the straightforward per-frame loop and the one-line
+whole-buffer conversion; the chunked code must match them sample for
+sample and byte for byte, including at block boundaries, which the
+tests move by shrinking the block size.
+"""
+
+import struct
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from tempostego import (
+    ClippingWarning,
+    PcmBuffer,
+    StegoError,
+    read_wav,
+    split_on_silence,
+    write_wav,
+)
+from tempostego import audio, harness
+
+RATES = (8000, 44100)
+
+
+def oracle_split_on_silence(stream, min_silence_s=2.0, threshold_dbfs=-50.0):
+    """The frame-by-frame splitter the block version must reproduce."""
+    sr = stream.sample_rate
+    frame_n = max(1, int(round(0.020 * sr)))
+    n = len(stream)
+    n_frames = (n + frame_n - 1) // frame_n
+    silent = np.zeros(n_frames, dtype=bool)
+    for f in range(n_frames):
+        piece = stream.samples[f * frame_n : (f + 1) * frame_n]
+        mean_sq = float(np.mean(piece**2))
+        level = float("-inf") if mean_sq == 0.0 else 10.0 * np.log10(mean_sq)
+        silent[f] = level < threshold_dbfs
+    need = max(1, int(np.ceil(min_silence_s * sr / frame_n)))
+
+    separator = np.zeros(n_frames, dtype=bool)
+    f = 0
+    while f < n_frames:
+        if silent[f]:
+            g = f
+            while g < n_frames and silent[g]:
+                g += 1
+            if g - f >= need:
+                separator[f:g] = True
+            f = g
+        else:
+            f += 1
+
+    segments = []
+    f = 0
+    while f < n_frames:
+        if separator[f]:
+            f += 1
+            continue
+        g = f
+        while g < n_frames and not separator[g]:
+            g += 1
+        a, b = f, g
+        while a < b and silent[a]:
+            a += 1
+        while b > a and silent[b - 1]:
+            b -= 1
+        if b > a:
+            segments.append(stream.samples[a * frame_n : min(n, b * frame_n)].copy())
+        f = g
+    return segments
+
+
+def oracle_wav_bytes(x, sample_rate):
+    """The whole-buffer 16-bit conversion and header the writer must
+    reproduce, and whether it warns about clipping."""
+    clips = bool(np.max(np.abs(x)) > 1.0)
+    with np.errstate(over="ignore"):  # finite samples past ~5e303
+        payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16, 1, 1,
+        sample_rate, sample_rate * 2, 2, 16, b"data", len(payload),
+    )
+    return header + payload, clips
+
+
+def assert_split_matches_oracle(stream, **kwargs):
+    got = split_on_silence(stream, **kwargs)
+    want = oracle_split_on_silence(stream, **kwargs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.sample_rate == stream.sample_rate
+        assert g.samples.tobytes() == w.tobytes()
+
+
+def write_and_compare(x, sample_rate, path):
+    want, clips = oracle_wav_bytes(x, sample_rate)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        write_wav(PcmBuffer(samples=x, sample_rate=sample_rate), str(path))
+    warned = any(issubclass(w.category, ClippingWarning) for w in caught)
+    assert path.read_bytes() == want
+    assert warned == clips
+
+
+@st.composite
+def run_streams(draw):
+    """A stream of alternating loud and quiet runs with a ragged end.
+
+    Quiet runs are digital silence or hiss at a drawn level, so levels
+    fall on both sides of the drawn threshold."""
+    sr = draw(st.sampled_from(RATES))
+    frame_n = int(round(0.020 * sr))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(draw(st.integers(0, 8))):
+        frames = draw(st.integers(1, 60))
+        offset = draw(st.integers(0, frame_n - 1))
+        length = frames * frame_n + offset
+        kind = draw(st.sampled_from(["loud", "hiss", "zero"]))
+        if kind == "zero":
+            parts.append(np.zeros(length))
+        else:
+            db = draw(st.floats(-30, 0)) if kind == "loud" else draw(st.floats(-100, -30))
+            parts.append(rng.standard_normal(length) * 10.0 ** (db / 20.0))
+    parts.append(rng.standard_normal(draw(st.integers(0, frame_n - 1))) * 0.1)
+    return PcmBuffer(samples=np.concatenate(parts), sample_rate=sr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=run_streams(),
+    threshold=st.floats(-80, -20),
+    min_silence_s=st.floats(0.005, 0.6),
+    block_samples=st.integers(1, 4000),
+)
+def test_split_matches_frame_loop(stream, threshold, min_silence_s, block_samples):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "CHUNK_SAMPLES", block_samples)
+        assert_split_matches_oracle(
+            stream, min_silence_s=min_silence_s, threshold_dbfs=threshold
+        )
+
+
+@pytest.mark.parametrize("sr", RATES)
+@pytest.mark.parametrize("kind", ["zeros", "hiss", "loud"])
+def test_split_uniform_streams_match_frame_loop(sr, kind):
+    rng = np.random.default_rng(3)
+    n = 5 * sr + 7  # partial final frame
+    level = {"zeros": 0.0, "hiss": 1e-4, "loud": 0.3}[kind]
+    stream = PcmBuffer(samples=rng.standard_normal(n) * level, sample_rate=sr)
+    segments = split_on_silence(stream)
+    assert len(segments) == (0 if kind != "loud" else 1)
+    assert_split_matches_oracle(stream)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_split_at_block_boundaries_matches_frame_loop(delta):
+    sr = 8000
+    n = audio.CHUNK_SAMPLES + delta
+    rng = np.random.default_rng(delta + 1)
+    x = rng.standard_normal(n) * 0.2
+    x[n // 3 : n // 3 + 3 * sr] = 0.0
+    x[-sr // 2 :] = 1e-5  # quiet ragged tail
+    stream = PcmBuffer(samples=x, sample_rate=sr)
+    assert len(split_on_silence(stream)) == 2
+    assert_split_matches_oracle(stream)
+
+
+def samples_around_full_scale():
+    """Rounding ties, exact full scale, and the first values past it."""
+    lsb = 1.0 / 32768
+    specials = [1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+                32767.5 * lsb, -32768.5 * lsb, 0.5 * lsb, -0.5 * lsb, 1.5 * lsb,
+                2.5 * lsb, -2.5 * lsb, 0.0, -0.0, 1e305, -1e305, 5e-324]
+    ties = st.integers(-32769, 32768).map(lambda k: (k + 0.5) * lsb)
+    return st.one_of(
+        st.sampled_from(specials),
+        ties,
+        st.floats(-1.5, 1.5, allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    values=st.lists(samples_around_full_scale(), min_size=1, max_size=300),
+    sr=st.sampled_from(RATES),
+    chunk=st.integers(1, 64),
+)
+@example(values=[0.5] * 10, sr=8000, chunk=10)
+@example(values=[0.5] * 9 + [1.0 + 1e-12], sr=8000, chunk=3)
+def test_write_matches_whole_buffer_conversion(tmp_path, values, sr, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio, "CHUNK_SAMPLES", chunk)
+        write_and_compare(np.array(values), sr, tmp_path / "w.wav")
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_write_at_block_boundaries_matches_whole_buffer_conversion(tmp_path, delta):
+    n = audio.CHUNK_SAMPLES + delta
+    x = np.random.default_rng(delta + 5).uniform(-1.0, 1.0, n)
+    write_and_compare(x, 44100, tmp_path / "quiet.wav")
+    x[-1] = 1.0 + 1e-9  # clips in the last block only
+    write_and_compare(x, 44100, tmp_path / "loud.wav")
+
+
+def riff(chunks):
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@st.composite
+def riff_blobs(draw):
+    """RIFF/WAVE files with drawn tags, widths, channel counts and chunk
+    sizes that may disagree with the bytes that follow."""
+    tag = draw(st.sampled_from([1, 3, 0xFFFE, 0, 2, 0xFFFF]))
+    channels = draw(st.integers(0, 4))
+    rate = draw(st.sampled_from([0, 1, 8000, 44100, 2**32 - 1]))
+    bits = draw(st.sampled_from([0, 4, 8, 16, 24, 32, 64]))
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * 2 % 2**32, 2, bits)
+    if draw(st.booleans()):
+        sub = draw(st.sampled_from([1, 3, 7]))
+        suffix = draw(st.sampled_from([bytes.fromhex("00001000800000aa00389b71"), bytes(12)]))
+        fmt += struct.pack("<HHI", 22, bits, 4) + struct.pack("<I", sub) + suffix
+    fmt = fmt[: draw(st.integers(0, len(fmt)))]
+    data = draw(st.binary(max_size=64))
+    chunks = []
+    for cid, body in draw(st.permutations([(b"fmt ", fmt), (b"data", data), (b"LIST", b"x")])):
+        size = draw(st.one_of(st.just(len(body)), st.integers(0, 2**32 - 1)))
+        chunks.append(cid + struct.pack("<I", size) + body + b"\0" * (len(body) & 1))
+    blob = riff(chunks)
+    return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
+
+
+@settings(max_examples=500, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=120), riff_blobs()))
+def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "arbitrary.wav"
+    path.write_bytes(blob)
+    try:
+        buf = read_wav(str(path))
+    except StegoError:
+        return
+    assert buf.samples.dtype == np.float64
+    assert np.isfinite(buf.samples).all()
