@@ -69,7 +69,7 @@ from .harness import (
     perturb,
     split_on_silence,
 )
-from .stretch import StretchConfig, stretch_tempo
+from .stretch import stretch_tempo
 from .tempo import TempoCandidates, TempoConfig, estimate_tempo, onset_envelope
 
 __version__ = "0.1.0"
@@ -127,7 +127,6 @@ __all__ = [
     "generate_click_track",
     "perturb",
     "split_on_silence",
-    "StretchConfig",
     "stretch_tempo",
     "TempoCandidates",
     "TempoConfig",

@@ -16,13 +16,7 @@ import sys
 
 from .audio import read_wav, slice_buffer, write_wav
 from .bits import BitString, parse_bitstring, text_to_bits
-from .codec import (
-    BoundaryMode,
-    StegoParams,
-    capacity,
-    decode,
-    encode,
-)
+from .codec import BoundaryMode, StegoParams, decode, encode, plan_slices
 from .errors import StegoError
 from .harness import (
     Gain,
@@ -101,7 +95,7 @@ def _cmd_encode(args) -> int:
     params = _params_from(args)
     message = _payload_from(args)
     carrier = read_wav(getattr(args, "in"))
-    cap = capacity(carrier.duration_s, params)
+    cap = plan_slices(len(carrier), carrier.sample_rate, params).capacity
     stego = encode(carrier, message, params)
     write_wav(stego, args.out)
     print(f"embedded {len(message)} bits (capacity {cap}) -> {args.out}")
@@ -127,7 +121,7 @@ def _cmd_decode(args) -> int:
 def _cmd_capacity(args) -> int:
     params = _params_from(args)
     carrier = read_wav(getattr(args, "in"))
-    print(capacity(carrier.duration_s, params))
+    print(plan_slices(len(carrier), carrier.sample_rate, params).capacity)
     return 0
 
 

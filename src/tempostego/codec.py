@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,12 +37,13 @@ from .errors import (
     InvalidSymbol,
     LowEnergy,
     MessageTooLong,
+    NonFiniteSamples,
     NoPeriodicity,
     ReferenceSilent,
     TooShort,
     Undecidable,
 )
-from .stretch import StretchConfig, stretch_tempo
+from .stretch import stretch_tempo
 from .tempo import TempoCandidates, TempoConfig, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings.
@@ -54,6 +55,9 @@ LOW_CONFIDENCE = 0.5
 # silence hiding inside an otherwise loud slice.
 _SILENCE_WIN_S = 2.0
 _SILENCE_HOP_S = 1.0
+# The scan's RMS gate is the tempo estimator's, so a reference that passes
+# the scan is one the estimator will measure.
+_SILENCE_GATE_DBFS = TempoConfig().min_rms_dbfs
 
 # Decoding must not depend on playback level, so the stego buffer is
 # normalized to this RMS before any measurement. Digital silence stays at
@@ -124,25 +128,17 @@ class DecodeReport:
     def to_dict(self) -> dict:
         return {
             "bits": str(self.bits),
-            "per_slice": [
-                {
-                    "slice_index": d.slice_index,
-                    "direction": d.direction.value if d.direction else None,
-                    "confidence": d.confidence,
-                    "candidate_count_used": d.candidate_count_used,
-                }
-                for d in self.per_slice
-            ],
+            "per_slice": [_json_fields(d) for d in self.per_slice],
             "warnings": list(self.warnings),
-            "params": {
-                "phi_s": self.params_used.phi_s,
-                "delta": self.params_used.delta,
-                "trim_frac": self.params_used.trim_frac,
-                "discard_pct": self.params_used.discard_pct,
-                "bit_one_direction": self.params_used.bit_one_direction.value,
-                "boundary_mode": self.params_used.boundary_mode.value,
-            },
+            "params": _json_fields(self.params_used),
         }
+
+
+def _json_fields(obj) -> dict:
+    # every dataclass field, with Enum members replaced by their values
+    return {
+        k: v.value if isinstance(v, enum.Enum) else v for k, v in asdict(obj).items()
+    }
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,10 @@ def capacity(duration_s: float, params: StegoParams | None = None) -> int:
     """Payload bits a carrier of this duration can hold.
 
     One whole slice anchors the reference and one is reserved for the
-    tail, so floor(duration / phi_s) - 2, floored at zero.
+    tail, so floor(duration / phi_s) - 2, floored at zero. This works in
+    seconds; for a buffer in hand, plan_slices(...).capacity is the
+    figure encode enforces, which can be one lower when phi_s * rate is
+    not a whole number of samples.
     """
     if params is None:
         params = StegoParams()
@@ -172,15 +171,20 @@ def capacity(duration_s: float, params: StegoParams | None = None) -> int:
     return max(0, n_slices - 2)
 
 
-def plan_slices(n_samples: int, sample_rate: int, params: StegoParams) -> SlicePlan:
+def _geometry(sample_rate: int, params: StegoParams) -> tuple[int, int, int]:
+    """Slice length, per-edge trim and measurement window, in samples."""
     phi_n = int(round(params.phi_s * sample_rate))
+    trim_n = int(round(params.trim_frac * params.phi_s * sample_rate))
+    return phi_n, trim_n, phi_n - 2 * trim_n
+
+
+def plan_slices(n_samples: int, sample_rate: int, params: StegoParams) -> SlicePlan:
+    phi_n, _, _ = _geometry(sample_rate, params)
     n_slices = n_samples // phi_n
     if n_slices == 0:
         return SlicePlan((0, n_samples), (), (n_samples, n_samples), sample_rate)
-    data = tuple((i * phi_n, (i + 1) * phi_n) for i in range(1, max(1, n_slices - 1)))
-    if n_slices == 1:
-        data = ()
-    tail_start = phi_n if n_slices == 1 else (n_slices - 1) * phi_n
+    data = tuple((i * phi_n, (i + 1) * phi_n) for i in range(1, n_slices - 1))
+    tail_start = max(1, n_slices - 1) * phi_n
     return SlicePlan((0, phi_n), data, (tail_start, n_samples), sample_rate)
 
 
@@ -195,13 +199,13 @@ def _direction_for_bit(bit: int, params: StegoParams) -> Direction:
     return one if bit == 1 else other
 
 
-def _reference_silent(ref: PcmBuffer, min_rms_dbfs: float) -> bool:
+def _reference_silent(ref: PcmBuffer) -> bool:
     sr = ref.sample_rate
     win = min(len(ref), int(round(_SILENCE_WIN_S * sr)))
     hop = max(1, int(round(_SILENCE_HOP_S * sr)))
     for start in range(0, len(ref) - win + 1, hop):
         piece = PcmBuffer(samples=ref.samples[start : start + win], sample_rate=sr)
-        if rms_dbfs(piece) < min_rms_dbfs:
+        if rms_dbfs(piece) < _SILENCE_GATE_DBFS:
             return True
     return False
 
@@ -248,8 +252,6 @@ def encode(
     carrier: PcmBuffer,
     message: BitString,
     params: StegoParams | None = None,
-    tempo_config: TempoConfig | None = None,
-    stretch_config: StretchConfig | None = None,
 ) -> PcmBuffer:
     """Embed a message, returning the modulated carrier.
 
@@ -257,21 +259,25 @@ def encode(
     slices beyond the end of the message. Raises MessageTooLong when the
     message exceeds the carrier's capacity, ReferenceSilent when the first
     slice contains silence (decoding would be anchored to a bad tempo
-    measurement), and InvalidSymbol if the message carries erasures.
+    measurement), InvalidSymbol if the message carries erasures, and
+    NonFiniteSamples if the carrier holds NaN or infinity.
     """
     if params is None:
         params = StegoParams()
-    if tempo_config is None:
-        tempo_config = TempoConfig()
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
+    x = carrier.samples
+    # one dot product screens the whole carrier; it is also inf for huge
+    # finite samples, so a second pass confirms before rejecting
+    if not np.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
+        raise NonFiniteSamples("the carrier holds NaN or infinite samples")
     plan = plan_slices(len(carrier), carrier.sample_rate, params)
     if len(message) > plan.capacity:
         raise MessageTooLong(message_bits=len(message), capacity=plan.capacity)
 
     a, b = plan.reference
     reference = PcmBuffer(samples=carrier.samples[a:b], sample_rate=carrier.sample_rate)
-    if _reference_silent(reference, tempo_config.min_rms_dbfs):
+    if _reference_silent(reference):
         raise ReferenceSilent("the reference slice contains silence")
 
     parts = [carrier.samples[a:b]]
@@ -279,7 +285,7 @@ def encode(
         piece = PcmBuffer(samples=carrier.samples[s0:s1], sample_rate=carrier.sample_rate)
         if i < len(message):
             ratio = _ratio_for(_direction_for_bit(message[i], params), params.delta)
-            piece = stretch_tempo(piece, ratio, stretch_config)
+            piece = stretch_tempo(piece, ratio)
         parts.append(piece.samples)
     t0, t1 = plan.tail
     if t1 > t0:
@@ -292,7 +298,6 @@ def decode(
     params: StegoParams | None = None,
     *,
     max_bits: int | None = None,
-    tempo_config: TempoConfig | None = None,
     reference_override: TempoCandidates | None = None,
     force_decide: bool = False,
 ) -> DecodeReport:
@@ -304,7 +309,9 @@ def decode(
     classifier cannot decide come back as erasures unless force_decide is
     set, which breaks ties toward DOWN with zero confidence. Slices where
     tempo measurement itself fails (silence, no periodicity) are always
-    erasures and noted in the warnings.
+    erasures and noted in the warnings. Raises TooShort under three
+    slices of audio and NonFiniteSamples when the buffer holds NaN or
+    infinity.
 
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
@@ -313,17 +320,17 @@ def decode(
     """
     if params is None:
         params = StegoParams()
-    if tempo_config is None:
-        tempo_config = TempoConfig()
     sr = stego.sample_rate
-    phi_n = int(round(params.phi_s * sr))
-    trim_n = int(round(params.trim_frac * params.phi_s * sr))
-    win_n = phi_n - 2 * trim_n
+    phi_n, trim_n, win_n = _geometry(sr, params)
     n = len(stego)
     if n < 3 * phi_n:
         raise TooShort("decoding needs at least three slices of audio")
     samples = stego.samples
     mean_sq = float(np.mean(samples**2))
+    # a non-finite mean square is NaN/inf input or an overflow of huge
+    # finite samples; only the first is rejected
+    if not math.isfinite(mean_sq) and not np.isfinite(samples).all():
+        raise NonFiniteSamples("the stego buffer holds NaN or infinite samples")
     if mean_sq > 0.0:
         samples = samples * (10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq))
     stego = PcmBuffer(samples=samples, sample_rate=sr)
@@ -339,11 +346,10 @@ def decode(
 
     if reference_override is None:
         reference = PcmBuffer(samples=stego.samples[0:phi_n], sample_rate=sr)
-        if _reference_silent(reference, tempo_config.min_rms_dbfs):
+        if _reference_silent(reference):
             raise ReferenceSilent("the reference slice contains silence")
         ref_cands = estimate_tempo(
-            PcmBuffer(samples=stego.samples[trim_n : phi_n - trim_n], sample_rate=sr),
-            tempo_config,
+            PcmBuffer(samples=stego.samples[trim_n : phi_n - trim_n], sample_rate=sr)
         )
     else:
         ref_cands = reference_override
@@ -366,7 +372,7 @@ def decode(
         conf = 0.0
         used = 0
         try:
-            cands = estimate_tempo(window, tempo_config)
+            cands = estimate_tempo(window)
         except (LowEnergy, NoPeriodicity, TooShort) as exc:
             notes.append(f"slice {i}: {type(exc).__name__}")
         else:
@@ -406,19 +412,15 @@ def encode_playlist(
     carriers: list[PcmBuffer],
     message: BitString,
     params: StegoParams | None = None,
-    tempo_config: TempoConfig | None = None,
 ) -> list[PcmBuffer]:
     """Spread one message across several carriers, in order.
 
-    Capacities are computed per carrier and the message is split
-    greedily; trailing carriers may come back unmodified. Raises
+    Each carrier takes up to the capacity of its slice plan, greedily;
+    trailing carriers may come back unmodified. Raises
     InsufficientCapacity when the message cannot fit in total.
     """
     if params is None:
         params = StegoParams()
-    caps = [capacity(c.duration_s, params) for c in carriers]
+    caps = [plan_slices(len(c), c.sample_rate, params).capacity for c in carriers]
     segments = plan_spanning(message, caps)
-    return [
-        encode(c, seg, params, tempo_config=tempo_config)
-        for c, seg in zip(carriers, segments)
-    ]
+    return [encode(c, seg, params) for c, seg in zip(carriers, segments)]

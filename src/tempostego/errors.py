@@ -36,7 +36,7 @@ class UnsupportedFormat(StegoError):
 
 
 class NonFiniteSamples(StegoError):
-    """Samples read from or written to a WAV file include NaN or infinity."""
+    """Samples include NaN or infinity (WAV read/write, encode, decode)."""
 
 
 class OutOfRange(StegoError):

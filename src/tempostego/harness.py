@@ -17,9 +17,8 @@ import numpy as np
 
 from .audio import CHUNK_SAMPLES, PcmBuffer
 from .bits import ERASURE, BitString
-from .codec import StegoParams, capacity, decode, encode
+from .codec import StegoParams, decode, encode, plan_slices
 from .errors import StegoError
-from .tempo import TempoConfig
 
 CLICK_DECAY_S = 0.005
 CLICK_LEN_S = 0.030
@@ -219,7 +218,6 @@ def evaluate(
     message: BitString,
     params: StegoParams | None = None,
     perturbation: Perturbation | None = None,
-    tempo_config: TempoConfig | None = None,
     names: list[str] | None = None,
 ) -> EvalResult:
     """Encode, (optionally) perturb, and decode the same message prefix
@@ -235,15 +233,13 @@ def evaluate(
         names = [f"carrier-{i + 1}" for i in range(len(carriers))]
     results = []
     for name, carrier in zip(names, carriers):
-        cap = capacity(carrier.duration_s, params)
+        cap = plan_slices(len(carrier), carrier.sample_rate, params).capacity
         prefix = message[: min(cap, len(message))]
         try:
-            stego = encode(carrier, prefix, params, tempo_config=tempo_config)
+            stego = encode(carrier, prefix, params)
             if perturbation is not None:
                 stego = perturb(stego, perturbation)
-            report = decode(
-                stego, params, max_bits=len(prefix), tempo_config=tempo_config
-            )
+            report = decode(stego, params, max_bits=len(prefix))
             errors, erasures, compared = compare_bits(report.bits, prefix)
             results.append(
                 FileResult(

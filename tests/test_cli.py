@@ -32,6 +32,20 @@ def test_capacity_respects_phi(capsys, carrier_wav):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_capacity_prints_what_encode_enforces(tmp_path, capsys):
+    # 4 * round(10.00997 * 44100) - 1 samples: three whole slices, one bit
+    path = tmp_path / "odd.wav"
+    write_wav(generate_click_track(120, 1_765_759 / SR), str(path))
+    phi = ["--phi", "10.00997"]
+    assert main(["capacity", "--in", str(path), *phi]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+    out = str(tmp_path / "stego.wav")
+    assert main(["encode", "--in", str(path), "--out", out, "--bits", "1", *phi]) == 0
+    assert "embedded 1 bits (capacity 1)" in capsys.readouterr().out
+    assert main(["encode", "--in", str(path), "--out", out, "--bits", "10", *phi]) == 1
+    assert "MessageTooLong" in capsys.readouterr().err
+
+
 def test_encode_decode_round_trip(tmp_path, capsys, carrier_wav):
     stego = tmp_path / "stego.wav"
     rc = main(["encode", "--in", carrier_wav, "--out", str(stego),

@@ -12,6 +12,7 @@ from tempostego import (
     InsufficientCapacity,
     InvalidSymbol,
     MessageTooLong,
+    NonFiniteSamples,
     PcmBuffer,
     ReferenceSilent,
     StegoParams,
@@ -29,6 +30,7 @@ from tempostego import (
     parse_bitstring,
     plan_slices,
 )
+from tempostego.codec import _geometry
 
 SR = 44100
 PHI_N = 441000
@@ -98,6 +100,40 @@ def test_plan_slices_partitions_the_carrier():
         assert plan.capacity == capacity(duration_s)
         for s0, s1 in plan.data:
             assert s1 - s0 == 10000
+
+
+# 4 * round(10.00997 * 44100) - 1 samples: 40.04 s, so the seconds-based
+# capacity() counts four slices where the sample plan fits only three
+ODD_PHI = 10.00997
+ODD_N = 1_765_759
+
+
+def test_playlist_capacity_is_the_plan_encode_enforces():
+    params = StegoParams(phi_s=ODD_PHI)
+    carrier = generate_click_track(120, ODD_N / SR)
+    assert len(carrier) == ODD_N
+    assert capacity(carrier.duration_s, params) == 2
+    assert plan_slices(ODD_N, SR, params).capacity == 1
+    (stego,) = encode_playlist([carrier], BitString((1,)), params)
+    assert np.array_equal(stego.samples, encode(carrier, BitString((1,)), params).samples)
+    with pytest.raises(InsufficientCapacity) as exc_info:
+        encode_playlist([carrier], BitString((1, 0)), params)
+    assert (exc_info.value.required, exc_info.value.available) == (2, 1)
+
+
+def test_geometry_matches_the_per_caller_formulas():
+    """Slice length, trim and window keep the rounding each caller used
+    to do on its own, so no decode window moves by a sample."""
+    for sr in (8000, 22050, 44100, 48000, 96000):
+        for phi_s in (10.0, ODD_PHI, 12.345, 17.77, 20.0):
+            for trim_frac in (0.0, 0.01, 0.025, 0.0333, 0.05):
+                params = StegoParams(phi_s=phi_s, trim_frac=trim_frac)
+                phi_n = round(phi_s * sr)
+                trim_n = round(trim_frac * phi_s * sr)
+                assert _geometry(sr, params) == (phi_n, trim_n, phi_n - 2 * trim_n)
+                plan = plan_slices(5 * phi_n + 7, sr, params)
+                assert plan.reference == (0, phi_n)
+                assert plan.data == tuple((i * phi_n, (i + 1) * phi_n) for i in (1, 2, 3))
 
 
 def test_encoded_slices_play_at_offset_tempo(click):
@@ -284,12 +320,21 @@ def test_decode_report_serializes(click):
     d = json.loads(json.dumps(report.to_dict()))
     assert d["bits"] == str(report.bits)
     assert len(d["per_slice"]) == 2
-    assert set(d["per_slice"][0]) == {
-        "slice_index", "direction", "confidence", "candidate_count_used",
+    assert d["per_slice"][0] == {
+        "slice_index": 1,
+        "direction": "up",
+        "confidence": 1.7956173126271238,
+        "candidate_count_used": 2,
     }
-    assert d["per_slice"][0]["direction"] in ("up", "down", None)
-    assert d["params"]["phi_s"] == 10.0
-    assert d["params"]["boundary_mode"] == "tracked"
+    assert d["params"] == {
+        "phi_s": 10.0,
+        "delta": 0.01,
+        "trim_frac": 0.05,
+        "discard_pct": 4.0,
+        "bit_one_direction": "up",
+        "boundary_mode": "tracked",
+    }
+    assert d["warnings"] == []
 
 
 def test_playlist_single_carrier_matches_encode(click):
@@ -315,3 +360,39 @@ def test_playlist_insufficient_capacity(click):
         encode_playlist([click(120, 120.0), click(120, 70.0)], message)
     assert exc_info.value.required == 21
     assert exc_info.value.available == 15
+
+
+def with_sample(buf, index, value):
+    x = buf.samples.copy()
+    x[index] = value
+    return PcmBuffer(samples=x, sample_rate=buf.sample_rate)
+
+
+def test_decode_rejects_nan_instead_of_erasing_a_slice(click):
+    stego = encode(click(120, 60.0), parse_bitstring("1 0 1"))
+    # inside slice 2's measurement window
+    with pytest.raises(NonFiniteSamples):
+        decode(with_sample(stego, 2 * PHI_N + PHI_N // 2, np.nan), max_bits=3)
+
+
+def test_decode_rejects_inf_not_as_silent_reference(click):
+    with pytest.raises(NonFiniteSamples):
+        decode(with_sample(click(120, 60.0), 100, np.inf))
+
+
+def test_encode_rejects_nan_carrier(click):
+    for value in (np.nan, -np.inf):
+        with pytest.raises(NonFiniteSamples):
+            encode(with_sample(click(120, 40.0), 3 * PHI_N - 1, value), parse_bitstring("1"))
+
+
+def test_huge_finite_samples_are_not_rejected(click):
+    # squares overflow to inf, yet every sample is finite, so the
+    # confirming pass lets the buffer through to the handling it had before
+    huge = PcmBuffer(samples=click(120, 40.0).samples * 1e160, sample_rate=SR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stego = encode(huge, parse_bitstring("1"))
+        assert np.isfinite(stego.samples).all()
+        # normalizing by an infinite RMS zeroes the buffer
+        with pytest.raises(ReferenceSilent):
+            decode(huge)

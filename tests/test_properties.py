@@ -1,4 +1,5 @@
-"""Property tests for the sample path: the silence splitter and WAV I/O.
+"""Property tests for the sample path: the silence splitter, WAV I/O and
+the tempo stretch.
 
 The splitter and the 16-bit writer work in fixed-size blocks. The
 oracles below are the straightforward per-frame loop and the one-line
@@ -21,9 +22,10 @@ from tempostego import (
     StegoError,
     read_wav,
     split_on_silence,
+    stretch_tempo,
     write_wav,
 )
-from tempostego import audio, harness
+from tempostego import audio, harness, stretch
 
 RATES = (8000, 44100)
 
@@ -251,3 +253,29 @@ def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path_factory, blob):
         return
     assert buf.samples.dtype == np.float64
     assert np.isfinite(buf.samples).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    frames=st.floats(2.0, 6.0),
+    ratio=st.floats(0.5, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    silent=st.booleans(),
+)
+@example(sr=44100, frames=2.0, ratio=2.0, seed=0, silent=False)
+@example(sr=8000, frames=2.0, ratio=0.5, seed=0, silent=True)
+def test_stretch_length_law_and_first_frame(sr, frames, ratio, seed, silent):
+    seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
+    overlap = int(round(stretch.OVERLAP_MS * sr / 1000.0))
+    n = int(frames * seq)
+    if silent:
+        x = np.zeros(n)
+    else:
+        x = np.random.default_rng(seed).standard_normal(n) * 0.3
+    out = stretch_tempo(PcmBuffer(samples=x, sample_rate=sr), ratio).samples
+    assert len(out) == int(np.floor(n / ratio + 0.5))
+    # the first frame is copied as is up to where the second one fades in
+    assert np.array_equal(out[: seq - overlap], x[: seq - overlap])
+    if silent:
+        assert not out.any()

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -9,11 +5,9 @@ from tempostego import (
     BufferTooShort,
     PcmBuffer,
     RatioOutOfRange,
-    StretchConfig,
     estimate_tempo,
     stretch_tempo,
 )
-from tempostego._kernels import numba_stretch, numpy_stretch
 
 SR = 44100
 
@@ -91,50 +85,3 @@ def test_ratio_bounds(ratio, click):
 def test_short_buffer_rejected():
     with pytest.raises(BufferTooShort):
         stretch_tempo(sine(440, 0.1), 1.01)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        StretchConfig(sequence_ms=10, overlap_ms=20)
-    with pytest.raises(ValueError):
-        StretchConfig(seek_ms=0)
-
-
-def test_kernels_agree_exactly(click):
-    if numba_stretch is None:
-        pytest.skip("numba unavailable")
-    seq = int(round(0.080 * SR))
-    seek = int(round(0.016 * SR))
-    overlap = int(round(0.010 * SR))
-    inputs = [click(120, 8.0).samples, sine(440, 8.0).samples]
-    for x in inputs:
-        for ratio in (0.99, 1.0, 1.01):
-            n_out = int(np.floor(len(x) / ratio + 0.5))
-            a = numpy_stretch(x, ratio, seq, seek, overlap, n_out)
-            b = numba_stretch(x, ratio, seq, seek, overlap, n_out)
-            assert len(a) == n_out
-            assert np.array_equal(a, b)
-
-
-def test_backend_env_flag_selects_numpy():
-    code = (
-        "from tempostego._kernels import active_backend; print(active_backend())"
-    )
-    env = dict(os.environ, TEMPOSTEGO_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_defaults_to_numba_when_available():
-    if numba_stretch is None:
-        pytest.skip("numba unavailable")
-    env = {k: v for k, v in os.environ.items() if k != "TEMPOSTEGO_NO_NUMBA"}
-    code = (
-        "from tempostego._kernels import active_backend; print(active_backend())"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numba"
