@@ -326,14 +326,27 @@ def decode(
     if n < 3 * phi_n:
         raise TooShort("decoding needs at least three slices of audio")
     samples = stego.samples
-    mean_sq = float(np.mean(samples**2))
+    with np.errstate(over="ignore"):
+        mean_sq = float(np.mean(samples**2))
     # a non-finite mean square is NaN/inf input or an overflow of huge
     # finite samples; only the first is rejected
-    if not math.isfinite(mean_sq) and not np.isfinite(samples).all():
-        raise NonFiniteSamples("the stego buffer holds NaN or infinite samples")
-    if mean_sq > 0.0:
-        samples = samples * (10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq))
-    stego = PcmBuffer(samples=samples, sample_rate=sr)
+    if not math.isfinite(mean_sq):
+        if not np.isfinite(samples).all():
+            raise NonFiniteSamples("the stego buffer holds NaN or infinite samples")
+        # |x| above ~1e154: measure the level of samples / peak instead
+        peak = float(np.max(np.abs(samples)))
+        scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / (
+            peak * np.sqrt(np.mean((samples / peak) ** 2))
+        )
+    elif mean_sq > 0.0:
+        scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq)
+    else:
+        scale = 1.0
+
+    def normalized(a: int, b: int) -> PcmBuffer:
+        # only the samples decode reads are scaled; no full-length copy
+        return PcmBuffer(samples=samples[a:b] * scale, sample_rate=sr)
+
     n_slices = n // phi_n
     if max_bits is None:
         n_read = n_slices - 2
@@ -345,11 +358,11 @@ def decode(
         n_read = min(max_bits, n_slices - 1)
 
     if reference_override is None:
-        reference = PcmBuffer(samples=stego.samples[0:phi_n], sample_rate=sr)
+        reference = normalized(0, phi_n)
         if _reference_silent(reference):
             raise ReferenceSilent("the reference slice contains silence")
         ref_cands = estimate_tempo(
-            PcmBuffer(samples=stego.samples[trim_n : phi_n - trim_n], sample_rate=sr)
+            PcmBuffer(samples=reference.samples[trim_n : phi_n - trim_n], sample_rate=sr)
         )
     else:
         ref_cands = reference_override
@@ -366,7 +379,7 @@ def decode(
         if w1 > n:
             notes.append(f"slice {i}: window runs past the end; stopping")
             break
-        window = PcmBuffer(samples=stego.samples[w0:w1], sample_rate=sr)
+        window = normalized(w0, w1)
 
         direction: Direction | None = None
         conf = 0.0

@@ -39,11 +39,14 @@ def stretch_core(
         n_frames = 1
     else:
         n_frames = (n_out - seq + hop - 1) // hop + 1
-    out = np.zeros((n_frames - 1) * hop + seq)
+    # every frame's crossfade lies inside n_out; only the last frame's
+    # copy is cut short, so each output sample is written exactly once
+    out = np.empty(n_out)
     fade_in = np.arange(overlap) / overlap
     fade_out = 1.0 - fade_in
 
-    out[:seq] = x[:seq]
+    first = min(seq, n_out)
+    out[:first] = x[:first]
     prev = 0
     for k in range(1, n_frames):
         nominal = int(np.floor(k * hop * ratio + 0.5))
@@ -76,9 +79,10 @@ def stretch_core(
 
         o = k * hop
         out[o : o + overlap] = out[o : o + overlap] * fade_out + x[start : start + overlap] * fade_in
-        out[o + overlap : o + seq] = x[start + overlap : start + seq]
+        end = min(seq, n_out - o)
+        out[o + overlap : o + end] = x[start + overlap : start + end]
         prev = start
-    return out[:n_out].copy()
+    return out
 
 
 def stretch_tempo(buf: PcmBuffer, ratio: float) -> PcmBuffer:

@@ -20,12 +20,19 @@ of the same material at slightly different playback rates need.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .audio import PcmBuffer, rms_dbfs
 from .errors import LowEnergy, NoPeriodicity, TooShort
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # A candidate peak must stand this far above the median autocorrelation in
 # the search band. White noise stays below ~0.09; real pulses reach 0.8+.
@@ -40,6 +47,48 @@ PEAK_MARGIN = 0.12
 OCTAVE_EXP = 0.3
 
 MIN_MEASURE_S = 9.0
+
+# STFT frames per block of the onset envelope. A block's frames, spectra
+# and flux stay in cache, and blocks run concurrently because the FFT
+# releases the interpreter lock.
+BLOCK_FRAMES = 64
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The shared STFT pool, one thread per CPU this process may run on."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so a CLI call that measures no tempo never pays for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            try:
+                n = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                n = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="tempostego-stft")
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+@functools.lru_cache(maxsize=8)
+def _hann(win: int) -> np.ndarray:
+    w = np.hanning(win)
+    w.flags.writeable = False
+    return w
 
 
 @dataclass(frozen=True)
@@ -83,7 +132,9 @@ def onset_envelope(buf: PcmBuffer, config: TempoConfig | None = None) -> tuple[n
 
     Returns (envelope, frame_rate). The envelope is mean-subtracted and
     clamped at zero, so only spectral change above the running average
-    registers. Raises TooShort below 1 s and LowEnergy below the RMS gate.
+    registers. The STFT runs in blocks on a shared thread pool; the result
+    does not depend on how many threads it has. Raises TooShort below 1 s
+    and LowEnergy below the RMS gate.
     """
     if config is None:
         config = TempoConfig()
@@ -96,9 +147,19 @@ def onset_envelope(buf: PcmBuffer, config: TempoConfig | None = None) -> tuple[n
     hop = config.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop] * np.hanning(win)
-    mag = np.abs(np.fft.rfft(frames, axis=1))
-    flux = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
+    window = _hann(win)
+    flux = np.empty(frames.shape[0] - 1)
+
+    def block(start: int) -> None:
+        # frames start..stop give flux[start:stop]; the next block starts
+        # at this one's last frame
+        stop = min(start + BLOCK_FRAMES, flux.shape[0])
+        mag = np.abs(np.fft.rfft(frames[start : stop + 1] * window, axis=1))
+        flux[start:stop] = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
+
+    # list() waits for every block and re-raises the first failure
+    list(_executor().map(block, range(0, flux.shape[0], BLOCK_FRAMES)))
     env = np.maximum(flux - flux.mean(), 0.0)
     return env, buf.sample_rate / hop
 

@@ -1,15 +1,19 @@
-"""Property tests for the sample path: the silence splitter, WAV I/O and
-the tempo stretch.
+"""Property tests for the sample path: the silence splitter, WAV I/O,
+the tempo stretch, the onset envelope and the whole channel.
 
-The splitter and the 16-bit writer work in fixed-size blocks. The
-oracles below are the straightforward per-frame loop and the one-line
-whole-buffer conversion; the chunked code must match them sample for
-sample and byte for byte, including at block boundaries, which the
-tests move by shrinking the block size.
+The splitter, the 16-bit writer and the onset envelope work in blocks.
+The oracles below are the straightforward per-frame loop, the one-line
+whole-buffer conversion and the one-shot STFT; the blocked code must
+match them sample for sample and byte for byte, including at block
+boundaries. The stretch oracle fills a zeroed buffer past the output
+length and copies the head out; the kernel writes its output exactly
+once and must match it.
 """
 
+import math
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,15 +21,26 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tempostego import (
+    BitString,
     ClippingWarning,
+    LowEnergy,
     PcmBuffer,
     StegoError,
+    StegoParams,
+    TempoConfig,
+    TooShort,
+    decode,
+    encode,
+    generate_click_track,
+    onset_envelope,
+    plan_slices,
     read_wav,
+    rms_dbfs,
     split_on_silence,
     stretch_tempo,
     write_wav,
 )
-from tempostego import audio, harness, stretch
+from tempostego import audio, harness, stretch, tempo
 
 RATES = (8000, 44100)
 
@@ -279,3 +294,177 @@ def test_stretch_length_law_and_first_frame(sr, frames, ratio, seed, silent):
     assert np.array_equal(out[: seq - overlap], x[: seq - overlap])
     if silent:
         assert not out.any()
+
+
+def oracle_onset_envelope(buf, config=None):
+    """The one-shot STFT the blocked envelope must reproduce."""
+    if config is None:
+        config = TempoConfig()
+    if buf.duration_s < 1.0:
+        raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
+    if rms_dbfs(buf) < config.min_rms_dbfs:
+        raise LowEnergy(f"signal below {config.min_rms_dbfs} dBFS gate")
+    x = buf.samples
+    win = config.stft_window
+    hop = config.stft_hop
+    if len(x) < win + hop:
+        raise TooShort("buffer shorter than two STFT frames")
+    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop] * np.hanning(win)
+    mag = np.abs(np.fft.rfft(frames, axis=1))
+    flux = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
+    env = np.maximum(flux - flux.mean(), 0.0)
+    return env, buf.sample_rate / hop
+
+
+def oracle_stretch_core(x, ratio, seq, seek, overlap, n_out):
+    """The zeros-then-copy kernel the exact-length one must reproduce."""
+    hop = seq - overlap
+    n = x.shape[0]
+    if n_out <= seq:
+        n_frames = 1
+    else:
+        n_frames = (n_out - seq + hop - 1) // hop + 1
+    out = np.zeros((n_frames - 1) * hop + seq)
+    fade_in = np.arange(overlap) / overlap
+    fade_out = 1.0 - fade_in
+
+    out[:seq] = x[:seq]
+    prev = 0
+    for k in range(1, n_frames):
+        nominal = int(np.floor(k * hop * ratio + 0.5))
+        if nominal > n - seq:
+            nominal = n - seq
+        if nominal < 0:
+            nominal = 0
+        lo = nominal - seek
+        if lo < 0:
+            lo = 0
+        hi = nominal + seek
+        if hi > n - seq:
+            hi = n - seq
+
+        tb = prev + hop
+        tmpl = x[tb : tb + overlap]
+        te = float(np.dot(tmpl, tmpl))
+        if te <= 0.0:
+            start = nominal
+        else:
+            seg = x[lo : hi + overlap]
+            corr = np.correlate(seg, tmpl, mode="valid")
+            sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
+            en = sq[overlap : overlap + corr.shape[0]] - sq[: corr.shape[0]]
+            scores = np.full(corr.shape[0], -2.0)
+            ok = en > 0.0
+            scores[ok] = corr[ok] / np.sqrt(te * en[ok])
+            start = lo + int(np.argmax(scores))
+
+        o = k * hop
+        out[o : o + overlap] = out[o : o + overlap] * fade_out + x[start : start + overlap] * fade_in
+        out[o + overlap : o + seq] = x[start + overlap : start + seq]
+        prev = start
+    return out[:n_out].copy()
+
+
+# (window, hop) pairs: the default, a finer grid, hop equal to the window,
+# and sizes that are not powers of two
+STFT_GEOMETRIES = ((2048, 512), (1024, 256), (512, 512), (1000, 333))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    geometry=st.sampled_from(STFT_GEOMETRIES),
+    blocks=st.integers(0, 3),
+    offset=st.sampled_from([-1, 0, 1, 2]),
+    ragged=st.floats(0.0, 1.0, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sr=8000, geometry=(2048, 512), blocks=0, offset=0, ragged=0.0, seed=0)
+def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragged, seed):
+    win, hop = geometry
+    config = TempoConfig(stft_window=win, stft_hop=hop)
+    block = tempo.BLOCK_FRAMES
+    # frames for the 1 s the envelope needs, plus one for offset -1
+    need = math.ceil((sr - win) / hop) + 2
+    n_frames = (math.ceil(need / block) + blocks) * block + offset
+    n = (n_frames - 1) * hop + win + int(ragged * hop)
+    x = np.random.default_rng(seed).standard_normal(n) * 0.3
+    x[n // 3 : n // 2] = 0.0  # frames of silence give zero spectra and zero flux
+    buf = PcmBuffer(samples=x, sample_rate=sr)
+    want_env, want_rate = oracle_onset_envelope(buf, config)
+    assert want_env.shape == (n_frames - 1,)
+    for workers in (1, 3):
+        with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tempo, "_executor", lambda: pool)
+            env, rate = onset_envelope(buf, config)
+        assert rate == want_rate
+        assert np.array_equal(env, want_env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    frames=st.floats(2.0, 6.0),
+    ratio=st.floats(0.5, 2.0),
+    out_shift=st.integers(-3, 3),
+    seed=st.integers(0, 2**32 - 1),
+    content=st.sampled_from(["noise", "gapped", "silent"]),
+)
+@example(sr=44100, frames=2.0, ratio=2.0, out_shift=0, seed=0, content="noise")
+def test_stretch_kernel_matches_zeros_then_copy(sr, frames, ratio, out_shift, seed, content):
+    seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
+    seek = int(round(stretch.SEEK_MS * sr / 1000.0))
+    overlap = int(round(stretch.OVERLAP_MS * sr / 1000.0))
+    n = int(frames * seq)
+    x = np.random.default_rng(seed).standard_normal(n) * 0.3
+    if content == "gapped":  # templates of zeros take the nominal position
+        x[seq // 2 : 2 * seq] = 0.0
+    elif content == "silent":
+        x[:] = 0.0
+    # lengths around the law's, so the last frame's copy ends at, short of
+    # and past a frame boundary
+    n_out = max(seq, int(np.floor(n / ratio + 0.5)) + out_shift)
+    want = oracle_stretch_core(x, ratio, seq, seek, overlap, n_out)
+    got = stretch.stretch_core(x, ratio, seq, seek, overlap, n_out)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sr", RATES)
+def test_stretch_kernel_matches_at_whole_frame_lengths(sr):
+    seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
+    seek = int(round(stretch.SEEK_MS * sr / 1000.0))
+    overlap = int(round(stretch.OVERLAP_MS * sr / 1000.0))
+    hop = seq - overlap
+    x = np.random.default_rng(sr).standard_normal(6 * seq) * 0.3
+    for n_out in (seq - 1, seq, seq + 1, 3 * hop + seq - 1, 3 * hop + seq, 3 * hop + seq + 1):
+        want = oracle_stretch_core(x, 1.1, seq, seek, overlap, n_out)
+        assert np.array_equal(stretch.stretch_core(x, 1.1, seq, seek, overlap, n_out), want)
+
+
+# Two defects fail this property (CHANGES.md, FOUND). A 60-60.6 BPM carrier
+# without subdivision decodes a 0 bit as an erasure: its lowered slice
+# reads under 60 BPM, outside the estimator's band, and no harmonic is
+# left inside it. A carrier just over 30 s that carries a 1 bit encodes
+# to under three slices, which decode refuses with TooShort. The
+# examples below reproduce them; when both are mended the test passes and
+# strict=True asks for the mark to go.
+@pytest.mark.xfail(strict=True, raises=(AssertionError, TooShort),
+                   reason="bits on the edges of the tempo band and the 30 s minimum fail")
+@settings(max_examples=20, deadline=None, report_multiple_bugs=False)
+@given(
+    bpm=st.floats(60.0, 200.0),
+    duration_s=st.floats(30.0, 70.0),
+    subdivision=st.booleans(),
+    seed=st.integers(0, 2**16),
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=5),
+)
+@example(bpm=60.0, duration_s=31.0, subdivision=False, seed=0, bits=[0])
+@example(bpm=120.0, duration_s=30.0, subdivision=False, seed=0, bits=[1])
+def test_round_trip_over_click_tracks(bpm, duration_s, subdivision, seed, bits):
+    carrier = generate_click_track(bpm, duration_s, seed=seed, subdivision=subdivision)
+    params = StegoParams()
+    # a 70 s carrier holds 5 bits; shorter ones take the head of the draw
+    capacity = plan_slices(len(carrier), carrier.sample_rate, params).capacity
+    message = BitString(tuple(bits[:capacity]))
+    report = decode(encode(carrier, message, params), params, max_bits=len(message))
+    assert report.bits == message

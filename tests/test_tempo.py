@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,3 +142,29 @@ def test_stretch_covariance(click, ratio):
 def test_determinism(click):
     buf = click(120, 10.0)
     assert estimate_tempo(buf) == estimate_tempo(buf)
+
+
+def _envelope_matches(buf, expected):
+    env, _ = onset_envelope(buf)
+    if not np.array_equal(env, expected):
+        raise AssertionError("the forked child's envelope differs")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_measures_after_parent_used_the_pool(click):
+    buf = click(120, 10.0)
+    # the parent's STFT pool now has threads, which a forked child lacks
+    expected, _ = onset_envelope(buf)
+    child = multiprocessing.get_context("fork").Process(
+        target=_envelope_matches, args=(buf, expected)
+    )
+    with warnings.catch_warnings():
+        # Python 3.12+ warns about forking a process that has threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung waiting for the parent's pool threads")
+    assert child.exitcode == 0
