@@ -70,7 +70,7 @@ from .harness import (
     split_on_silence,
 )
 from .stretch import stretch_tempo
-from .tempo import TempoCandidates, TempoConfig, estimate_tempo, onset_envelope
+from .tempo import TempoCandidates, estimate_tempo, onset_envelope
 
 __version__ = "0.1.0"
 
@@ -129,7 +129,6 @@ __all__ = [
     "split_on_silence",
     "stretch_tempo",
     "TempoCandidates",
-    "TempoConfig",
     "estimate_tempo",
     "onset_envelope",
     "__version__",

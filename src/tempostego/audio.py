@@ -126,14 +126,11 @@ def read_wav(path: str) -> PcmBuffer:
         x = np.frombuffer(raw[: n * 2], dtype="<i2") / 32768.0
     elif fmt_tag == WAVE_FORMAT_PCM and bits == 24:
         n = len(raw) // 3
-        triplets = np.frombuffer(raw[: n * 3], dtype=np.uint8).reshape(n, 3)
-        vals = (
-            triplets[:, 0].astype(np.int64)
-            | (triplets[:, 1].astype(np.int64) << 8)
-            | (triplets[:, 2].astype(np.int64) << 16)
-        )
-        vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
-        x = vals.astype(np.float64) / float(1 << 23)
+        # each triplet becomes the top three bytes of a little-endian int32,
+        # which carries its sign; the divide is exact as for 16-bit
+        quads = np.zeros((n, 4), dtype=np.uint8)
+        quads[:, 1:] = np.frombuffer(raw[: n * 3], dtype=np.uint8).reshape(n, 3)
+        x = quads.view("<i4")[:, 0] / float(1 << 31)
     elif fmt_tag == WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         n = len(raw) // 4
         x = np.frombuffer(raw[: n * 4], dtype="<f4").astype(np.float64)

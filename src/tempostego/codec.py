@@ -3,8 +3,8 @@
 The carrier is cut into fixed slices of phi_s seconds. The first slice is
 left untouched and serves as the tempo reference; the last (possibly
 partial) slice is an untouched tail. Every slice in between carries one
-bit: its tempo is raised by delta (1% by default) for one symbol and
-lowered by delta for the other. The change is far below the ~2.75%
+bit: its tempo is raised by delta (1% by default) for a 1 bit and
+lowered by delta for a 0 bit. The change is far below the ~2.75%
 absolute accuracy of tempo estimation, so a listener or a single
 measurement cannot tell, but the *direction* of the difference between a
 payload slice and the reference survives measurement noise.
@@ -43,8 +43,8 @@ from .errors import (
     TooShort,
     Undecidable,
 )
-from .stretch import stretch_tempo
-from .tempo import TempoCandidates, TempoConfig, estimate_tempo
+from .stretch import stretch_tempo, stretched_length
+from .tempo import SETTINGS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings.
 LOW_CONFIDENCE = 0.5
@@ -57,7 +57,7 @@ _SILENCE_WIN_S = 2.0
 _SILENCE_HOP_S = 1.0
 # The scan's RMS gate is the tempo estimator's, so a reference that passes
 # the scan is one the estimator will measure.
-_SILENCE_GATE_DBFS = TempoConfig().min_rms_dbfs
+_SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 
 # Decoding must not depend on playback level, so the stego buffer is
 # normalized to this RMS before any measurement. Digital silence stays at
@@ -86,7 +86,6 @@ class StegoParams:
         tempo, so boundary artifacts and drift stay out of the window.
     discard_pct: attribute gate; candidate-pair differences larger than
         this (in percent) compare different harmonics and are ignored.
-    bit_one_direction: which tempo direction encodes a 1 bit.
     boundary_mode: how the decoder advances slice boundaries.
     """
 
@@ -94,7 +93,6 @@ class StegoParams:
     delta: float = 0.01
     trim_frac: float = 0.05
     discard_pct: float = 4.0
-    bit_one_direction: Direction = Direction.UP
     boundary_mode: BoundaryMode = BoundaryMode.TRACKED
 
     def __post_init__(self):
@@ -149,7 +147,6 @@ class SlicePlan:
     reference: tuple[int, int]
     data: tuple[tuple[int, int], ...]
     tail: tuple[int, int]
-    sample_rate: int
 
     @property
     def capacity(self) -> int:
@@ -182,21 +179,15 @@ def plan_slices(n_samples: int, sample_rate: int, params: StegoParams) -> SliceP
     phi_n, _, _ = _geometry(sample_rate, params)
     n_slices = n_samples // phi_n
     if n_slices == 0:
-        return SlicePlan((0, n_samples), (), (n_samples, n_samples), sample_rate)
+        return SlicePlan((0, n_samples), (), (n_samples, n_samples))
     data = tuple((i * phi_n, (i + 1) * phi_n) for i in range(1, n_slices - 1))
     tail_start = max(1, n_slices - 1) * phi_n
-    return SlicePlan((0, phi_n), data, (tail_start, n_samples), sample_rate)
+    return SlicePlan((0, phi_n), data, (tail_start, n_samples))
 
 
 def _ratio_for(direction: Direction, delta: float) -> float:
     # Raising tempo by delta shortens the slice by the same factor.
     return 1.0 + delta if direction is Direction.UP else 1.0 - delta
-
-
-def _direction_for_bit(bit: int, params: StegoParams) -> Direction:
-    one = params.bit_one_direction
-    other = Direction.DOWN if one is Direction.UP else Direction.UP
-    return one if bit == 1 else other
 
 
 def _reference_silent(ref: PcmBuffer) -> bool:
@@ -284,7 +275,7 @@ def encode(
     for i, (s0, s1) in enumerate(plan.data):
         piece = PcmBuffer(samples=carrier.samples[s0:s1], sample_rate=carrier.sample_rate)
         if i < len(message):
-            ratio = _ratio_for(_direction_for_bit(message[i], params), params.delta)
+            ratio = _ratio_for(Direction.UP if message[i] == 1 else Direction.DOWN, params.delta)
             piece = stretch_tempo(piece, ratio)
         parts.append(piece.samples)
     t0, t1 = plan.tail
@@ -309,9 +300,10 @@ def decode(
     classifier cannot decide come back as erasures unless force_decide is
     set, which breaks ties toward DOWN with zero confidence. Slices where
     tempo measurement itself fails (silence, no periodicity) are always
-    erasures and noted in the warnings. Raises TooShort under three
-    slices of audio and NonFiniteSamples when the buffer holds NaN or
-    infinity.
+    erasures and noted in the warnings. Raises TooShort when the buffer
+    is shorter than the shortest file encode writes from a three-slice
+    carrier (reference, one raised slice, tail) and NonFiniteSamples when
+    the buffer holds NaN or infinity.
 
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
@@ -323,8 +315,8 @@ def decode(
     sr = stego.sample_rate
     phi_n, trim_n, win_n = _geometry(sr, params)
     n = len(stego)
-    if n < 3 * phi_n:
-        raise TooShort("decoding needs at least three slices of audio")
+    if n < 2 * phi_n + stretched_length(phi_n, _ratio_for(Direction.UP, params.delta)):
+        raise TooShort("decoding needs a reference, one payload slice and a tail")
     samples = stego.samples
     with np.errstate(over="ignore"):
         mean_sq = float(np.mean(samples**2))
@@ -402,7 +394,7 @@ def decode(
         if direction is None:
             symbols.append(ERASURE)
         else:
-            symbols.append(1 if direction == params.bit_one_direction else 0)
+            symbols.append(1 if direction is Direction.UP else 0)
             if conf < LOW_CONFIDENCE:
                 notes.append(f"slice {i}: low confidence {conf:.3f}")
         decisions.append(SliceDecision(i, direction, conf, used))

@@ -235,36 +235,28 @@ def evaluate(
     for name, carrier in zip(names, carriers):
         cap = plan_slices(len(carrier), carrier.sample_rate, params).capacity
         prefix = message[: min(cap, len(message))]
+        bits, failure = None, None
+        errors = erasures = compared = 0
         try:
             stego = encode(carrier, prefix, params)
             if perturbation is not None:
                 stego = perturb(stego, perturbation)
-            report = decode(stego, params, max_bits=len(prefix))
-            errors, erasures, compared = compare_bits(report.bits, prefix)
-            results.append(
-                FileResult(
-                    name=name,
-                    duration_s=carrier.duration_s,
-                    capacity=cap,
-                    bits=report.bits,
-                    errors=errors,
-                    erasures=erasures,
-                    compared=compared,
-                )
-            )
+            bits = decode(stego, params, max_bits=len(prefix)).bits
+            errors, erasures, compared = compare_bits(bits, prefix)
         except StegoError as exc:
-            results.append(
-                FileResult(
-                    name=name,
-                    duration_s=carrier.duration_s,
-                    capacity=cap,
-                    bits=None,
-                    errors=0,
-                    erasures=0,
-                    compared=0,
-                    failure=type(exc).__name__,
-                )
+            failure = type(exc).__name__
+        results.append(
+            FileResult(
+                name=name,
+                duration_s=carrier.duration_s,
+                capacity=cap,
+                bits=bits,
+                errors=errors,
+                erasures=erasures,
+                compared=compared,
+                failure=failure,
             )
+        )
     return EvalResult(files=tuple(results), message=message, params_used=params)
 
 

@@ -85,6 +85,12 @@ def stretch_core(
     return out
 
 
+def stretched_length(n: int, ratio: float) -> int:
+    """Output length of stretch_tempo for n input samples: round(n / ratio),
+    halves rounded up."""
+    return int(np.floor(n / ratio + 0.5))
+
+
 def stretch_tempo(buf: PcmBuffer, ratio: float) -> PcmBuffer:
     """Change tempo by `ratio` without changing pitch.
 
@@ -104,7 +110,7 @@ def stretch_tempo(buf: PcmBuffer, ratio: float) -> PcmBuffer:
         raise BufferTooShort(
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
         )
-    n_out = int(np.floor(len(buf) / ratio + 0.5))
+    n_out = stretched_length(len(buf), ratio)
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
     y = stretch_core(x, float(ratio), seq, seek, overlap, n_out)
     return PcmBuffer(samples=y, sample_rate=sr)

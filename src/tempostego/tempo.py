@@ -91,6 +91,8 @@ def _hann(win: int) -> np.ndarray:
     return w
 
 
+# The estimator's fixed values, read through SETTINGS. They stay a record
+# because perfbench/spans.py builds a TempoConfig to read the STFT geometry.
 @dataclass(frozen=True)
 class TempoConfig:
     bpm_min: float = 60.0
@@ -100,15 +102,8 @@ class TempoConfig:
     k_max: int = 5
     min_rms_dbfs: float = -45.0
 
-    def __post_init__(self):
-        if not (0 < self.bpm_min < self.bpm_max):
-            raise ValueError("need 0 < bpm_min < bpm_max")
-        if self.stft_window < 16 or self.stft_hop < 1:
-            raise ValueError("bad STFT geometry")
-        if self.stft_hop > self.stft_window:
-            raise ValueError("hop must not exceed window")
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+
+SETTINGS = TempoConfig()
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class TempoCandidates:
         return self.entries[0][0]
 
 
-def onset_envelope(buf: PcmBuffer, config: TempoConfig | None = None) -> tuple[np.ndarray, float]:
+def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
     """Spectral-flux onset strength, one value per STFT hop.
 
     Returns (envelope, frame_rate). The envelope is mean-subtracted and
@@ -136,15 +131,13 @@ def onset_envelope(buf: PcmBuffer, config: TempoConfig | None = None) -> tuple[n
     does not depend on how many threads it has. Raises TooShort below 1 s
     and LowEnergy below the RMS gate.
     """
-    if config is None:
-        config = TempoConfig()
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
-    if rms_dbfs(buf) < config.min_rms_dbfs:
-        raise LowEnergy(f"signal below {config.min_rms_dbfs} dBFS gate")
+    if rms_dbfs(buf) < SETTINGS.min_rms_dbfs:
+        raise LowEnergy(f"signal below {SETTINGS.min_rms_dbfs} dBFS gate")
     x = buf.samples
-    win = config.stft_window
-    hop = config.stft_hop
+    win = SETTINGS.stft_window
+    hop = SETTINGS.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
     frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
@@ -164,11 +157,11 @@ def onset_envelope(buf: PcmBuffer, config: TempoConfig | None = None) -> tuple[n
     return env, buf.sample_rate / hop
 
 
-def estimate_tempo(buf: PcmBuffer, config: TempoConfig | None = None) -> TempoCandidates:
+def estimate_tempo(buf: PcmBuffer) -> TempoCandidates:
     """Measure tempo candidates for a buffer of at least 9 s.
 
     Autocorrelation of the onset envelope (unbiased normalization) is
-    scanned for local maxima in the configured BPM band. Each peak is
+    scanned for local maxima in the BPM band of SETTINGS. Each peak is
     refined by parabolic interpolation; peaks that do not clear
     PEAK_MARGIN over the band's median are dropped. Survivors are ranked
     by interpolated peak height weighted by the octave preference, and the
@@ -177,13 +170,11 @@ def estimate_tempo(buf: PcmBuffer, config: TempoConfig | None = None) -> TempoCa
     Raises TooShort (< 9 s), LowEnergy (below the RMS gate), or
     NoPeriodicity (nothing clears the margin, as with unpitched noise).
     """
-    if config is None:
-        config = TempoConfig()
     if buf.duration_s < MIN_MEASURE_S:
         raise TooShort(
             f"tempo needs at least {MIN_MEASURE_S:.0f} s, got {buf.duration_s:.2f} s"
         )
-    env, frame_rate = onset_envelope(buf, config)
+    env, frame_rate = onset_envelope(buf)
     n = env.shape[0]
 
     m = 1
@@ -196,10 +187,10 @@ def estimate_tempo(buf: PcmBuffer, config: TempoConfig | None = None) -> TempoCa
         raise NoPeriodicity("onset envelope carries no energy")
     r = acu / acu[0]
 
-    lag_min = max(1, int(np.floor(60.0 * frame_rate / config.bpm_max)))
-    lag_max = min(n - 2, int(np.ceil(60.0 * frame_rate / config.bpm_min)))
+    lag_min = max(1, int(np.floor(60.0 * frame_rate / SETTINGS.bpm_max)))
+    lag_max = min(n - 2, int(np.ceil(60.0 * frame_rate / SETTINGS.bpm_min)))
     if lag_max <= lag_min:
-        raise NoPeriodicity("buffer too short for the configured BPM band")
+        raise NoPeriodicity("buffer too short for the BPM band")
     base = float(np.median(r[lag_min : lag_max + 1]))
 
     scored = []
@@ -211,16 +202,16 @@ def estimate_tempo(buf: PcmBuffer, config: TempoConfig | None = None) -> TempoCa
         d = 0.0 if denom == 0.0 else float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
         vertex = b - 0.25 * (a - c) * d
         bpm = 60.0 * frame_rate / (p + d)
-        if not (config.bpm_min <= bpm <= config.bpm_max):
+        if not (SETTINGS.bpm_min <= bpm <= SETTINGS.bpm_max):
             continue
         if vertex <= 0.0 or vertex - base <= PEAK_MARGIN:
             continue
-        scored.append((bpm, vertex * (bpm / config.bpm_max) ** OCTAVE_EXP))
+        scored.append((bpm, vertex * (bpm / SETTINGS.bpm_max) ** OCTAVE_EXP))
 
     if not scored:
         raise NoPeriodicity("no autocorrelation peak clears the baseline margin")
     scored.sort(key=lambda t: -t[1])
-    top = scored[: config.k_max]
+    top = scored[: SETTINGS.k_max]
     total = sum(s for _, s in top)
     entries = tuple((bpm, s / total) for bpm, s in top)
     return TempoCandidates(entries=entries, analysis_window_s=buf.duration_s)

@@ -311,8 +311,23 @@ def test_erasure_leaves_later_bits_intact(click):
 
 
 def test_decode_needs_three_slices(click):
-    with pytest.raises(TooShort):
-        decode(click(120, 25.0))
+    # the shortest file encode writes: a 30 s carrier whose one payload
+    # slice is raised; anything shorter is refused
+    shortest = encode(click(120, 30.0), parse_bitstring("1"))
+    assert len(shortest) == 2 * PHI_N + slice_lengths([1])[0]
+    one_less = PcmBuffer(samples=shortest.samples[:-1], sample_rate=SR)
+    for buf in (click(120, 25.0), click(120, 29.0), one_less):
+        with pytest.raises(TooShort):
+            decode(buf, max_bits=1)
+
+
+@pytest.mark.parametrize("duration_s", [30.0, 30.05])
+def test_raised_slice_of_a_three_slice_carrier_decodes(click, duration_s):
+    stego = encode(click(120, duration_s), parse_bitstring("1"))
+    assert len(stego) < 3 * PHI_N
+    assert str(decode(stego, max_bits=1).bits) == "1"
+    # a blind decode reads n // phi_n - 2 = 0 slices
+    assert len(decode(stego).bits) == 0
 
 
 def test_decode_report_serializes(click):
@@ -331,7 +346,6 @@ def test_decode_report_serializes(click):
         "delta": 0.01,
         "trim_frac": 0.05,
         "discard_pct": 4.0,
-        "bit_one_direction": "up",
         "boundary_mode": "tracked",
     }
     assert d["warnings"] == []

@@ -5,9 +5,10 @@ The splitter, the 16-bit writer and the onset envelope work in blocks.
 The oracles below are the straightforward per-frame loop, the one-line
 whole-buffer conversion and the one-shot STFT; the blocked code must
 match them sample for sample and byte for byte, including at block
-boundaries. The stretch oracle fills a zeroed buffer past the output
-length and copies the head out; the kernel writes its output exactly
-once and must match it.
+boundaries. The 24-bit reader views each sample as an int32; its oracle
+shifts and ORs the three bytes in int64. The stretch oracle fills a
+zeroed buffer past the output length and copies the head out; the kernel
+writes its output exactly once and must match it.
 """
 
 import math
@@ -27,7 +28,6 @@ from tempostego import (
     PcmBuffer,
     StegoError,
     StegoParams,
-    TempoConfig,
     TooShort,
     decode,
     encode,
@@ -257,6 +257,40 @@ def riff_blobs(draw):
     return blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob
 
 
+def oracle_pcm24(raw):
+    """The int64 shift-and-or conversion the 24-bit reader must reproduce."""
+    n = len(raw) // 3
+    triplets = np.frombuffer(raw[: n * 3], dtype=np.uint8).reshape(n, 3)
+    vals = (
+        triplets[:, 0].astype(np.int64)
+        | (triplets[:, 1].astype(np.int64) << 8)
+        | (triplets[:, 2].astype(np.int64) << 16)
+    )
+    vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
+    return vals.astype(np.float64) / float(1 << 23)
+
+
+def pcm24(values):
+    return b"".join(struct.pack("<i", v)[:3] for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.binary(max_size=600))
+# full scale on both sides, the values next to zero, and a ragged last byte
+@example(payload=pcm24([-(1 << 23), (1 << 23) - 1, -(1 << 23) + 1, -1, 0, 1]) + b"\x80")
+def test_read_24bit_matches_shift_and_or(tmp_path_factory, payload):
+    fmt = struct.pack("<HHIIHH", 1, 1, 8000, 24000, 3, 24)
+    pad = b"\0" * (len(payload) & 1)
+    path = tmp_path_factory.getbasetemp() / "pcm24.wav"
+    path.write_bytes(riff([
+        b"fmt " + struct.pack("<I", len(fmt)) + fmt,
+        b"data" + struct.pack("<I", len(payload)) + payload + pad,
+    ]))
+    got = read_wav(str(path)).samples
+    assert got.dtype == np.float64
+    assert np.array_equal(got, oracle_pcm24(payload))
+
+
 @settings(max_examples=500, deadline=None)
 @given(blob=st.one_of(st.binary(max_size=120), riff_blobs()))
 def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path_factory, blob):
@@ -296,10 +330,8 @@ def test_stretch_length_law_and_first_frame(sr, frames, ratio, seed, silent):
         assert not out.any()
 
 
-def oracle_onset_envelope(buf, config=None):
+def oracle_onset_envelope(buf, config):
     """The one-shot STFT the blocked envelope must reproduce."""
-    if config is None:
-        config = TempoConfig()
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
     if rms_dbfs(buf) < config.min_rms_dbfs:
@@ -382,7 +414,7 @@ STFT_GEOMETRIES = ((2048, 512), (1024, 256), (512, 512), (1000, 333))
 @example(sr=8000, geometry=(2048, 512), blocks=0, offset=0, ragged=0.0, seed=0)
 def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragged, seed):
     win, hop = geometry
-    config = TempoConfig(stft_window=win, stft_hop=hop)
+    config = tempo.TempoConfig(stft_window=win, stft_hop=hop)
     block = tempo.BLOCK_FRAMES
     # frames for the 1 s the envelope needs, plus one for offset -1
     need = math.ceil((sr - win) / hop) + 2
@@ -396,7 +428,8 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     for workers in (1, 3):
         with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
             mp.setattr(tempo, "_executor", lambda: pool)
-            env, rate = onset_envelope(buf, config)
+            mp.setattr(tempo, "SETTINGS", config)
+            env, rate = onset_envelope(buf)
         assert rate == want_rate
         assert np.array_equal(env, want_env)
 
@@ -441,15 +474,15 @@ def test_stretch_kernel_matches_at_whole_frame_lengths(sr):
         assert np.array_equal(stretch.stretch_core(x, 1.1, seq, seek, overlap, n_out), want)
 
 
-# Two defects fail this property (CHANGES.md, FOUND). A 60-60.6 BPM carrier
-# without subdivision decodes a 0 bit as an erasure: its lowered slice
-# reads under 60 BPM, outside the estimator's band, and no harmonic is
-# left inside it. A carrier just over 30 s that carries a 1 bit encodes
-# to under three slices, which decode refuses with TooShort. The
-# examples below reproduce them; when both are mended the test passes and
-# strict=True asks for the mark to go.
-@pytest.mark.xfail(strict=True, raises=(AssertionError, TooShort),
-                   reason="bits on the edges of the tempo band and the 30 s minimum fail")
+# A 60-60.6 BPM carrier without subdivision fails this property
+# (CHANGES.md, FOUND): it decodes a 0 bit as an erasure, because its
+# lowered slice reads under 60 BPM, outside the estimator's band, and no
+# harmonic is left inside it. The first example reproduces it; when it is
+# mended the test passes and strict=True asks for the mark to go. The
+# second example, a 30 s carrier with a 1 bit, encodes to the shortest
+# file decode accepts.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a 0 bit on a carrier at the 60 BPM edge decodes as an erasure")
 @settings(max_examples=20, deadline=None, report_multiple_bugs=False)
 @given(
     bpm=st.floats(60.0, 200.0),

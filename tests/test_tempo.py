@@ -9,23 +9,14 @@ from tempostego import (
     LowEnergy,
     NoPeriodicity,
     PcmBuffer,
-    TempoConfig,
     TooShort,
     estimate_tempo,
     onset_envelope,
     stretch_tempo,
 )
+from tempostego.tempo import SETTINGS
 
 SR = 44100
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TempoConfig(bpm_min=200, bpm_max=100)
-    with pytest.raises(ValueError):
-        TempoConfig(stft_window=1024, stft_hop=2048)
-    with pytest.raises(ValueError):
-        TempoConfig(k_max=0)
 
 
 def test_silence_is_low_energy():
@@ -45,18 +36,17 @@ def test_short_buffers_rejected():
 
 
 def test_single_click_localized_in_envelope():
-    cfg = TempoConfig()
     rng = np.random.default_rng(3)
     burst_len = int(0.030 * SR)
     burst = rng.uniform(-1, 1, burst_len) * np.exp(-np.arange(burst_len) / (0.005 * SR))
     x = np.zeros(4 * SR)
     at = 2 * SR
     x[at : at + burst_len] = 0.8 * burst / np.max(np.abs(burst))
-    env, frame_rate = onset_envelope(PcmBuffer(samples=x, sample_rate=SR), cfg)
+    env, frame_rate = onset_envelope(PcmBuffer(samples=x, sample_rate=SR))
     peak = int(np.argmax(env))
     # envelope index i differences frames i and i+1; convert to center time
-    peak_time = ((peak + 1) * cfg.stft_hop + cfg.stft_window / 2) / SR
-    assert abs(peak_time - 2.0) <= 2 * cfg.stft_hop / SR + cfg.stft_window / SR
+    peak_time = ((peak + 1) * SETTINGS.stft_hop + SETTINGS.stft_window / 2) / SR
+    assert abs(peak_time - 2.0) <= 2 * SETTINGS.stft_hop / SR + SETTINGS.stft_window / SR
 
 
 def test_envelope_peak_spacing_matches_beat_period(click):
@@ -84,15 +74,14 @@ def test_stretched_track_reads_shifted_tempo(click):
 
 
 def test_candidate_set_invariants(click):
-    cfg = TempoConfig()
     for bpm in (90, 132):
-        cands = estimate_tempo(click(bpm, 12.0), cfg)
-        assert 1 <= len(cands.entries) <= cfg.k_max
+        cands = estimate_tempo(click(bpm, 12.0))
+        assert 1 <= len(cands.entries) <= SETTINGS.k_max
         strengths = [s for _, s in cands.entries]
         assert all(s >= 0 for s in strengths)
         assert sum(strengths) == pytest.approx(1.0)
         assert strengths == sorted(strengths, reverse=True)
-        assert all(cfg.bpm_min <= b <= cfg.bpm_max for b, _ in cands.entries)
+        assert all(SETTINGS.bpm_min <= b <= SETTINGS.bpm_max for b, _ in cands.entries)
         assert cands.analysis_window_s == pytest.approx(12.0)
 
 
