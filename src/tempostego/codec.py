@@ -266,22 +266,28 @@ def encode(
     if len(message) > plan.capacity:
         raise MessageTooLong(message_bits=len(message), capacity=plan.capacity)
 
-    a, b = plan.reference
-    reference = PcmBuffer(samples=carrier.samples[a:b], sample_rate=carrier.sample_rate)
-    if _reference_silent(reference):
+    sr = carrier.sample_rate
+    _, ref_end = plan.reference
+    if _reference_silent(PcmBuffer(samples=x[:ref_end], sample_rate=sr)):
         raise ReferenceSilent("the reference slice contains silence")
 
-    parts = [carrier.samples[a:b]]
-    for i, (s0, s1) in enumerate(plan.data):
-        piece = PcmBuffer(samples=carrier.samples[s0:s1], sample_rate=carrier.sample_rate)
-        if i < len(message):
-            ratio = _ratio_for(Direction.UP if message[i] == 1 else Direction.DOWN, params.delta)
-            piece = stretch_tempo(piece, ratio)
-        parts.append(piece.samples)
-    t0, t1 = plan.tail
-    if t1 > t0:
-        parts.append(carrier.samples[t0:t1])
-    return PcmBuffer(samples=np.concatenate(parts), sample_rate=carrier.sample_rate)
+    # one output buffer sized by the length law; each payload slice is
+    # stretched straight into its slot and everything else copied once
+    ratios = [_ratio_for(Direction.UP if bit == 1 else Direction.DOWN, params.delta)
+              for bit in message]
+    slots = [stretched_length(s1 - s0, r) for (s0, s1), r in zip(plan.data, ratios)]
+    out = np.empty(len(x) + sum(n - (s1 - s0) for (s0, s1), n in zip(plan.data, slots)))
+    out[:ref_end] = x[:ref_end]
+    o = src = ref_end
+    for (s0, s1), ratio, n in zip(plan.data, ratios, slots):
+        piece = PcmBuffer(samples=x[s0:s1], sample_rate=sr)
+        # advancing by the returned length (not the slot's) makes a stretch
+        # that breaks the length law give a wrong-length file
+        o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
+        src = s1
+    rest = x[src:]
+    out[o : o + len(rest)] = rest
+    return PcmBuffer(samples=out[: o + len(rest)], sample_rate=sr)
 
 
 def decode(
@@ -339,9 +345,12 @@ def decode(
         # only the samples decode reads are scaled; no full-length copy
         return PcmBuffer(samples=samples[a:b] * scale, sample_rate=sr)
 
+    notes: list[str] = []
     n_slices = n // phi_n
     if max_bits is None:
         n_read = n_slices - 2
+        if n_read == 0:
+            notes.append("shorter than three slices, so no slice was read; pass max_bits")
     else:
         # A message with more raised than lowered slices shrinks the file,
         # which can drop the last payload slice out of the n_slices - 2
@@ -361,7 +370,6 @@ def decode(
 
     symbols: list[int] = []
     decisions: list[SliceDecision] = []
-    notes: list[str] = []
     boundary = float(phi_n)
     for i in range(1, n_read + 1):
         if params.boundary_mode is BoundaryMode.STATIC:

@@ -271,6 +271,8 @@ def split_on_silence(
     threshold_dbfs lasting at least min_silence_s become separators.
     Returned segments keep their interior short pauses but have leading
     and trailing silent frames removed. All-silent input yields [].
+    Segments are views of the stream's samples, not copies: copy one
+    before mutating it.
     """
     if min_silence_s <= 0:
         raise ValueError("min_silence_s must be positive")
@@ -317,6 +319,6 @@ def split_on_silence(
     for i, j in zip(first, last):
         if i <= j:
             a, b = loud[i], loud[j] + 1
-            seg = x[a * frame_n : min(n, b * frame_n)].copy()
+            seg = x[a * frame_n : min(n, b * frame_n)]
             segments.append(PcmBuffer(samples=seg, sample_rate=sr))
     return segments

@@ -28,11 +28,20 @@ OVERLAP_MS = 10.0
 
 
 def stretch_core(
-    x: np.ndarray, ratio: float, seq: int, seek: int, overlap: int, n_out: int
+    x: np.ndarray,
+    ratio: float,
+    seq: int,
+    seek: int,
+    overlap: int,
+    n_out: int,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Stretch x to exactly n_out samples with seq-sample frames, each
     aligned within +-seek samples of its nominal position and crossfaded
-    over overlap samples. The first maximum of the correlation wins ties."""
+    over overlap samples. The first maximum of the correlation wins ties.
+    The result is written into `out` (n_out float64 samples) when given,
+    else into a new array."""
     hop = seq - overlap
     n = x.shape[0]
     if n_out <= seq:
@@ -41,7 +50,8 @@ def stretch_core(
         n_frames = (n_out - seq + hop - 1) // hop + 1
     # every frame's crossfade lies inside n_out; only the last frame's
     # copy is cut short, so each output sample is written exactly once
-    out = np.empty(n_out)
+    if out is None:
+        out = np.empty(n_out)
     fade_in = np.arange(overlap) / overlap
     fade_out = 1.0 - fade_in
 
@@ -91,12 +101,18 @@ def stretched_length(n: int, ratio: float) -> int:
     return int(np.floor(n / ratio + 0.5))
 
 
-def stretch_tempo(buf: PcmBuffer, ratio: float) -> PcmBuffer:
+def stretch_tempo(
+    buf: PcmBuffer, ratio: float, *, out: np.ndarray | None = None
+) -> PcmBuffer:
     """Change tempo by `ratio` without changing pitch.
 
     ratio = 1.01 plays 1% faster (output shorter by 1%). The output length
-    is exactly round(len(buf) / ratio). Raises RatioOutOfRange outside
-    [0.5, 2.0] and BufferTooShort for inputs under two sequence frames.
+    is exactly round(len(buf) / ratio). When `out` is given, the samples
+    are written into it and the returned buffer holds `out` itself; it
+    must be a float64 array of exactly that length that does not overlap
+    the input, else ValueError.
+    Raises RatioOutOfRange outside [0.5, 2.0] and BufferTooShort for
+    inputs under two sequence frames.
     """
     if not (RATIO_MIN <= ratio <= RATIO_MAX):
         raise RatioOutOfRange(f"ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
@@ -111,6 +127,13 @@ def stretch_tempo(buf: PcmBuffer, ratio: float) -> PcmBuffer:
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
         )
     n_out = stretched_length(len(buf), ratio)
+    if out is not None and (
+        not isinstance(out, np.ndarray)
+        or out.shape != (n_out,)
+        or out.dtype != np.float64
+        or np.may_share_memory(out, buf.samples)
+    ):
+        raise ValueError(f"out must be {n_out} float64 samples apart from the input")
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
-    y = stretch_core(x, float(ratio), seq, seek, overlap, n_out)
+    y = stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out)
     return PcmBuffer(samples=y, sample_rate=sr)

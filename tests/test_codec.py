@@ -326,8 +326,10 @@ def test_raised_slice_of_a_three_slice_carrier_decodes(click, duration_s):
     stego = encode(click(120, duration_s), parse_bitstring("1"))
     assert len(stego) < 3 * PHI_N
     assert str(decode(stego, max_bits=1).bits) == "1"
-    # a blind decode reads n // phi_n - 2 = 0 slices
-    assert len(decode(stego).bits) == 0
+    # a blind decode reads n // phi_n - 2 = 0 slices, and says so
+    blind = decode(stego)
+    assert len(blind.bits) == 0
+    assert len(blind.warnings) == 1 and "max_bits" in blind.warnings[0]
 
 
 def test_decode_report_serializes(click):

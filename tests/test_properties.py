@@ -8,7 +8,9 @@ match them sample for sample and byte for byte, including at block
 boundaries. The 24-bit reader views each sample as an int32; its oracle
 shifts and ORs the three bytes in int64. The stretch oracle fills a
 zeroed buffer past the output length and copies the head out; the kernel
-writes its output exactly once and must match it.
+writes its output exactly once and must match it. The encode oracle
+stretches each payload slice into its own array and concatenates the
+parts; encode writes one plan-sized buffer and must match it.
 """
 
 import math
@@ -113,6 +115,8 @@ def assert_split_matches_oracle(stream, **kwargs):
     for g, w in zip(got, want):
         assert g.sample_rate == stream.sample_rate
         assert g.samples.tobytes() == w.tobytes()
+        # segments are views of the stream, not copies
+        assert np.shares_memory(g.samples, stream.samples)
 
 
 def write_and_compare(x, sample_rate, path):
@@ -472,6 +476,52 @@ def test_stretch_kernel_matches_at_whole_frame_lengths(sr):
     for n_out in (seq - 1, seq, seq + 1, 3 * hop + seq - 1, 3 * hop + seq, 3 * hop + seq + 1):
         want = oracle_stretch_core(x, 1.1, seq, seek, overlap, n_out)
         assert np.array_equal(stretch.stretch_core(x, 1.1, seq, seek, overlap, n_out), want)
+
+
+def oracle_encode(carrier, message, params):
+    """Encode as parts: each payload slice stretched into its own array,
+    then one concatenate."""
+    plan = plan_slices(len(carrier), carrier.sample_rate, params)
+    a, b = plan.reference
+    parts = [carrier.samples[a:b]]
+    for i, (s0, s1) in enumerate(plan.data):
+        piece = PcmBuffer(samples=carrier.samples[s0:s1], sample_rate=carrier.sample_rate)
+        if i < len(message):
+            ratio = 1.0 + params.delta if message[i] == 1 else 1.0 - params.delta
+            piece = stretch_tempo(piece, ratio)
+        parts.append(piece.samples)
+    t0, t1 = plan.tail
+    if t1 > t0:
+        parts.append(carrier.samples[t0:t1])
+    return np.concatenate(parts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    bpm=st.floats(80.0, 180.0),
+    duration_s=st.floats(20.0, 62.0),
+    noise_bed=st.booleans(),
+    seed=st.integers(0, 2**16),
+    n_bits=st.integers(0, 4),
+    bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+)
+@example(sr=44100, bpm=120.0, duration_s=62.0, noise_bed=True, seed=0, n_bits=4,
+         bits=[1, 0, 0, 1])
+def test_encode_matches_parts_then_concatenate(
+    sr, bpm, duration_s, noise_bed, seed, n_bits, bits
+):
+    params = StegoParams(phi_s=10.00997)
+    carrier = generate_click_track(bpm, duration_s, sr, seed=seed)
+    if noise_bed:  # every stretch frame then runs the correlation search
+        rng = np.random.default_rng(seed)
+        carrier = PcmBuffer(carrier.samples + rng.standard_normal(len(carrier)) * 0.05, sr)
+    # a 62 s carrier holds 4 bits; shorter ones take the head of the draw
+    capacity = plan_slices(len(carrier), sr, params).capacity
+    message = BitString(tuple(bits[: min(n_bits, capacity)]))
+    got = encode(carrier, message, params)
+    assert got.sample_rate == sr
+    assert np.array_equal(got.samples, oracle_encode(carrier, message, params))
 
 
 # A 60-60.6 BPM carrier without subdivision fails this property

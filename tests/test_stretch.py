@@ -85,3 +85,27 @@ def test_ratio_bounds(ratio, click):
 def test_short_buffer_rejected():
     with pytest.raises(BufferTooShort):
         stretch_tempo(sine(440, 0.1), 1.01)
+
+
+def test_out_is_filled_and_returned(click):
+    buf = click(120, 10.0)
+    want = stretch_tempo(buf, 1.01).samples
+    out = np.full(len(want), np.nan)
+    got = stretch_tempo(buf, 1.01, out=out)
+    assert got.samples is out
+    assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("shift, dtype", [(-1, np.float64), (1, np.float64), (0, np.float32)])
+def test_out_of_wrong_length_or_dtype_rejected(click, shift, dtype):
+    buf = click(120, 10.0)
+    n = len(stretch_tempo(buf, 1.01))
+    with pytest.raises(ValueError, match="float64"):
+        stretch_tempo(buf, 1.01, out=np.zeros(n + shift, dtype=dtype))
+
+
+def test_out_overlapping_the_input_rejected(click):
+    x = click(120, 10.0).samples.copy()
+    n = len(stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01))
+    with pytest.raises(ValueError, match="apart from the input"):
+        stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01, out=x[:n])
