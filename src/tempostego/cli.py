@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the library one to one: encode, decode, capacity,
-tempo, evaluate, make-carrier, split. All tempo-channel flags default to
-the StegoParams defaults. On failure the process exits nonzero and
+tempo, evaluate, make-carrier, split. Channel flags default to the
+StegoParams defaults. On failure the process exits nonzero and
 prints "error: <ErrorName>: detail" on stderr so scripts can match on
 the error name.
 """
@@ -31,28 +31,29 @@ from .harness import (
 from .tempo import estimate_tempo
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
+# Channel flags by StegoParams field: (flag, type, help). A subcommand
+# takes only those that change its result: --phi and --delta shape the
+# stego file, the rest tune the decoder alone.
+_PARAM_FLAGS = {
+    "phi_s": ("--phi", float, "slice length in seconds"),
+    "delta": ("--delta", float, "tempo offset fraction (0.01 = 1%%)"),
+    "trim_frac": ("--trim", float, "fraction trimmed per slice edge"),
+    "discard_pct": ("--discard", float, "attribute discard gate in percent"),
+    "boundary_mode": ("--mode", BoundaryMode, "decoder slice boundary mode: tracked or static"),
+}
+
+
+def _add_param_flags(p: argparse.ArgumentParser, *fields: str) -> None:
+    """Add the flags of these StegoParams fields, with their defaults."""
     d = StegoParams()
-    p.add_argument("--phi", type=float, default=d.phi_s, help="slice length in seconds")
-    p.add_argument("--delta", type=float, default=d.delta, help="tempo offset fraction (0.01 = 1%%)")
-    p.add_argument("--trim", type=float, default=d.trim_frac, help="fraction trimmed per slice edge")
-    p.add_argument("--discard", type=float, default=d.discard_pct, help="attribute discard gate in percent")
-    p.add_argument(
-        "--mode",
-        choices=["tracked", "static"],
-        default=d.boundary_mode.value,
-        help="decoder slice boundary mode",
-    )
+    for field in fields:
+        flag, kind, text = _PARAM_FLAGS[field]
+        p.add_argument(flag, dest=field, metavar=flag[2:].upper(), type=kind,
+                       default=getattr(d, field), help=text)
 
 
 def _params_from(args: argparse.Namespace) -> StegoParams:
-    return StegoParams(
-        phi_s=args.phi,
-        delta=args.delta,
-        trim_frac=args.trim,
-        discard_pct=args.discard,
-        boundary_mode=BoundaryMode(args.mode),
-    )
+    return StegoParams(**{f: getattr(args, f) for f in _PARAM_FLAGS if hasattr(args, f)})
 
 
 def _add_payload_flags(p: argparse.ArgumentParser) -> None:
@@ -202,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True, help="carrier WAV")
     p.add_argument("--out", required=True, help="output WAV")
     _add_payload_flags(p)
-    _add_param_flags(p)
+    _add_param_flags(p, "phi_s", "delta")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("decode", help="recover a payload from a WAV file")
@@ -214,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="break undecidable slices toward Down instead of emitting x",
     )
-    _add_param_flags(p)
+    _add_param_flags(p, *_PARAM_FLAGS)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("capacity", help="payload bits a carrier can hold")
     p.add_argument("--in", required=True, help="carrier WAV")
-    _add_param_flags(p)
+    _add_param_flags(p, "phi_s")
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("tempo", help="print tempo candidates as 'bpm strength' lines")
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--generate", help='generate click tracks, e.g. "120@194,128@222"')
     _add_payload_flags(p)
     p.add_argument("--perturb", default=None, help="noise:SNR_DB | gain:FACTOR | resample:RATE")
-    _add_param_flags(p)
+    _add_param_flags(p, *_PARAM_FLAGS)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("make-carrier", help="generate a click-track WAV")
@@ -261,11 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StegoError as exc:
+    except (StegoError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: ValueError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,9 +18,10 @@ becomes an erasure, not a guess.
 
 Because stretched slices change length, slice boundaries in the encoded
 file drift away from the nominal i * phi_s grid. In the default Tracked
-boundary mode the decoder advances each boundary by the slice length
-implied by the bit it just decoded, keeping windows aligned; Static mode
-reads the nominal grid and tolerates the drift.
+boundary mode the decoder advances each boundary by the length encode
+wrote for the bit it just decoded (stretch.stretched_length), keeping
+windows on the written boundaries; Static mode reads the nominal grid and
+tolerates the drift.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     Undecidable,
 )
 from .stretch import stretch_tempo, stretched_length
-from .tempo import SETTINGS, TempoCandidates, estimate_tempo
+from .tempo import MAX_DELTA, MIN_MEASURE_S, SETTINGS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings.
 LOW_CONFIDENCE = 0.5
@@ -96,16 +97,17 @@ class StegoParams:
     boundary_mode: BoundaryMode = BoundaryMode.TRACKED
 
     def __post_init__(self):
-        if self.phi_s < 10.0:
-            raise ValueError("phi_s must be at least 10 s")
-        if not (0.0 < self.delta <= 0.03):
-            raise ValueError("delta must be in (0, 0.03]")
+        # each range is written so that NaN and infinity fall outside it
+        if not (10.0 <= self.phi_s < math.inf):
+            raise ValueError("phi_s must be finite and at least 10 s")
+        if not (0.0 < self.delta <= MAX_DELTA):
+            raise ValueError(f"delta must be in (0, {MAX_DELTA:g}]")
         if not (0.0 <= self.trim_frac < 0.5):
             raise ValueError("trim_frac must be in [0, 0.5)")
-        if self.discard_pct <= 0.0:
-            raise ValueError("discard_pct must be positive")
-        if self.phi_s * (1.0 - 2.0 * self.trim_frac) < 9.0:
-            raise ValueError("trimmed measurement window would be under 9 s")
+        if not (0.0 < self.discard_pct < math.inf):
+            raise ValueError("discard_pct must be positive and finite")
+        if self.phi_s * (1.0 - 2.0 * self.trim_frac) < MIN_MEASURE_S:
+            raise ValueError(f"trimmed window would be under {MIN_MEASURE_S:g} s")
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class SlicePlan:
         return len(self.data)
 
 
-def capacity(duration_s: float, params: StegoParams | None = None) -> int:
+def capacity(duration_s: float, params: StegoParams = StegoParams()) -> int:
     """Payload bits a carrier of this duration can hold.
 
     One whole slice anchors the reference and one is reserved for the
@@ -162,8 +164,6 @@ def capacity(duration_s: float, params: StegoParams | None = None) -> int:
     figure encode enforces, which can be one lower when phi_s * rate is
     not a whole number of samples.
     """
-    if params is None:
-        params = StegoParams()
     n_slices = int(math.floor(duration_s / params.phi_s + 1e-9))
     return max(0, n_slices - 2)
 
@@ -223,7 +223,7 @@ def _decide(kept: list[float]) -> tuple[Direction, float]:
 
 
 def classify_slice(
-    reference: TempoCandidates, sample: TempoCandidates, params: StegoParams | None = None
+    reference: TempoCandidates, sample: TempoCandidates, params: StegoParams = StegoParams()
 ) -> tuple[Direction, float]:
     """Decide whether `sample` plays faster (UP) or slower (DOWN) than
     `reference`.
@@ -234,15 +234,13 @@ def classify_slice(
     confidence figure. Raises Undecidable when nothing survives or the
     sum is exactly zero.
     """
-    if params is None:
-        params = StegoParams()
     return _decide(_surviving_attributes(reference, sample, params.discard_pct))
 
 
 def encode(
     carrier: PcmBuffer,
     message: BitString,
-    params: StegoParams | None = None,
+    params: StegoParams = StegoParams(),
 ) -> PcmBuffer:
     """Embed a message, returning the modulated carrier.
 
@@ -253,8 +251,6 @@ def encode(
     measurement), InvalidSymbol if the message carries erasures, and
     NonFiniteSamples if the carrier holds NaN or infinity.
     """
-    if params is None:
-        params = StegoParams()
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
     x = carrier.samples
@@ -292,7 +288,7 @@ def encode(
 
 def decode(
     stego: PcmBuffer,
-    params: StegoParams | None = None,
+    params: StegoParams = StegoParams(),
     *,
     max_bits: int | None = None,
     reference_override: TempoCandidates | None = None,
@@ -308,16 +304,17 @@ def decode(
     tempo measurement itself fails (silence, no periodicity) are always
     erasures and noted in the warnings. Raises TooShort when the buffer
     is shorter than the shortest file encode writes from a three-slice
-    carrier (reference, one raised slice, tail) and NonFiniteSamples when
-    the buffer holds NaN or infinity.
+    carrier (reference, one raised slice, tail), NonFiniteSamples when
+    the buffer holds NaN or infinity, and ValueError for a negative
+    max_bits.
 
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
     testing how a corrupted reference propagates, and skips the silence
     guard.
     """
-    if params is None:
-        params = StegoParams()
+    if max_bits is not None and max_bits < 0:
+        raise ValueError("max_bits must be non-negative")
     sr = stego.sample_rate
     phi_n, trim_n, win_n = _geometry(sr, params)
     n = len(stego)
@@ -346,17 +343,17 @@ def decode(
         return PcmBuffer(samples=samples[a:b] * scale, sample_rate=sr)
 
     notes: list[str] = []
-    n_slices = n // phi_n
+    plan = plan_slices(n, sr, params)
     if max_bits is None:
-        n_read = n_slices - 2
+        n_read = plan.capacity
         if n_read == 0:
             notes.append("shorter than three slices, so no slice was read; pass max_bits")
     else:
         # A message with more raised than lowered slices shrinks the file,
-        # which can drop the last payload slice out of the n_slices - 2
-        # bound; an explicit max_bits is allowed to reach one slice past it
-        # (the net drift never exceeds one slice length).
-        n_read = min(max_bits, n_slices - 1)
+        # which can drop the last payload slice out of the plan's
+        # capacity; an explicit max_bits is allowed to reach one slice past
+        # it (the net drift never exceeds one slice length).
+        n_read = min(max_bits, plan.capacity + 1)
 
     if reference_override is None:
         reference = normalized(0, phi_n)
@@ -370,11 +367,9 @@ def decode(
 
     symbols: list[int] = []
     decisions: list[SliceDecision] = []
-    boundary = float(phi_n)
+    boundary = phi_n
     for i in range(1, n_read + 1):
-        if params.boundary_mode is BoundaryMode.STATIC:
-            boundary = float(i * phi_n)
-        w0 = int(round(boundary)) + trim_n
+        w0 = boundary + trim_n
         w1 = w0 + win_n
         if w1 > n:
             notes.append(f"slice {i}: window runs past the end; stopping")
@@ -407,11 +402,13 @@ def decode(
                 notes.append(f"slice {i}: low confidence {conf:.3f}")
         decisions.append(SliceDecision(i, direction, conf, used))
 
-        if params.boundary_mode is BoundaryMode.TRACKED:
-            if direction is None:
-                boundary += phi_n
-            else:
-                boundary += phi_n / _ratio_for(direction, params.delta)
+        # tracked: the next slice starts where encode ended this one, by
+        # the stretcher's length law; an erasure or static mode keeps the
+        # nominal grid
+        if direction is None or params.boundary_mode is BoundaryMode.STATIC:
+            boundary += phi_n
+        else:
+            boundary += stretched_length(phi_n, _ratio_for(direction, params.delta))
 
     return DecodeReport(
         bits=BitString(tuple(symbols)),
@@ -424,7 +421,7 @@ def decode(
 def encode_playlist(
     carriers: list[PcmBuffer],
     message: BitString,
-    params: StegoParams | None = None,
+    params: StegoParams = StegoParams(),
 ) -> list[PcmBuffer]:
     """Spread one message across several carriers, in order.
 
@@ -432,8 +429,6 @@ def encode_playlist(
     trailing carriers may come back unmodified. Raises
     InsufficientCapacity when the message cannot fit in total.
     """
-    if params is None:
-        params = StegoParams()
     caps = [plan_slices(len(c), c.sample_rate, params).capacity for c in carriers]
     segments = plan_spanning(message, caps)
     return [encode(c, seg, params) for c, seg in zip(carriers, segments)]

@@ -42,8 +42,8 @@ def generate_click_track(
     """
     if not (40.0 <= bpm <= 300.0):
         raise ValueError("bpm must be in [40, 300]")
-    if duration_s < 1.0:
-        raise ValueError("duration must be at least 1 s")
+    if not (1.0 <= duration_s < np.inf):
+        raise ValueError("duration must be finite and at least 1 s")
     if sample_rate < 8000:
         raise ValueError("sample rate must be at least 8 kHz")
     rng = np.random.default_rng(seed)
@@ -216,7 +216,7 @@ class EvalResult:
 def evaluate(
     carriers: list[PcmBuffer],
     message: BitString,
-    params: StegoParams | None = None,
+    params: StegoParams = StegoParams(),
     perturbation: Perturbation | None = None,
     names: list[str] | None = None,
 ) -> EvalResult:
@@ -227,8 +227,6 @@ def evaluate(
     recorded with the error name instead of bits and contributes nothing
     to the totals.
     """
-    if params is None:
-        params = StegoParams()
     if names is None:
         names = [f"carrier-{i + 1}" for i in range(len(carriers))]
     results = []

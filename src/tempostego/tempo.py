@@ -48,6 +48,11 @@ OCTAVE_EXP = 0.3
 
 MIN_MEASURE_S = 9.0
 
+# The largest tempo offset fraction a payload slice may carry. The
+# estimator's band covers every tempo encode can write from a 60-200 BPM
+# carrier, so a slice lowered from 60 BPM still measures inside it.
+MAX_DELTA = 0.03
+
 # STFT frames per block of the onset envelope. A block's frames, spectra
 # and flux stay in cache, and blocks run concurrently because the FFT
 # releases the interpreter lock.
@@ -95,8 +100,8 @@ def _hann(win: int) -> np.ndarray:
 # because perfbench/spans.py builds a TempoConfig to read the STFT geometry.
 @dataclass(frozen=True)
 class TempoConfig:
-    bpm_min: float = 60.0
-    bpm_max: float = 200.0
+    bpm_min: float = 60.0 * (1.0 - MAX_DELTA)
+    bpm_max: float = 200.0 * (1.0 + MAX_DELTA)
     stft_window: int = 2048
     stft_hop: int = 512
     k_max: int = 5

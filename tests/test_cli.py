@@ -4,7 +4,8 @@ import pytest
 
 from tempostego import concat, generate_click_track, read_wav, write_wav
 from tempostego.audio import PcmBuffer
-from tempostego.cli import main
+from tempostego.cli import _params_from, build_parser, main
+from tempostego.codec import BoundaryMode, StegoParams
 
 import numpy as np
 
@@ -119,6 +120,51 @@ def test_bad_bpm_reports_value_error(tmp_path, capsys):
                "--out", str(tmp_path / "x.wav")])
     assert rc == 1
     assert "error: ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--phi", "inf"],
+    ["decode", "--max-bits", "1", "--discard", "nan"],
+    ["decode", "--max-bits", "-2"],
+])
+def test_bad_numbers_report_value_error(capsys, carrier_wav, argv):
+    assert main([argv[0], "--in", carrier_wav, *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: ValueError" in out.err
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_non_finite_duration_reports_value_error(tmp_path, capsys, duration):
+    rc = main(["make-carrier", "--bpm", "120", "--duration", duration,
+               "--out", str(tmp_path / "x.wav")])
+    assert rc == 1
+    assert "error: ValueError" in capsys.readouterr().err
+
+
+CHANNEL_FLAGS = {"--phi": "20", "--delta": "0.02", "--trim": "0.04",
+                 "--discard": "3", "--mode": "static"}
+
+
+@pytest.mark.parametrize("argv,takes", [
+    (["capacity", "--in", "c.wav"], {"--phi"}),
+    (["encode", "--in", "c.wav", "--out", "s.wav", "--bits", "1"], {"--phi", "--delta"}),
+    (["decode", "--in", "s.wav"], set(CHANNEL_FLAGS)),
+    (["evaluate", "--generate", "120@40", "--bits", "1"], set(CHANNEL_FLAGS)),
+])
+def test_each_subcommand_takes_only_the_channel_flags_it_uses(argv, takes):
+    parser = build_parser()
+    for flag, value in CHANNEL_FLAGS.items():
+        if flag in takes:
+            parser.parse_args([*argv, flag, value])
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([*argv, flag, value])
+    given = [a for flag in takes for a in (flag, CHANNEL_FLAGS[flag])]
+    params = _params_from(parser.parse_args([*argv, *given]))
+    assert params.phi_s == 20.0
+    if "--mode" in takes:
+        assert params == StegoParams(20.0, 0.02, 0.04, 3.0, BoundaryMode.STATIC)
 
 
 def test_payload_flags_are_exclusive(carrier_wav, tmp_path):

@@ -30,6 +30,7 @@ from tempostego import (
     parse_bitstring,
     plan_slices,
 )
+from tempostego import codec
 from tempostego.codec import _geometry
 
 SR = 44100
@@ -72,6 +73,13 @@ def test_params_validation():
     with pytest.raises(ValueError):
         StegoParams(phi_s=10.0, trim_frac=0.06)
     StegoParams(phi_s=12.0, trim_frac=0.06)
+
+
+@pytest.mark.parametrize("field", ["phi_s", "delta", "trim_frac", "discard_pct"])
+def test_params_reject_non_finite(field):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            StegoParams(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -252,6 +260,33 @@ def test_static_and_tracked_agree_on_short_files(click):
     assert tracked.bits.symbols == static.bits.symbols == message.symbols
 
 
+def test_tracked_windows_start_trim_past_the_encoded_boundaries(click, monkeypatch):
+    """Tracked decode steps by the stretcher's length law, so after a run
+    of raised slices every window still starts exactly trim_n past the
+    boundary encode wrote, not a rounding error or more away."""
+    message = parse_bitstring("1 1 1 1 1")
+    stego = encode(click(120, 70.0), message)
+    windows = []
+
+    def record(buf):
+        windows.append(buf.samples.copy())
+        return estimate_tempo(buf)
+
+    monkeypatch.setattr(codec, "estimate_tempo", record)
+    assert decode(stego, max_bits=len(message)).bits == message
+    trim_n = int(0.05 * PHI_N)
+    win_n = PHI_N - 2 * trim_n
+    # the reference, then each payload slice at the running sum of lengths
+    starts = np.cumsum([0, PHI_N, *slice_lengths(message)[:-1]]) + trim_n
+    assert len(windows) == len(starts)
+    x = stego.samples
+    ref = x[trim_n : trim_n + win_n]
+    level = np.dot(windows[0], ref) / np.dot(ref, ref)
+    for i, (w, w0) in enumerate(zip(windows, starts)):
+        expected = x[w0 : w0 + win_n] * level
+        assert np.allclose(w, expected, rtol=1e-12, atol=0.0), f"window {i}"
+
+
 @pytest.mark.parametrize("bpm", [113, 127, 145])
 def test_payload_slices_decide_confidently_unmodified_do_not(click, bpm):
     """The embedded offset sits far above measurement jitter: payload
@@ -319,6 +354,13 @@ def test_decode_needs_three_slices(click):
     for buf in (click(120, 25.0), click(120, 29.0), one_less):
         with pytest.raises(TooShort):
             decode(buf, max_bits=1)
+
+
+def test_negative_max_bits_rejected(click):
+    stego = encode(click(120, 30.0), parse_bitstring("1"))
+    with pytest.raises(ValueError):
+        decode(stego, max_bits=-1)
+    assert len(decode(stego, max_bits=0).bits) == 0
 
 
 @pytest.mark.parametrize("duration_s", [30.0, 30.05])

@@ -524,15 +524,10 @@ def test_encode_matches_parts_then_concatenate(
     assert np.array_equal(got.samples, oracle_encode(carrier, message, params))
 
 
-# A 60-60.6 BPM carrier without subdivision fails this property
-# (CHANGES.md, FOUND): it decodes a 0 bit as an erasure, because its
-# lowered slice reads under 60 BPM, outside the estimator's band, and no
-# harmonic is left inside it. The first example reproduces it; when it is
-# mended the test passes and strict=True asks for the mark to go. The
-# second example, a 30 s carrier with a 1 bit, encodes to the shortest
-# file decode accepts.
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a 0 bit on a carrier at the 60 BPM edge decodes as an erasure")
+# The first example is the 60 BPM edge: its lowered slice plays at
+# 59.4 BPM, which the estimator's band must still cover, or the 0 bit
+# decodes as an erasure. The second, a 30 s carrier with a 1 bit, encodes
+# to the shortest file decode accepts.
 @settings(max_examples=20, deadline=None, report_multiple_bugs=False)
 @given(
     bpm=st.floats(60.0, 200.0),
