@@ -32,10 +32,11 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0..3 hold the tag.
 _SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
 
-# Samples per block of the chunked passes over long buffers (write_wav and
-# the splitter's mean square). A block's float64 input and temporaries
-# (about 1.2 MB at 1 << 16) stay in a core's 2 MiB L2 cache across the
-# five or six passes made over it; results do not depend on the size.
+# Samples per block of the chunked passes over long buffers (write_wav,
+# mean_square and the splitter's mean square). A block's float64 input
+# and temporaries (about 1.2 MB at 1 << 16) stay in a core's 2 MiB L2
+# cache across the five or six passes made over it; results do not
+# depend on the size.
 # Median of 5 over a 600 s 44.1 kHz buffer on a 2-vCPU Xeon (write_wav,
 # then split_on_silence): 1 << 15: 148-161 / 55-57 ms, 1 << 16:
 # 139-146 / 50-54 ms, 1 << 17: 150-152 / 55-56 ms, 1 << 20: 171-177 /
@@ -254,11 +255,41 @@ def concat(parts: list[PcmBuffer]) -> PcmBuffer:
     return PcmBuffer(samples=np.concatenate([p.samples for p in parts]), sample_rate=rate)
 
 
+def mean_square(x: np.ndarray) -> float:
+    """np.mean(x**2) of a float64 array, bit for bit, without a
+    full-length square.
+
+    numpy sums a contiguous float64 array pairwise: it splits n values at
+    n2 = n//2 - (n//2) % 8 until a piece holds at most 128. Splitting the
+    same way down to pieces of at most CHUNK_SAMPLES, and summing each
+    with np.add.reduce, evaluates every subtree of that sum in the same
+    order, so the result is identical. Each piece is squared into one
+    reused block-sized buffer. (A plain left-to-right sum of blocks is a
+    different tree and can differ in the last bit.)
+    """
+    sq = np.empty(min(len(x), CHUNK_SAMPLES))
+    return float(_sum_of_squares(x, sq) / len(x))
+
+
+def _sum_of_squares(a: np.ndarray, sq: np.ndarray) -> np.float64:
+    # a module-level function, not a self-referencing closure: that would
+    # be a reference cycle keeping each call's block buffer alive until
+    # the cyclic garbage collector runs
+    n = len(a)
+    if n <= CHUNK_SAMPLES:
+        t = sq[:n]
+        np.square(a, out=t)
+        return np.add.reduce(t)
+    half = n // 2
+    half -= half % 8
+    return _sum_of_squares(a[:half], sq) + _sum_of_squares(a[half:], sq)
+
+
 def rms_dbfs(buf: PcmBuffer) -> float:
     """RMS level in dBFS; digital silence reads as -inf."""
     if len(buf) == 0:
         raise ValueError("rms of an empty buffer is undefined")
-    mean_sq = float(np.mean(buf.samples**2))
+    mean_sq = mean_square(buf.samples)
     if mean_sq == 0.0:
         return float("-inf")
     return 10.0 * np.log10(mean_sq)

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, rms_dbfs
+from .audio import PcmBuffer, mean_square, rms_dbfs
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -170,6 +170,8 @@ def capacity(duration_s: float, params: StegoParams = StegoParams()) -> int:
 
 def _geometry(sample_rate: int, params: StegoParams) -> tuple[int, int, int]:
     """Slice length, per-edge trim and measurement window, in samples."""
+    if not math.isfinite(params.phi_s * sample_rate):
+        raise ValueError(f"phi_s {params.phi_s:g} s is too long at {sample_rate} Hz")
     phi_n = int(round(params.phi_s * sample_rate))
     trim_n = int(round(params.trim_frac * params.phi_s * sample_rate))
     return phi_n, trim_n, phi_n - 2 * trim_n
@@ -321,8 +323,9 @@ def decode(
     if n < 2 * phi_n + stretched_length(phi_n, _ratio_for(Direction.UP, params.delta)):
         raise TooShort("decoding needs a reference, one payload slice and a tail")
     samples = stego.samples
+    # squared a block at a time, so no full-length temporary is held
     with np.errstate(over="ignore"):
-        mean_sq = float(np.mean(samples**2))
+        mean_sq = mean_square(samples)
     # a non-finite mean square is NaN/inf input or an overflow of huge
     # finite samples; only the first is rejected
     if not math.isfinite(mean_sq):
@@ -331,7 +334,7 @@ def decode(
         # |x| above ~1e154: measure the level of samples / peak instead
         peak = float(np.max(np.abs(samples)))
         scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / (
-            peak * np.sqrt(np.mean((samples / peak) ** 2))
+            peak * np.sqrt(mean_square(samples / peak))
         )
     elif mean_sq > 0.0:
         scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CHUNK_SAMPLES, PcmBuffer
+from .audio import CHUNK_SAMPLES, PcmBuffer, mean_square
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
 from .errors import StegoError
@@ -107,7 +107,7 @@ def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
             raise ValueError("gain factor must be positive")
         return PcmBuffer(samples=x * kind.factor, sample_rate=buf.sample_rate)
     if isinstance(kind, Noise):
-        sig_rms = float(np.sqrt(np.mean(x**2)))
+        sig_rms = float(np.sqrt(mean_square(x)))
         if sig_rms == 0.0:
             return PcmBuffer(samples=x.copy(), sample_rate=buf.sample_rate)
         noise_rms = sig_rms * 10.0 ** (-kind.snr_db / 20.0)

@@ -1,4 +1,6 @@
+import gc
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tempostego import (
     slice_buffer,
     write_wav,
 )
+from tempostego import audio
 
 
 def wav_bytes(fmt_tag, channels, sample_rate, bits, payload):
@@ -298,3 +301,24 @@ def test_rms_levels():
     t = np.arange(44100) / 44100
     sine = PcmBuffer(samples=np.sin(2 * np.pi * 100 * t), sample_rate=44100)
     assert rms_dbfs(sine) == pytest.approx(-3.01, abs=0.1)
+
+
+@pytest.mark.parametrize("n", [8_555_555, 13_230_000])
+def test_mean_square_matches_numpy_on_long_buffers(n):
+    # at 8,555,555 samples a left-to-right sum of blocks differs from
+    # np.mean(x**2) in the last bit; 13,230,000 is a 300 s carrier
+    x = np.random.default_rng(n).standard_normal(n)
+    assert audio.mean_square(x) == float(np.mean(x**2))
+
+
+def test_mean_square_frees_its_block_without_the_garbage_collector():
+    x = np.ones(3 * audio.CHUNK_SAMPLES)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        audio.mean_square(x)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < audio.CHUNK_SAMPLES * x.itemsize / 2

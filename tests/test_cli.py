@@ -124,6 +124,7 @@ def test_bad_bpm_reports_value_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["capacity", "--phi", "inf"],
+    ["capacity", "--phi", "1e305"],
     ["decode", "--max-bits", "1", "--discard", "nan"],
     ["decode", "--max-bits", "-2"],
 ])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,3 +456,17 @@ def test_huge_finite_samples_are_not_rejected(click):
     report = decode(stego, max_bits=1)
     assert str(report.bits) == "1"
     assert report.per_slice[0].confidence >= 1.0
+
+
+def test_decode_holds_no_full_length_temporary(click):
+    # the level pass squares a block at a time: decode's own allocations
+    # stay far below the buffer it reads (a full-length square alone would
+    # be as large as the buffer)
+    carrier = click(120, 240.0)
+    tracemalloc.start()
+    try:
+        decode(carrier, max_bits=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < carrier.samples.nbytes / 2

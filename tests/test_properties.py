@@ -10,7 +10,9 @@ shifts and ORs the three bytes in int64. The stretch oracle fills a
 zeroed buffer past the output length and copies the head out; the kernel
 writes its output exactly once and must match it. The encode oracle
 stretches each payload slice into its own array and concatenates the
-parts; encode writes one plan-sized buffer and must match it.
+parts; encode writes one plan-sized buffer and must match it. The block
+mean square must equal np.mean(x**2), the sum numpy makes of the whole
+squared buffer, bit for bit.
 """
 
 import math
@@ -192,6 +194,31 @@ def test_split_at_block_boundaries_matches_frame_loop(delta):
     stream = PcmBuffer(samples=x, sample_rate=sr)
     assert len(split_on_silence(stream)) == 2
     assert_split_matches_oracle(stream)
+
+
+CHUNK = audio.CHUNK_SAMPLES
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(1, 300),
+        st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+        st.integers(3 * CHUNK - 9, 3 * CHUNK + 9),
+    ),
+    stride=st.integers(1, 3),
+    scale=st.sampled_from([0.0, 1e-300, 1.0, 1e160]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3 * CHUNK + 9, stride=1, scale=1.0, seed=0)
+def test_mean_square_matches_numpy_mean(n, stride, scale, seed):
+    x = np.random.default_rng(seed).standard_normal(n * stride)[::stride] * scale
+    with np.errstate(over="ignore", under="ignore"):
+        got = audio.mean_square(x)
+        want = float(np.mean(x**2))
+    assert got == want
+    if scale == 1e160:
+        assert got == math.inf
 
 
 def samples_around_full_scale():
