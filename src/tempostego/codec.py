@@ -26,8 +26,12 @@ tolerates the drift.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import itertools
 import math
+import os
+import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,7 +49,14 @@ from .errors import (
     Undecidable,
 )
 from .stretch import stretch_tempo, stretched_length
-from .tempo import MAX_DELTA, MIN_MEASURE_S, SETTINGS, TempoCandidates, estimate_tempo
+from .tempo import (
+    MAX_DELTA,
+    MIN_MEASURE_S,
+    SETTINGS,
+    TempoCandidates,
+    estimate_tempo,
+    usable_cpus,
+)
 
 # Decisions with confidence below this are flagged in report warnings.
 LOW_CONFIDENCE = 0.5
@@ -247,11 +258,14 @@ def encode(
     """Embed a message, returning the modulated carrier.
 
     The reference slice and tail pass through untouched, as do payload
-    slices beyond the end of the message. Raises MessageTooLong when the
-    message exceeds the carrier's capacity, ReferenceSilent when the first
-    slice contains silence (decoding would be anchored to a bad tempo
-    measurement), InvalidSymbol if the message carries erasures, and
-    NonFiniteSamples if the carrier holds NaN or infinity.
+    slices beyond the end of the message. The payload slices are
+    stretched in one process per usable CPU (forked workers, where the
+    platform has an affinity call); the output does not depend on how
+    many. Raises MessageTooLong when the message exceeds the carrier's
+    capacity, ReferenceSilent when the first slice contains silence
+    (decoding would be anchored to a bad tempo measurement), InvalidSymbol
+    if the message carries erasures, and NonFiniteSamples if the carrier
+    holds NaN or infinity.
     """
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
@@ -275,17 +289,111 @@ def encode(
               for bit in message]
     slots = [stretched_length(s1 - s0, r) for (s0, s1), r in zip(plan.data, ratios)]
     out = np.empty(len(x) + sum(n - (s1 - s0) for (s0, s1), n in zip(plan.data, slots)))
+    starts = itertools.accumulate(slots[:-1], initial=ref_end)
+    jobs = list(zip(plan.data, ratios, starts, slots))
+    lengths = _stretch_into(x, sr, jobs, out)
     out[:ref_end] = x[:ref_end]
+    # advancing by the returned length (not the slot's) makes a stretch
+    # that breaks the length law give a wrong-length file: a short one's
+    # successors move down over the gap, as if written there in turn
     o = src = ref_end
-    for (s0, s1), ratio, n in zip(plan.data, ratios, slots):
-        piece = PcmBuffer(samples=x[s0:s1], sample_rate=sr)
-        # advancing by the returned length (not the slot's) makes a stretch
-        # that breaks the length law give a wrong-length file
-        o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
+    for ((_, s1), _, start, _), got in zip(jobs, lengths):
+        if o != start:
+            out[o : o + got] = out[start : start + got]
+        o += got
         src = s1
     rest = x[src:]
     out[o : o + len(rest)] = rest
     return PcmBuffer(samples=out[: o + len(rest)], sample_rate=sr)
+
+
+def _stretch_into(
+    x: np.ndarray, sr: int, jobs: list[tuple[tuple[int, int], float, int, int]], out: np.ndarray
+) -> list[int]:
+    """Stretch each job ((s0, s1), ratio, start, n) of x into out[start:start + n]
+    and return the lengths stretch_tempo returned.
+
+    Job j belongs to share j % k, with k = min(usable CPUs, jobs). This
+    process stretches share 0. Each other share runs in a forked child,
+    which stretches into its copy-on-write view of the same slots and
+    then sends, per slot, the returned length and the slot's samples
+    through a pipe; they are read straight into out. A share whose child
+    exits non-zero, dies by a signal or sends a short stream is
+    stretched again here, so an exception comes from this call. The
+    result does not depend on k.
+    """
+    k = max(1, min(usable_cpus(), len(jobs)))
+    shares = [range(i, len(jobs), k) for i in range(k)]
+    lengths = [0] * len(jobs)
+
+    def stretch(share: range) -> None:
+        for j in share:
+            (s0, s1), ratio, start, n = jobs[j]
+            piece = PcmBuffer(samples=x[s0:s1], sample_rate=sr)
+            lengths[j] = len(stretch_tempo(piece, ratio, out=out[start : start + n]))
+
+    mine = shares[:1]
+    children: dict[int, tuple] = {}
+    try:
+        for share in shares[1:]:
+            import fcntl  # only reached where there is an affinity call (Unix)
+
+            r, w = os.pipe()
+            # 1 MiB (Linux's default unprivileged limit) rather than 64 KiB
+            # halves the time the transfer takes
+            with contextlib.suppress(AttributeError, OSError):
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+            # After a decode has started the STFT pool this process has
+            # threads, and Python 3.12+ warns about forking it. The child
+            # runs only numpy kernels and pipe writes, and the at-fork hook
+            # in tempo drops the pool it inherits, so the warning is
+            # harmless; the 3.12 CI leg runs these forks.
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: stretch the share here
+                os.close(r)
+                os.close(w)
+                mine.append(share)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    stretch(share)
+                    with open(w, "wb") as pipe:
+                        for j in share:
+                            _, _, start, n = jobs[j]
+                            pipe.write(lengths[j].to_bytes(8, "little", signed=True))
+                            pipe.write(out[start : start + n])
+                    code = 0
+                finally:
+                    # no atexit handlers, no stdio flush: the parent owns those
+                    os._exit(code)
+            os.close(w)
+            children[pid] = (open(r, "rb"), share)
+        for share in mine:
+            stretch(share)
+        head = bytearray(8)
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                whole = True
+                for j in share:
+                    _, _, start, n = jobs[j]
+                    if pipe.readinto(head) != 8 or pipe.readinto(out[start : start + n]) != 8 * n:
+                        whole = False
+                        break
+                    lengths[j] = int.from_bytes(head, "little", signed=True)
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if not whole or status != 0:
+                stretch(share)
+    finally:
+        # only reached with children left when this process raised
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return lengths
 
 
 def decode(
@@ -331,10 +439,11 @@ def decode(
     if not math.isfinite(mean_sq):
         if not np.isfinite(samples).all():
             raise NonFiniteSamples("the stego buffer holds NaN or infinite samples")
-        # |x| above ~1e154: measure the level of samples / peak instead
-        peak = float(np.max(np.abs(samples)))
+        # |x| above ~1e154: measure the level of samples / peak instead,
+        # divided a block at a time
+        peak = float(max(samples.max(), -samples.min()))
         scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / (
-            peak * np.sqrt(mean_square(samples / peak))
+            peak * np.sqrt(mean_square(samples, peak))
         )
     elif mean_sq > 0.0:
         scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq)

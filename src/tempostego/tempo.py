@@ -62,19 +62,27 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (Linux; `taskset`
+    narrows it), or 1 where the platform has no affinity call. The STFT
+    pool and encode's slice workers are both sized by it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return 1
+
+
 def _executor() -> ThreadPoolExecutor:
-    """The shared STFT pool, one thread per CPU this process may run on."""
+    """The shared STFT pool, one thread per usable CPU."""
     global _pool
     with _pool_lock:
         if _pool is None:
             # imported here, so a CLI call that measures no tempo never pays for it
             from concurrent.futures import ThreadPoolExecutor
 
-            try:
-                n = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call on this platform
-                n = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=n, thread_name_prefix="tempostego-stft")
+            _pool = ThreadPoolExecutor(
+                max_workers=usable_cpus(), thread_name_prefix="tempostego-stft"
+            )
         return _pool
 
 

@@ -1,5 +1,10 @@
+import errno
+import io
 import json
 import math
+import os
+import signal
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +35,7 @@ from tempostego import (
     generate_click_track,
     parse_bitstring,
     plan_slices,
+    stretch_tempo,
 )
 from tempostego import codec
 from tempostego.codec import _geometry
@@ -470,3 +476,102 @@ def test_decode_holds_no_full_length_temporary(click):
     finally:
         tracemalloc.stop()
     assert peak < carrier.samples.nbytes / 2
+
+
+def test_decode_of_huge_samples_holds_no_full_length_temporary(click):
+    # the fallback for samples past ~1e154 takes the peak from max and min
+    # and divides by it a block at a time, so it adds no buffer-sized
+    # temporary, and the level it finds reads the same bits
+    stego = encode(click(120, 240.0), parse_bitstring("1 0"))
+    want = decode(stego, max_bits=2).to_dict()
+    huge = PcmBuffer(samples=stego.samples * 1e160, sample_rate=SR)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore"):
+            report = decode(huge, max_bits=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < huge.samples.nbytes / 2
+    assert report.to_dict() == want
+
+
+# A 62 s carrier holds four payload slices, so three workers get shares of
+# two, one and one slices.
+FOUR_BITS = parse_bitstring("1 0 0 1")
+
+
+def encode_with_workers(carrier, message, workers, monkeypatch):
+    monkeypatch.setattr(codec, "usable_cpus", lambda: workers)
+    return encode(carrier, message).samples
+
+
+@pytest.mark.parametrize("failure", ["exit", "raise", "signal", "fork"])
+def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    caller = os.getpid()
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+    if failure == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    def failing(buf, ratio, *, out=None):
+        if os.getpid() != caller:
+            if failure == "exit":
+                os._exit(3)
+            if failure == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("stretch failed in a worker")
+        return stretch_tempo(buf, ratio, out=out)
+
+    monkeypatch.setattr(codec, "stretch_tempo", failing)
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+
+
+def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
+    caller = os.getpid()
+
+    def failing(buf, ratio, *, out=None):
+        if os.getpid() == caller:
+            raise RuntimeError("stretch failed in the caller")
+        return stretch_tempo(buf, ratio, out=out)
+
+    monkeypatch.setattr(codec, "stretch_tempo", failing)
+    with pytest.raises(RuntimeError, match="in the caller"):
+        encode_with_workers(click(120, 62.0), FOUR_BITS, 3, monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_short_stretch_shortens_the_file_by_one_sample_per_slice(click, monkeypatch):
+    # the serial loop advances by the returned length, so each slice's
+    # last sample is overwritten by the next slice; shares sent back by
+    # workers must close the same gaps
+    carrier = click(120, 62.0)
+    full = encode(carrier, FOUR_BITS).samples
+    lost = PHI_N + np.cumsum(slice_lengths(FOUR_BITS)) - 1
+
+    def short(buf, ratio, *, out=None):
+        got = stretch_tempo(buf, ratio, out=out)
+        return PcmBuffer(samples=got.samples[:-1], sample_rate=got.sample_rate)
+
+    monkeypatch.setattr(codec, "stretch_tempo", short)
+    for workers in (1, 2, 3):
+        got = encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch)
+        assert np.array_equal(got, np.delete(full, lost))
+
+
+def test_encode_reaps_its_workers_and_flushes_no_stdio(click, monkeypatch, capfd):
+    # a buffered stdout holding unflushed text when the workers fork: a
+    # worker that flushed it on exit would print the text a second time
+    stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(1, "w", closefd=False)))
+    monkeypatch.setattr(sys, "stdout", stdout)
+    print("unflushed", end="")
+    encode_with_workers(click(120, 62.0), FOUR_BITS, 3, monkeypatch)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    stdout.flush()
+    assert capfd.readouterr().out == "unflushed"

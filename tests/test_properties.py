@@ -44,7 +44,7 @@ from tempostego import (
     stretch_tempo,
     write_wav,
 )
-from tempostego import audio, harness, stretch, tempo
+from tempostego import audio, codec, harness, stretch, tempo
 
 RATES = (8000, 44100)
 
@@ -208,16 +208,18 @@ CHUNK = audio.CHUNK_SAMPLES
     ),
     stride=st.integers(1, 3),
     scale=st.sampled_from([0.0, 1e-300, 1.0, 1e160]),
+    divisor=st.sampled_from([1.0, 3.0, 1e160]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=3 * CHUNK + 9, stride=1, scale=1.0, seed=0)
-def test_mean_square_matches_numpy_mean(n, stride, scale, seed):
+@example(n=3 * CHUNK + 9, stride=1, scale=1.0, divisor=1.0, seed=0)
+@example(n=3 * CHUNK + 9, stride=1, scale=1e160, divisor=1e160, seed=0)
+def test_mean_square_matches_numpy_mean(n, stride, scale, divisor, seed):
     x = np.random.default_rng(seed).standard_normal(n * stride)[::stride] * scale
     with np.errstate(over="ignore", under="ignore"):
-        got = audio.mean_square(x)
-        want = float(np.mean(x**2))
+        got = audio.mean_square(x, divisor)
+        want = float(np.mean((x / divisor) ** 2))
     assert got == want
-    if scale == 1e160:
+    if scale == 1e160 and divisor == 1.0:
         assert got == math.inf
 
 
@@ -532,11 +534,12 @@ def oracle_encode(carrier, message, params):
     seed=st.integers(0, 2**16),
     n_bits=st.integers(0, 4),
     bits=st.lists(st.integers(0, 1), min_size=4, max_size=4),
+    workers=st.integers(1, 3),
 )
 @example(sr=44100, bpm=120.0, duration_s=62.0, noise_bed=True, seed=0, n_bits=4,
-         bits=[1, 0, 0, 1])
+         bits=[1, 0, 0, 1], workers=3)
 def test_encode_matches_parts_then_concatenate(
-    sr, bpm, duration_s, noise_bed, seed, n_bits, bits
+    sr, bpm, duration_s, noise_bed, seed, n_bits, bits, workers
 ):
     params = StegoParams(phi_s=10.00997)
     carrier = generate_click_track(bpm, duration_s, sr, seed=seed)
@@ -546,7 +549,10 @@ def test_encode_matches_parts_then_concatenate(
     # a 62 s carrier holds 4 bits; shorter ones take the head of the draw
     capacity = plan_slices(len(carrier), sr, params).capacity
     message = BitString(tuple(bits[: min(n_bits, capacity)]))
-    got = encode(carrier, message, params)
+    # the slices are shared among this many processes (encode's CPU count)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codec, "usable_cpus", lambda: workers)
+        got = encode(carrier, message, params)
     assert got.sample_rate == sr
     assert np.array_equal(got.samples, oracle_encode(carrier, message, params))
 
