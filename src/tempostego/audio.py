@@ -10,6 +10,7 @@ one. Stereo input is mixed down to mono on read; output is always
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -175,11 +176,14 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     """Write a buffer as 16-bit mono PCM.
 
     Samples outside [-1, 1] are saturated and a ClippingWarning is issued.
-    NaN or infinite samples raise NonFiniteSamples before the file is
-    opened, so no partial file is left behind.
+    NaN or infinite samples raise NonFiniteSamples, and a sample rate whose
+    byte rate does not fit the header raises ValueError, before the file
+    is opened, so no partial file is left behind.
     """
     if len(buf) == 0:
         raise ValueError("refusing to write an empty buffer")
+    if buf.sample_rate * 2 > 0xFFFFFFFF:
+        raise ValueError(f"{buf.sample_rate} Hz overflows the header's 32-bit byte rate")
     x = buf.samples
     q = np.empty(len(x), dtype="<i2")
     scaled = np.empty(min(len(x), CHUNK_SAMPLES))
@@ -231,17 +235,20 @@ def slice_buffer(buf: PcmBuffer, start_s: float, end_s: float) -> PcmBuffer:
 
     Endpoints are converted with round(t * sample_rate) so adjacent slices
     share exact boundaries. The interval must be non-empty and lie inside
-    the buffer.
+    the buffer; a non-finite endpoint raises OutOfRange too.
     """
-    i0 = int(round(start_s * buf.sample_rate))
-    i1 = int(round(end_s * buf.sample_rate))
+    sr = buf.sample_rate
+    if not (math.isfinite(start_s * sr) and math.isfinite(end_s * sr)):
+        raise OutOfRange(f"slice [{start_s}, {end_s}) s has an endpoint no buffer reaches")
+    i0 = int(round(start_s * sr))
+    i1 = int(round(end_s * sr))
     if start_s < 0 or i0 < 0:
         raise OutOfRange(f"slice start {start_s} s is before the buffer")
     if i1 > len(buf):
         raise OutOfRange(f"slice end {end_s} s is past the buffer end")
     if i0 >= i1:
         raise OutOfRange(f"slice [{start_s}, {end_s}) s is empty")
-    return PcmBuffer(samples=buf.samples[i0:i1].copy(), sample_rate=buf.sample_rate)
+    return PcmBuffer(samples=buf.samples[i0:i1].copy(), sample_rate=sr)
 
 
 def concat(parts: list[PcmBuffer]) -> PcmBuffer:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import itertools
 import math
 import os
 import signal
@@ -283,59 +282,53 @@ def encode(
     if _reference_silent(PcmBuffer(samples=x[:ref_end], sample_rate=sr)):
         raise ReferenceSilent("the reference slice contains silence")
 
-    # one output buffer sized by the length law; each payload slice is
-    # stretched straight into its slot and everything else copied once
+    # one output buffer sized by the length law; the payload slices are
+    # stretched straight into it and everything else copied once
     ratios = [_ratio_for(Direction.UP if bit == 1 else Direction.DOWN, params.delta)
               for bit in message]
-    slots = [stretched_length(s1 - s0, r) for (s0, s1), r in zip(plan.data, ratios)]
-    out = np.empty(len(x) + sum(n - (s1 - s0) for (s0, s1), n in zip(plan.data, slots)))
-    starts = itertools.accumulate(slots[:-1], initial=ref_end)
-    jobs = list(zip(plan.data, ratios, starts, slots))
-    lengths = _stretch_into(x, sr, jobs, out)
+    jobs = [((s0, s1), r, stretched_length(s1 - s0, r)) for (s0, s1), r in zip(plan.data, ratios)]
+    out = np.empty(len(x) + sum(n - (s1 - s0) for (s0, s1), _, n in jobs))
+    o = _stretch_into(x, sr, jobs, out, ref_end)
     out[:ref_end] = x[:ref_end]
-    # advancing by the returned length (not the slot's) makes a stretch
-    # that breaks the length law give a wrong-length file: a short one's
-    # successors move down over the gap, as if written there in turn
-    o = src = ref_end
-    for ((_, s1), _, start, _), got in zip(jobs, lengths):
-        if o != start:
-            out[o : o + got] = out[start : start + got]
-        o += got
-        src = s1
-    rest = x[src:]
+    # the tail is what follows the last stretched slice's input
+    rest = x[jobs[-1][0][1] if jobs else ref_end :]
     out[o : o + len(rest)] = rest
     return PcmBuffer(samples=out[: o + len(rest)], sample_rate=sr)
 
 
 def _stretch_into(
-    x: np.ndarray, sr: int, jobs: list[tuple[tuple[int, int], float, int, int]], out: np.ndarray
-) -> list[int]:
-    """Stretch each job ((s0, s1), ratio, start, n) of x into out[start:start + n]
-    and return the lengths stretch_tempo returned.
+    x: np.ndarray, sr: int, jobs: list[tuple[tuple[int, int], float, int]], out: np.ndarray, o: int
+) -> int:
+    """Stretch each job ((s0, s1), ratio, n) of x into out in order, each
+    where the previous one ended, from o on; return where the last ended.
 
-    Job j belongs to share j % k, with k = min(usable CPUs, jobs). This
-    process stretches share 0. Each other share runs in a forked child,
-    which stretches into its copy-on-write view of the same slots and
-    then sends, per slot, the returned length and the slot's samples
-    through a pipe; they are read straight into out. A share whose child
-    exits non-zero, dies by a signal or sends a short stream is
-    stretched again here, so an exception comes from this call. The
-    result does not depend on k.
+    The jobs are cut into k = min(usable CPUs, jobs) runs of consecutive
+    jobs, the first of them the longest. This process stretches the first
+    run. Each other run is stretched by a forked child into its
+    copy-on-write view of out, at the place the length law gives it, and
+    sent through a pipe as one sample count and the samples, read
+    straight into out at the running offset. A run whose fork fails, or
+    whose child exits non-zero, dies by a signal or sends a short stream,
+    is stretched here at the running offset, so an exception comes from
+    this call. The result does not depend on k, and a stretch that
+    returns fewer than n samples gives the file a serial loop writes.
     """
     k = max(1, min(usable_cpus(), len(jobs)))
-    shares = [range(i, len(jobs), k) for i in range(k)]
-    lengths = [0] * len(jobs)
+    q, r = divmod(len(jobs), k)
+    cuts = [i * q + min(i, r) for i in range(k + 1)]
+    runs = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def stretch(share: range) -> None:
-        for j in share:
-            (s0, s1), ratio, start, n = jobs[j]
+    def stretch(run: list, o: int) -> int:
+        for (s0, s1), ratio, n in run:
             piece = PcmBuffer(samples=x[s0:s1], sample_rate=sr)
-            lengths[j] = len(stretch_tempo(piece, ratio, out=out[start : start + n]))
+            o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
+        return o
 
-    mine = shares[:1]
-    children: dict[int, tuple] = {}
+    forked = []  # (run, pid), pid None where the fork failed
+    pipes = {}  # pid: read end, for each child not yet reaped
     try:
-        for share in shares[1:]:
+        at = o + sum(n for *_, n in runs[0])
+        for run in runs[1:]:
             import fcntl  # only reached where there is an affinity call (Unix)
 
             r, w = os.pipe()
@@ -350,50 +343,48 @@ def _stretch_into(
             # harmless; the 3.12 CI leg runs these forks.
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: stretch the share here
+            except OSError:  # no process to spare: stretch the run here
                 os.close(r)
                 os.close(w)
-                mine.append(share)
-                continue
+                pid = None
             if pid == 0:
                 code = 1
                 try:
                     os.close(r)
-                    stretch(share)
+                    end = stretch(run, at)
                     with open(w, "wb") as pipe:
-                        for j in share:
-                            _, _, start, n = jobs[j]
-                            pipe.write(lengths[j].to_bytes(8, "little", signed=True))
-                            pipe.write(out[start : start + n])
+                        pipe.write((end - at).to_bytes(8, "little"))
+                        pipe.write(out[at:end])
                     code = 0
                 finally:
                     # no atexit handlers, no stdio flush: the parent owns those
                     os._exit(code)
-            os.close(w)
-            children[pid] = (open(r, "rb"), share)
-        for share in mine:
-            stretch(share)
+            if pid is not None:
+                os.close(w)
+                pipes[pid] = open(r, "rb")
+            forked.append((run, pid))
+            at += sum(n for *_, n in run)
+        o = stretch(runs[0], o)
         head = bytearray(8)
-        for pid, (pipe, share) in list(children.items()):
-            with pipe:
-                whole = True
-                for j in share:
-                    _, _, start, n = jobs[j]
-                    if pipe.readinto(head) != 8 or pipe.readinto(out[start : start + n]) != 8 * n:
-                        whole = False
-                        break
-                    lengths[j] = int.from_bytes(head, "little", signed=True)
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            if not whole or status != 0:
-                stretch(share)
+        for run, pid in forked:
+            end = None
+            if pid is not None:
+                with pipes[pid] as pipe:
+                    if pipe.readinto(head) == 8:
+                        count = int.from_bytes(head, "little")
+                        if pipe.readinto(out[o : o + count]) == 8 * count:
+                            end = o + count
+                if os.waitpid(pid, 0)[1] != 0:
+                    end = None
+                del pipes[pid]
+            o = stretch(run, o) if end is None else end
     finally:
         # only reached with children left when this process raised
-        for pid, (pipe, _) in children.items():
+        for pid, pipe in pipes.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return lengths
+    return o
 
 
 def decode(

@@ -11,6 +11,7 @@ against the expected bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,8 +273,8 @@ def split_on_silence(
     Segments are views of the stream's samples, not copies: copy one
     before mutating it.
     """
-    if min_silence_s <= 0:
-        raise ValueError("min_silence_s must be positive")
+    if not (0.0 < min_silence_s < math.inf):
+        raise ValueError("min_silence_s must be positive and finite")
     sr = stream.sample_rate
     x = stream.samples
     frame_n = max(1, int(round(0.020 * sr)))
@@ -298,7 +299,9 @@ def split_on_silence(
     with np.errstate(divide="ignore"):
         # log10(0) is -inf: digital silence is below any finite threshold
         silent = 10.0 * np.log10(mean_sq) < threshold_dbfs
-    need = max(1, int(np.ceil(min_silence_s * sr / frame_n)))
+    # no run is longer than the stream, so a longer need changes nothing
+    # and the cap keeps a huge finite min_silence_s from overflowing
+    need = max(1, int(np.ceil(min(min_silence_s * sr / frame_n, n_frames + 1))))
 
     # silent runs [starts, ends); those of at least `need` frames separate
     edges = np.diff(np.concatenate(([0], silent.view(np.int8), [0])))

@@ -180,6 +180,14 @@ def test_write_rejects_non_finite_without_leaving_a_file(tmp_path, bad):
     assert not path.exists()
 
 
+def test_write_rejects_a_byte_rate_past_32_bits_without_leaving_a_file(tmp_path):
+    # read_wav accepts a 3 GHz header; its byte rate needs 33 bits
+    path = tmp_path / "fast.wav"
+    with pytest.raises(ValueError, match="byte rate"):
+        write_wav(PcmBuffer(samples=np.zeros(1000), sample_rate=3_000_000_000), str(path))
+    assert not path.exists()
+
+
 def test_compressed_format_rejected(tmp_path):
     path = write_raw(tmp_path, "ulaw.wav", wav_bytes(7, 1, 8000, 8, bytes(100)))
     with pytest.raises(UnsupportedFormat):
@@ -268,7 +276,10 @@ def test_slice_full_span_is_identity():
     assert np.array_equal(piece.samples, buf.samples)
 
 
-@pytest.mark.parametrize("start,end", [(5.0, 5.0), (-1.0, 2.0), (1.0, 61.0), (3.0, 2.0)])
+@pytest.mark.parametrize("start,end", [
+    (5.0, 5.0), (-1.0, 2.0), (1.0, 61.0), (3.0, 2.0),
+    (np.inf, 2.0), (0.0, np.inf), (np.nan, 2.0), (0.0, 1e305),
+])
 def test_slice_rejects_bad_intervals(start, end):
     with pytest.raises(OutOfRange):
         slice_buffer(make_buffer(), start, end)

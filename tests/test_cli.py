@@ -127,6 +127,7 @@ def test_bad_bpm_reports_value_error(tmp_path, capsys):
     ["capacity", "--phi", "1e305"],
     ["decode", "--max-bits", "1", "--discard", "nan"],
     ["decode", "--max-bits", "-2"],
+    ["split", "--out-dir", "segments", "--min-silence", "inf"],
 ])
 def test_bad_numbers_report_value_error(capsys, carrier_wav, argv):
     assert main([argv[0], "--in", carrier_wav, *argv[1:]]) == 1

@@ -496,7 +496,7 @@ def test_decode_of_huge_samples_holds_no_full_length_temporary(click):
     assert report.to_dict() == want
 
 
-# A 62 s carrier holds four payload slices, so three workers get shares of
+# A 62 s carrier holds four payload slices, so three workers get runs of
 # two, one and one slices.
 FOUR_BITS = parse_bitstring("1 0 0 1")
 
@@ -506,17 +506,20 @@ def encode_with_workers(carrier, message, workers, monkeypatch):
     return encode(carrier, message).samples
 
 
-@pytest.mark.parametrize("failure", ["exit", "raise", "signal", "fork"])
+@pytest.mark.parametrize("failure", ["exit", "raise", "signal", "fork", "second-fork"])
 def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     caller = os.getpid()
+    forks = []
+    real_fork = os.fork
 
-    def no_fork():
+    def fork_failing():
+        # "second-fork": the first worker runs, the last run falls back here
+        forks.append(None)
+        if failure == "second-fork" and len(forks) == 1:
+            return real_fork()
         raise BlockingIOError(errno.EAGAIN, "no process to spare")
-
-    if failure == "fork":
-        monkeypatch.setattr(os, "fork", no_fork)
 
     def failing(buf, ratio, *, out=None):
         if os.getpid() != caller:
@@ -527,8 +530,12 @@ def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
             raise RuntimeError("stretch failed in a worker")
         return stretch_tempo(buf, ratio, out=out)
 
-    monkeypatch.setattr(codec, "stretch_tempo", failing)
+    if failure.endswith("fork"):
+        monkeypatch.setattr(os, "fork", fork_failing)
+    else:
+        monkeypatch.setattr(codec, "stretch_tempo", failing)
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    assert len(forks) == (2 if failure.endswith("fork") else 0)
 
 
 def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
@@ -548,20 +555,28 @@ def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
 
 def test_a_short_stretch_shortens_the_file_by_one_sample_per_slice(click, monkeypatch):
     # the serial loop advances by the returned length, so each slice's
-    # last sample is overwritten by the next slice; shares sent back by
-    # workers must close the same gaps
+    # last sample is overwritten by the next slice; runs sent back by
+    # workers, and a failed worker's run stretched again in the caller,
+    # must land at the same running offset
     carrier = click(120, 62.0)
     full = encode(carrier, FOUR_BITS).samples
     lost = PHI_N + np.cumsum(slice_lengths(FOUR_BITS)) - 1
+    caller = os.getpid()
+    third = carrier.samples[3 * PHI_N : 4 * PHI_N]
 
     def short(buf, ratio, *, out=None):
+        if failing and os.getpid() != caller and np.shares_memory(buf.samples, third):
+            os._exit(3)
         got = stretch_tempo(buf, ratio, out=out)
         return PcmBuffer(samples=got.samples[:-1], sample_rate=got.sample_rate)
 
     monkeypatch.setattr(codec, "stretch_tempo", short)
-    for workers in (1, 2, 3):
-        got = encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch)
-        assert np.array_equal(got, np.delete(full, lost))
+    # failing: the worker given payload slice 3 exits non-zero (at three
+    # workers, the middle run, between the caller's and the last worker's)
+    for failing in (False, True):
+        for workers in (1, 2, 3):
+            got = encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch)
+            assert np.array_equal(got, np.delete(full, lost))
 
 
 def test_encode_reaps_its_workers_and_flushes_no_stdio(click, monkeypatch, capfd):

@@ -177,6 +177,8 @@ def test_split_on_two_segments():
     assert len(segments) == 2
     for seg in segments:
         assert 29.0 < seg.duration_s <= 30.05
+    # a gap no stream holds, so long that it overflows in samples
+    assert len(split_on_silence(stream, min_silence_s=1e305)) == 1
 
 
 def test_short_gap_does_not_split():
@@ -219,5 +221,6 @@ def test_threshold_decides_what_counts_as_silence():
 
 
 def test_split_validation():
-    with pytest.raises(ValueError):
-        split_on_silence(generate_click_track(120, 5.0), min_silence_s=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            split_on_silence(generate_click_track(120, 5.0), min_silence_s=bad)
