@@ -262,38 +262,31 @@ def concat(parts: list[PcmBuffer]) -> PcmBuffer:
     return PcmBuffer(samples=np.concatenate([p.samples for p in parts]), sample_rate=rate)
 
 
-def mean_square(x: np.ndarray, divisor: float = 1.0) -> float:
-    """np.mean((x / divisor)**2) of a float64 array, bit for bit, without
-    a full-length temporary.
+def mean_square(x: np.ndarray) -> float:
+    """np.mean(x**2) of a float64 array, bit for bit, without a
+    full-length temporary.
 
     numpy sums a contiguous float64 array pairwise: it splits n values at
     n2 = n//2 - (n//2) % 8 until a piece holds at most 128. Splitting the
     same way down to pieces of at most CHUNK_SAMPLES, and summing each
     with np.add.reduce, evaluates every subtree of that sum in the same
-    order, so the result is identical. Each piece is divided and squared
-    in one reused block-sized buffer. (A plain left-to-right sum of
-    blocks is a different tree and can differ in the last bit.)
+    order, so the result is identical. Each piece is squared in one
+    reused block-sized buffer. (A plain left-to-right sum of blocks is a
+    different tree and can differ in the last bit.)
     """
     sq = np.empty(min(len(x), CHUNK_SAMPLES))
-    return float(_sum_of_squares(x, divisor, sq) / len(x))
+    return float(_sum_of_squares(x, sq) / len(x))
 
 
-def _sum_of_squares(a: np.ndarray, divisor: float, sq: np.ndarray) -> np.float64:
+def _sum_of_squares(a: np.ndarray, sq: np.ndarray) -> np.float64:
     # a module-level function, not a self-referencing closure: that would
     # be a reference cycle keeping each call's block buffer alive until
     # the cyclic garbage collector runs
     n = len(a)
     if n <= CHUNK_SAMPLES:
-        t = sq[:n]
-        if divisor == 1.0:
-            np.square(a, out=t)
-        else:
-            np.divide(a, divisor, out=t)
-            np.square(t, out=t)
-        return np.add.reduce(t)
-    half = n // 2
-    half -= half % 8
-    return _sum_of_squares(a[:half], divisor, sq) + _sum_of_squares(a[half:], divisor, sq)
+        return np.add.reduce(np.square(a, out=sq[:n]))
+    half = n // 2 - (n // 2) % 8
+    return _sum_of_squares(a[:half], sq) + _sum_of_squares(a[half:], sq)
 
 
 def rms_dbfs(buf: PcmBuffer) -> float:

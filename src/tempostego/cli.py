@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 
 from .audio import read_wav, slice_buffer, write_wav
@@ -181,13 +182,22 @@ def _cmd_split(args) -> int:
     segments = split_stream(
         stream, min_silence_s=args.min_silence, threshold_dbfs=args.threshold
     )
+    if not segments:
+        print("no non-silent segments found", file=sys.stderr)
+        return 0
+    top, d = None, os.path.abspath(args.out_dir)
+    while not os.path.exists(d):  # the outermost directory makedirs makes
+        top, d = d, os.path.dirname(d)
     os.makedirs(args.out_dir, exist_ok=True)
     for i, seg in enumerate(segments, start=1):
         path = os.path.join(args.out_dir, f"segment-{i:02d}.wav")
-        write_wav(seg, path)
+        try:
+            write_wav(seg, path)
+        except Exception:
+            if i == 1 and top:  # nothing written: remove what this call made
+                shutil.rmtree(top, ignore_errors=True)
+            raise
         print(f"wrote {path} ({seg.duration_s:.1f} s)")
-    if not segments:
-        print("no non-silent segments found", file=sys.stderr)
     return 0
 
 
@@ -262,8 +272,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StegoError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (StegoError, ValueError, OSError) as exc:
+        # OSError: the CLI's own file calls; the library raises IoError
+        name = "IoError" if isinstance(exc, OSError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -16,6 +16,10 @@ discard_pct are dropped (they compare unrelated harmonics), and the sign
 of the surviving sum names the direction. A slice with no usable pairs
 becomes an erasure, not a guess.
 
+Encode and decode judge the untouched reference slice alike, scaled to
+a fixed RMS, and decode scales each window it reads by the same factor:
+its bits depend neither on playback level nor on audio after the song.
+
 Because stretched slices change length, slice boundaries in the encoded
 file drift away from the nominal i * phi_s grid. In the default Tracked
 boundary mode the decoder advances each boundary by the length encode
@@ -70,9 +74,8 @@ _SILENCE_HOP_S = 1.0
 # the scan is one the estimator will measure.
 _SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 
-# Decoding must not depend on playback level, so the stego buffer is
-# normalized to this RMS before any measurement. Digital silence stays at
-# -inf dBFS regardless, so the silence guards still work.
+# The reference slice is scaled to this RMS before it is judged: with the
+# gate above, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
 
 
@@ -202,15 +205,30 @@ def _ratio_for(direction: Direction, delta: float) -> float:
     return 1.0 + delta if direction is Direction.UP else 1.0 - delta
 
 
-def _reference_silent(ref: PcmBuffer) -> bool:
-    sr = ref.sample_rate
-    win = min(len(ref), int(round(_SILENCE_WIN_S * sr)))
+def _screen_finite(x: np.ndarray, what: str) -> None:
+    # one dot product screens x without a temporary; it is also inf for
+    # huge finite samples, so a second pass confirms before rejecting
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
+            raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
+
+
+def _reference_factor(x: np.ndarray, sr: int) -> float:
+    """The factor that scales the reference slice x to _NORM_TARGET_DBFS
+    RMS, found from x / peak so no finite sample overflows. Raises
+    ReferenceSilent if x is empty or all zeros, or if any 2 s of x scaled
+    is under the scan gate."""
+    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # an all-zero or empty x
+        factor = float(10.0 ** (_NORM_TARGET_DBFS / 20.0) / (peak * np.sqrt(mean_square(x / peak))))
+    win = min(len(x), int(round(_SILENCE_WIN_S * sr)))
     hop = max(1, int(round(_SILENCE_HOP_S * sr)))
-    for start in range(0, len(ref) - win + 1, hop):
-        piece = PcmBuffer(samples=ref.samples[start : start + win], sample_rate=sr)
-        if rms_dbfs(piece) < _SILENCE_GATE_DBFS:
-            return True
-    return False
+    if not math.isfinite(factor) or any(
+        rms_dbfs(PcmBuffer(samples=x[i : i + win] * factor, sample_rate=sr)) < _SILENCE_GATE_DBFS
+        for i in range(0, len(x) - win + 1, hop)
+    ):
+        raise ReferenceSilent("the reference slice contains silence")
+    return factor
 
 
 def _surviving_attributes(
@@ -261,26 +279,22 @@ def encode(
     stretched in one process per usable CPU (forked workers, where the
     platform has an affinity call); the output does not depend on how
     many. Raises MessageTooLong when the message exceeds the carrier's
-    capacity, ReferenceSilent when the first slice contains silence
-    (decoding would be anchored to a bad tempo measurement), InvalidSymbol
-    if the message carries erasures, and NonFiniteSamples if the carrier
-    holds NaN or infinity.
+    capacity, ReferenceSilent when any 2 s of the first slice is silent
+    relative to the slice's own level (decoding would be anchored to a
+    bad tempo measurement), InvalidSymbol if the message carries
+    erasures, and NonFiniteSamples if the carrier holds NaN or infinity.
     """
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
     x = carrier.samples
-    # one dot product screens the whole carrier; it is also inf for huge
-    # finite samples, so a second pass confirms before rejecting
-    if not np.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
-        raise NonFiniteSamples("the carrier holds NaN or infinite samples")
+    _screen_finite(x, "carrier")
     plan = plan_slices(len(carrier), carrier.sample_rate, params)
     if len(message) > plan.capacity:
         raise MessageTooLong(message_bits=len(message), capacity=plan.capacity)
 
     sr = carrier.sample_rate
     _, ref_end = plan.reference
-    if _reference_silent(PcmBuffer(samples=x[:ref_end], sample_rate=sr)):
-        raise ReferenceSilent("the reference slice contains silence")
+    _reference_factor(x[:ref_end], sr)
 
     # one output buffer sized by the length law; the payload slices are
     # stretched straight into it and everything else copied once
@@ -397,22 +411,23 @@ def decode(
 ) -> DecodeReport:
     """Recover bits from a carrier encoded with the same params.
 
-    The buffer is RMS-normalized first, so the result does not depend on
-    playback level (only digital silence is still treated as silence).
-    Reads every payload slice (or the first max_bits). Slices the
-    classifier cannot decide come back as erasures unless force_decide is
-    set, which breaks ties toward DOWN with zero confidence. Slices where
-    tempo measurement itself fails (silence, no periodicity) are always
-    erasures and noted in the warnings. Raises TooShort when the buffer
-    is shorter than the shortest file encode writes from a three-slice
-    carrier (reference, one raised slice, tail), NonFiniteSamples when
-    the buffer holds NaN or infinity, and ValueError for a negative
-    max_bits.
+    Every window is scaled by the factor that brings the reference slice
+    to a fixed RMS, so the result depends neither on playback level nor
+    on audio after the song. Reads every payload slice (or the first
+    max_bits). Slices the classifier cannot decide come back as erasures
+    unless force_decide is set, which breaks ties toward DOWN with zero
+    confidence. Slices where tempo measurement itself fails (silence, no
+    periodicity) are always erasures and noted in the warnings. Raises
+    TooShort when the buffer is shorter than the shortest file encode
+    writes from a three-slice carrier (reference, one raised slice,
+    tail), NonFiniteSamples when the buffer holds NaN or infinity,
+    ReferenceSilent under the guard encode applies to the first slice,
+    and ValueError for a negative max_bits.
 
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
-    testing how a corrupted reference propagates, and skips the silence
-    guard.
+    testing how a corrupted reference propagates. The level and the
+    silence guard still come from the reference samples.
     """
     if max_bits is not None and max_bits < 0:
         raise ValueError("max_bits must be non-negative")
@@ -422,28 +437,8 @@ def decode(
     if n < 2 * phi_n + stretched_length(phi_n, _ratio_for(Direction.UP, params.delta)):
         raise TooShort("decoding needs a reference, one payload slice and a tail")
     samples = stego.samples
-    # squared a block at a time, so no full-length temporary is held
-    with np.errstate(over="ignore"):
-        mean_sq = mean_square(samples)
-    # a non-finite mean square is NaN/inf input or an overflow of huge
-    # finite samples; only the first is rejected
-    if not math.isfinite(mean_sq):
-        if not np.isfinite(samples).all():
-            raise NonFiniteSamples("the stego buffer holds NaN or infinite samples")
-        # |x| above ~1e154: measure the level of samples / peak instead,
-        # divided a block at a time
-        peak = float(max(samples.max(), -samples.min()))
-        scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / (
-            peak * np.sqrt(mean_square(samples, peak))
-        )
-    elif mean_sq > 0.0:
-        scale = 10.0 ** (_NORM_TARGET_DBFS / 20.0) / np.sqrt(mean_sq)
-    else:
-        scale = 1.0
-
-    def normalized(a: int, b: int) -> PcmBuffer:
-        # only the samples decode reads are scaled; no full-length copy
-        return PcmBuffer(samples=samples[a:b] * scale, sample_rate=sr)
+    _screen_finite(samples, "stego buffer")
+    factor = _reference_factor(samples[:phi_n], sr)
 
     notes: list[str] = []
     plan = plan_slices(n, sr, params)
@@ -458,15 +453,9 @@ def decode(
         # it (the net drift never exceeds one slice length).
         n_read = min(max_bits, plan.capacity + 1)
 
-    if reference_override is None:
-        reference = normalized(0, phi_n)
-        if _reference_silent(reference):
-            raise ReferenceSilent("the reference slice contains silence")
-        ref_cands = estimate_tempo(
-            PcmBuffer(samples=reference.samples[trim_n : phi_n - trim_n], sample_rate=sr)
-        )
-    else:
-        ref_cands = reference_override
+    ref_cands = reference_override or estimate_tempo(
+        PcmBuffer(samples=samples[trim_n : phi_n - trim_n] * factor, sample_rate=sr)
+    )
 
     symbols: list[int] = []
     decisions: list[SliceDecision] = []
@@ -477,7 +466,8 @@ def decode(
         if w1 > n:
             notes.append(f"slice {i}: window runs past the end; stopping")
             break
-        window = normalized(w0, w1)
+        # only the samples decode reads are scaled; no full-length copy
+        window = PcmBuffer(samples=samples[w0:w1] * factor, sample_rate=sr)
 
         direction: Direction | None = None
         conf = 0.0

@@ -135,5 +135,7 @@ def stretch_tempo(
     ):
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
-    y = stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out)
+    # samples past ~1e154 overflow the alignment scores, not the output
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out)
     return PcmBuffer(samples=y, sample_rate=sr)

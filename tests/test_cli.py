@@ -212,3 +212,28 @@ def test_split_writes_segments(tmp_path, capsys):
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == ["segment-01.wav", "segment-02.wav"]
     assert 34.0 < read_wav(str(out_dir / "segment-01.wav")).duration_s <= 35.05
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--carriers", "{tmp}/missing", "--bits", "1"],
+    ["split", "--in", "{wav}", "--out-dir", "{wav}"],
+    ["decode", "--in", "{wav}", "--max-bits", "1", "--report", "{tmp}/missing/r.json"],
+])
+def test_cli_file_errors_report_io_error(tmp_path, capsys, carrier_wav, argv):
+    argv = [a.format(tmp=tmp_path, wav=carrier_wav) for a in argv]
+    assert main(argv) == 1
+    assert "error: IoError: " in capsys.readouterr().err
+
+
+def test_split_that_writes_nothing_leaves_no_directory(tmp_path, capsys):
+    # read_wav accepts a 3 GHz header, and write_wav refuses the first
+    # segment, after split has made the output directory
+    path = tmp_path / "fast.wav"
+    write_wav(generate_click_track(120, 2.0), str(path))
+    data = bytearray(path.read_bytes())
+    data[24:28] = (3_000_000_000).to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+    out_dir = tmp_path / "new" / "segments"
+    assert main(["split", "--in", str(path), "--out-dir", str(out_dir)]) == 1
+    assert "error: ValueError" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()

@@ -6,6 +6,7 @@ import os
 import signal
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from tempostego import (
     generate_click_track,
     parse_bitstring,
     plan_slices,
+    rms_dbfs,
     stretch_tempo,
 )
 from tempostego import codec
@@ -197,6 +199,59 @@ def test_silent_reference_rejected(click):
         encode(padded, BitString((1,)))
     with pytest.raises(ReferenceSilent):
         decode(padded)
+    with pytest.raises(ReferenceSilent):
+        encode(PcmBuffer(samples=np.zeros(0), sample_rate=SR), BitString(()))
+
+
+def at_level(buf, gain=1.0, quiet_db=0.0):
+    """buf times gain, with seconds 3-6 of its first slice quiet_db lower."""
+    x = buf.samples * gain
+    x[3 * SR : 6 * SR] *= 10.0 ** (-quiet_db / 20.0)
+    return PcmBuffer(samples=x, sample_rate=SR)
+
+
+def at_dbfs(buf, dbfs):
+    return at_level(buf, 10.0 ** ((dbfs - rms_dbfs(buf)) / 20.0))
+
+
+def refuses(call) -> bool:
+    try:
+        call()
+    except ReferenceSilent:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("gain", [1e-3, 0.03, 1.0, 3.0])
+@pytest.mark.parametrize("quiet_db", [0.0, 20.0, 26.0, 30.0, 60.0, math.inf])
+def test_encode_and_decode_guard_the_reference_alike(click, gain, quiet_db):
+    # the passage is 3 s of the slice, so it lowers the slice's own RMS
+    # too: 26 dB below the rest is 24.5 dB below it, 30 dB is 28.5 dB below
+    carrier = at_level(click(120, 40.0), gain, quiet_db)
+    refused = refuses(lambda: encode(carrier, parse_bitstring("1")))
+    assert refuses(lambda: decode(carrier, max_bits=1)) is refused
+    assert refused is (quiet_db >= 30.0)
+
+
+@pytest.mark.parametrize("carrier_dbfs,quiet_dbfs", [(-14.0, -40.0), (-59.0, -59.0)])
+def test_every_carrier_encode_accepts_decodes(click, carrier_dbfs, quiet_dbfs):
+    # a loud carrier with a quiet passage in its first slice, and a quiet
+    # carrier: the reference is judged against its own level on both sides
+    carrier = at_level(at_dbfs(click(120, 60.0), carrier_dbfs), quiet_db=carrier_dbfs - quiet_dbfs)
+    stego = encode(carrier, parse_bitstring("1 0 1"))
+    assert str(decode(stego, max_bits=3).bits) == "1 0 1"
+
+
+def test_decode_ignores_audio_it_does_not_read(click):
+    # a capture holds the song beside louder ones; the level comes from the
+    # reference slice, so what follows the song changes no window decode reads
+    song = encode(at_dbfs(click(120, 60.0), -35.0), parse_bitstring("1 0 1"))
+    want = decode(song, max_bits=3).to_dict()
+    loud = np.random.default_rng(0).normal(0.0, 10.0 ** (-6.0 / 20.0), 300 * SR)
+    capture = concat([song, PcmBuffer(samples=loud, sample_rate=SR)])
+    del loud
+    assert decode(capture, max_bits=3).to_dict() == want
+    assert want["bits"] == "1 0 1"
 
 
 def test_classify_single_candidate_pair():
@@ -453,21 +508,22 @@ def test_encode_rejects_nan_carrier(click):
 
 def test_huge_finite_samples_are_not_rejected(click):
     # squares overflow to inf, yet every sample is finite, so the
-    # confirming pass lets the buffer through, and decode takes its level
-    # from samples / peak instead of the overflowed mean square
+    # confirming pass lets the buffer through, and the level comes from
+    # the reference divided by its peak; neither side warns
     huge = PcmBuffer(samples=click(120, 40.0).samples * 1e160, sample_rate=SR)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         stego = encode(huge, parse_bitstring("1"))
+        report = decode(stego, max_bits=1)
     assert np.isfinite(stego.samples).all()
-    report = decode(stego, max_bits=1)
     assert str(report.bits) == "1"
     assert report.per_slice[0].confidence >= 1.0
 
 
 def test_decode_holds_no_full_length_temporary(click):
-    # the level pass squares a block at a time: decode's own allocations
-    # stay far below the buffer it reads (a full-length square alone would
-    # be as large as the buffer)
+    # the level comes from the 10 s reference and the finiteness screen
+    # is a dot product: decode's own allocations stay far below the buffer
+    # it reads (a full-length square alone would be as large as it)
     carrier = click(120, 240.0)
     tracemalloc.start()
     try:
@@ -479,9 +535,9 @@ def test_decode_holds_no_full_length_temporary(click):
 
 
 def test_decode_of_huge_samples_holds_no_full_length_temporary(click):
-    # the fallback for samples past ~1e154 takes the peak from max and min
-    # and divides by it a block at a time, so it adds no buffer-sized
-    # temporary, and the level it finds reads the same bits
+    # samples past ~1e154 overflow a square, but the reference is divided
+    # by its peak before it is squared, so they need no buffer-sized
+    # temporary, and the level found reads the same bits
     stego = encode(click(120, 240.0), parse_bitstring("1 0"))
     want = decode(stego, max_bits=2).to_dict()
     huge = PcmBuffer(samples=stego.samples * 1e160, sample_rate=SR)

@@ -208,18 +208,17 @@ CHUNK = audio.CHUNK_SAMPLES
     ),
     stride=st.integers(1, 3),
     scale=st.sampled_from([0.0, 1e-300, 1.0, 1e160]),
-    divisor=st.sampled_from([1.0, 3.0, 1e160]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=3 * CHUNK + 9, stride=1, scale=1.0, divisor=1.0, seed=0)
-@example(n=3 * CHUNK + 9, stride=1, scale=1e160, divisor=1e160, seed=0)
-def test_mean_square_matches_numpy_mean(n, stride, scale, divisor, seed):
+@example(n=3 * CHUNK + 9, stride=1, scale=1.0, seed=0)
+@example(n=3 * CHUNK + 9, stride=1, scale=1e160, seed=0)
+def test_mean_square_matches_numpy_mean(n, stride, scale, seed):
     x = np.random.default_rng(seed).standard_normal(n * stride)[::stride] * scale
     with np.errstate(over="ignore", under="ignore"):
-        got = audio.mean_square(x, divisor)
-        want = float(np.mean((x / divisor) ** 2))
+        got = audio.mean_square(x)
+        want = float(np.mean(x**2))
     assert got == want
-    if scale == 1e160 and divisor == 1.0:
+    if scale == 1e160:
         assert got == math.inf
 
 
