@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, mean_square, rms_dbfs
+from .audio import PcmBuffer, mean_square, rms_dbfs, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -58,7 +58,6 @@ from .tempo import (
     SETTINGS,
     TempoCandidates,
     estimate_tempo,
-    usable_cpus,
 )
 
 # Decisions with confidence below this are flagged in report warnings.
@@ -350,11 +349,12 @@ def _stretch_into(
             # halves the time the transfer takes
             with contextlib.suppress(AttributeError, OSError):
                 fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-            # After a decode has started the STFT pool this process has
-            # threads, and Python 3.12+ warns about forking it. The child
-            # runs only numpy kernels and pipe writes, and the at-fork hook
-            # in tempo drops the pool it inherits, so the warning is
-            # harmless; the 3.12 CI leg runs these forks.
+            # After a decode or a long WAV read has started the shared
+            # pool this process has threads, and Python 3.12+ warns about
+            # forking it. The child runs only numpy kernels and pipe
+            # writes, and the at-fork hook in audio drops the pool it
+            # inherits, so the warning is harmless; the 3.12 CI leg runs
+            # these forks.
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: stretch the run here

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CHUNK_SAMPLES, PcmBuffer, mean_square
+from .audio import CHUNK_SAMPLES, PcmBuffer, mean_square, run_ranges
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
 from .errors import StegoError
@@ -271,10 +271,14 @@ def split_on_silence(
     Returned segments keep their interior short pauses but have leading
     and trailing silent frames removed. All-silent input yields [].
     Segments are views of the stream's samples, not copies: copy one
-    before mutating it.
+    before mutating it. A threshold of +inf makes every frame silent and
+    -inf none; a NaN threshold raises ValueError, as does a min_silence_s
+    that is not positive and finite.
     """
     if not (0.0 < min_silence_s < math.inf):
         raise ValueError("min_silence_s must be positive and finite")
+    if math.isnan(threshold_dbfs):
+        raise ValueError("threshold_dbfs must not be NaN")
     sr = stream.sample_rate
     x = stream.samples
     frame_n = max(1, int(round(0.020 * sr)))
@@ -286,13 +290,19 @@ def split_on_silence(
     # so the squared temporary stays small; the partial last frame alone
     mean_sq = np.empty(n_frames)
     block = max(1, CHUNK_SAMPLES // frame_n)
-    squares = np.empty((min(block, n_full), frame_n))
-    for f0 in range(0, n_full, block):
-        f1 = min(f0 + block, n_full)
-        frames = x[f0 * frame_n : f1 * frame_n].reshape(f1 - f0, frame_n)
-        sq = squares[: f1 - f0]
-        np.multiply(frames, frames, out=sq)
-        np.mean(sq, axis=1, out=mean_sq[f0:f1])
+
+    def scan_range(a: int, b: int) -> None:
+        # the whole frames that start in [a, b)
+        f0, f1 = -(-a // frame_n), -(-b // frame_n)
+        squares = np.empty((min(block, f1 - f0), frame_n))
+        for g0 in range(f0, f1, block):
+            g1 = min(g0 + block, f1)
+            frames = x[g0 * frame_n : g1 * frame_n].reshape(g1 - g0, frame_n)
+            sq = squares[: g1 - g0]
+            np.multiply(frames, frames, out=sq)
+            np.mean(sq, axis=1, out=mean_sq[g0:g1])
+
+    run_ranges(n_full * frame_n, scan_range)
     if n_frames > n_full:
         tail = x[n_full * frame_n :]
         mean_sq[-1] = np.mean(tail * tail)

@@ -13,6 +13,8 @@ length is exactly round(len(input) / ratio) samples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .audio import PcmBuffer
@@ -135,7 +137,20 @@ def stretch_tempo(
     ):
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
-    # samples past ~1e154 overflow the alignment scores, not the output
     with np.errstate(over="ignore", invalid="ignore"):
-        y = stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out)
+        energy = float(np.dot(x, x))
+        # An alignment score divides by the square root of a product of two
+        # window energies, each at most the input's. That product can
+        # overflow when the input's energy passes 2**511 (samples from
+        # about 1e76 on) and underflow when it is under 2**-511 (samples
+        # of about 1e-100). Such input is stretched at a power-of-two scale
+        # with its peak in [0.5, 1), then scaled back. Both scalings are
+        # exact, so the result is what the unscaled arithmetic gives
+        # without overflow or underflow. Silence keeps k = 0.
+        in_range = 2.0**-511 < energy < 2.0**511
+        k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
+        xs = np.ldexp(x, -k) if k else x
+        y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out)
+        if k:
+            np.ldexp(y, k, out=y)
     return PcmBuffer(samples=y, sample_rate=sr)

@@ -21,18 +21,12 @@ of the same material at slightly different playback rates need.
 from __future__ import annotations
 
 import functools
-import os
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .audio import PcmBuffer, rms_dbfs
+from .audio import PcmBuffer, rms_dbfs, shared_pool
 from .errors import LowEnergy, NoPeriodicity, TooShort
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 # A candidate peak must stand this far above the median autocorrelation in
 # the search band. White noise stays below ~0.09; real pulses reach 0.8+.
@@ -57,44 +51,6 @@ MAX_DELTA = 0.03
 # and flux stay in cache, and blocks run concurrently because the FFT
 # releases the interpreter lock.
 BLOCK_FRAMES = 64
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask (Linux; `taskset`
-    narrows it), or 1 where the platform has no affinity call. The STFT
-    pool and encode's slice workers are both sized by it."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return 1
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The shared STFT pool, one thread per usable CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so a CLI call that measures no tempo never pays for it
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                max_workers=usable_cpus(), thread_name_prefix="tempostego-stft"
-            )
-        return _pool
-
-
-def _forget_pool_after_fork() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 @functools.lru_cache(maxsize=8)
@@ -140,7 +96,7 @@ def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
 
     Returns (envelope, frame_rate). The envelope is mean-subtracted and
     clamped at zero, so only spectral change above the running average
-    registers. The STFT runs in blocks on a shared thread pool; the result
+    registers. The STFT runs in blocks on the shared thread pool; the result
     does not depend on how many threads it has. Raises TooShort below 1 s
     and LowEnergy below the RMS gate.
     """
@@ -165,7 +121,7 @@ def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
         flux[start:stop] = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
 
     # list() waits for every block and re-raises the first failure
-    list(_executor().map(block, range(0, flux.shape[0], BLOCK_FRAMES)))
+    list(shared_pool().map(block, range(0, flux.shape[0], BLOCK_FRAMES)))
     env = np.maximum(flux - flux.mean(), 0.0)
     return env, buf.sample_rate / hop
 

@@ -1,5 +1,9 @@
 import gc
+import os
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -203,6 +207,75 @@ def test_three_channels_rejected(tmp_path):
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         read_wav(str(tmp_path / "absent.wav"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_fifo(tmp_path):
+    # fstat cannot size a pipe, so it is read to its end
+    buf = make_buffer(2.0)
+    write_wav(buf, str(tmp_path / "plain.wav"))
+    blob = (tmp_path / "plain.wav").read_bytes()
+    fifo = tmp_path / "pipe.wav"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        got = read_wav(str(fifo))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert np.array_equal(got.samples, read_wav(str(tmp_path / "plain.wav")).samples)
+
+
+def test_file_that_shrinks_after_fstat_is_malformed(tmp_path, monkeypatch):
+    path = tmp_path / "shrinks.wav"
+    write_wav(make_buffer(2.0), str(path))
+    fstat = os.fstat
+
+    def fstat_then_truncate(fd):
+        info = fstat(fd)
+        os.truncate(path, info.st_size // 2)
+        return info
+
+    monkeypatch.setattr(audio.os, "fstat", fstat_then_truncate)
+    with pytest.raises(MalformedHeader, match="past end of file"):
+        read_wav(str(path))
+
+
+POOL_PROBE = """
+import sys
+from tempostego import audio
+from tempostego.cli import main
+audio.usable_cpus = lambda: 2  # as on any machine with two CPUs or more
+assert main(["capacity", "--in", sys.argv[1]]) == 0
+print(audio._pool is not None, "concurrent.futures.thread" in sys.modules)
+"""
+
+
+def pool_started_by_capacity(path):
+    """Whether a fresh interpreter's `capacity` call created the pool, and
+    whether it imported the thread pool module."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.split()[-2:]
+
+
+def test_capacity_on_a_30s_file_never_creates_the_pool(tmp_path):
+    path = tmp_path / "carrier.wav"
+    write_wav(make_buffer(30.0), str(path))
+    assert len(read_wav(str(path))) < audio.PARALLEL_MIN_SAMPLES
+    assert pool_started_by_capacity(path) == ["False", "False"]
+    # past the serial size the read is cut into ranges on the pool
+    write_wav(make_buffer(60.0), str(path))
+    assert pool_started_by_capacity(path) == ["True", "True"]
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,14 @@ def test_split_writes_segments(tmp_path, capsys):
     assert 34.0 < read_wav(str(out_dir / "segment-01.wav")).duration_s <= 35.05
 
 
+def test_split_rejects_a_nan_threshold(tmp_path, capsys, carrier_wav):
+    out_dir = tmp_path / "segments"
+    argv = ["split", "--in", carrier_wav, "--out-dir", str(out_dir), "--threshold", "nan"]
+    assert main(argv) == 1
+    assert "error: ValueError" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["evaluate", "--carriers", "{tmp}/missing", "--bits", "1"],
     ["split", "--in", "{wav}", "--out-dir", "{wav}"],

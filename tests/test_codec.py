@@ -520,6 +520,15 @@ def test_huge_finite_samples_are_not_rejected(click):
     assert report.per_slice[0].confidence >= 1.0
 
 
+def test_huge_carrier_encodes_as_the_scaled_plain_carrier(click):
+    # a power-of-two scale is exact, so the stretch's alignment sees the
+    # same scores for samples past 1e154 as for the plain carrier
+    plain = click(120, 40.0)
+    scale = 2.0**532
+    huge = encode(PcmBuffer(samples=plain.samples * scale, sample_rate=SR), parse_bitstring("10"))
+    assert np.array_equal(huge.samples, encode(plain, parse_bitstring("10")).samples * scale)
+
+
 def test_decode_holds_no_full_length_temporary(click):
     # the level comes from the 10 s reference and the finiteness screen
     # is a dot product: decode's own allocations stay far below the buffer

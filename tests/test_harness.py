@@ -224,3 +224,18 @@ def test_split_validation():
     for bad in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="positive and finite"):
             split_on_silence(generate_click_track(120, 5.0), min_silence_s=bad)
+
+
+def test_threshold_must_not_be_nan():
+    gapped = concat([
+        generate_click_track(120, 20.0, seed=1),
+        PcmBuffer(samples=np.zeros(3 * SR), sample_rate=SR),
+        generate_click_track(120, 20.0, seed=2),
+    ])
+    assert len(split_on_silence(gapped, threshold_dbfs=-50.0)) == 2
+    with pytest.raises(ValueError, match="NaN"):
+        split_on_silence(gapped, threshold_dbfs=np.nan)
+    # +inf: every frame is silent; -inf: none is, so nothing separates
+    assert split_on_silence(gapped, threshold_dbfs=np.inf) == []
+    (whole,) = split_on_silence(gapped, threshold_dbfs=-np.inf)
+    assert np.array_equal(whole.samples, gapped.samples)

@@ -12,9 +12,13 @@ writes its output exactly once and must match it. The encode oracle
 stretches each payload slice into its own array and concatenates the
 parts; encode writes one plan-sized buffer and must match it. The block
 mean square must equal np.mean(x**2), the sum numpy makes of the whole
-squared buffer, bit for bit.
+squared buffer, bit for bit. The reader's conversions, the writer's and
+the splitter's scan run in sample ranges, one per usable CPU; with the
+CPU count patched to 1, 2 and 3 and the serial size lowered to 0, they
+must match a serial run sample for sample and byte for byte.
 """
 
+import contextlib
 import math
 import struct
 import warnings
@@ -29,6 +33,7 @@ from tempostego import (
     BitString,
     ClippingWarning,
     LowEnergy,
+    NonFiniteSamples,
     PcmBuffer,
     StegoError,
     StegoParams,
@@ -266,6 +271,129 @@ def riff(chunks):
     return b"RIFF" + struct.pack("<I", len(body)) + body
 
 
+# Sample-range runner: lengths around one to three blocks, so the cuts
+# fall at every block boundary of the ranges and beside it.
+RANGE_LENGTHS = st.one_of(
+    st.integers(1, 3 * CHUNK + 1),
+    st.builds(lambda m, d: m * CHUNK + d, st.integers(1, 3), st.integers(-1, 1)),
+)
+
+
+@contextlib.contextmanager
+def ranges_on(cpus):
+    """Run the ranged passes on `cpus` CPUs, at any buffer size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio, "usable_cpus", lambda: cpus)
+        mp.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
+        yield
+
+
+def wav_file(tag, channels, bits, payload, extensible=False):
+    """A 44.1 kHz WAV file around raw sample bytes, under a plain or
+    EXTENSIBLE fmt chunk."""
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, 44100,
+                      44100 * block, block, bits)
+    if extensible:
+        fmt += struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", tag)
+        fmt += bytes.fromhex("00001000800000aa00389b71")
+    return riff([
+        b"fmt " + struct.pack("<I", len(fmt)) + fmt,
+        b"data" + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) & 1),
+    ])
+
+
+READ_FORMATS = [(1, 8), (1, 16), (1, 24), (3, 32)]
+
+
+def random_payload(tag, bits, count, seed):
+    """Bytes of `count` samples; float samples are finite."""
+    rng = np.random.default_rng(seed)
+    if tag == 3:
+        return (rng.standard_normal(count) * 0.5).astype("<f4").tobytes()
+    return rng.integers(0, 256, count * bits // 8, dtype=np.uint8).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=RANGE_LENGTHS,
+    fmt=st.sampled_from(READ_FORMATS),
+    channels=st.sampled_from([1, 2]),
+    extensible=st.booleans(),
+    cpus=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranged_read_matches_serial(tmp_path_factory, n, fmt, channels, extensible, cpus, seed):
+    tag, bits = fmt
+    path = tmp_path_factory.getbasetemp() / "ranged.wav"
+    path.write_bytes(wav_file(tag, channels, bits, random_payload(tag, bits, n * channels, seed),
+                              extensible))
+    want = read_wav(str(path)).samples
+    with ranges_on(cpus):
+        got = read_wav(str(path)).samples
+    assert len(got) == n
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=RANGE_LENGTHS, cpus=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_ranged_write_matches_serial(tmp_path_factory, n, cpus, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    base = tmp_path_factory.getbasetemp()
+    write_wav(PcmBuffer(samples=x, sample_rate=44100), str(base / "serial.wav"))
+    with ranges_on(cpus):
+        write_wav(PcmBuffer(samples=x, sample_rate=44100), str(base / "ranged.wav"))
+    assert (base / "ranged.wav").read_bytes() == (base / "serial.wav").read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=RANGE_LENGTHS,
+    sr=st.sampled_from(RATES),
+    cpus=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranged_split_matches_serial(n, sr, cpus, seed):
+    # each 20 ms frame is loud or quiet at random and one quiet frame
+    # separates, so every frame's level decides the segments, the frames
+    # that straddle a range cut too
+    frame_n = int(round(0.020 * sr))
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([0.2, 1e-4], size=-(-n // frame_n))
+    x = rng.standard_normal(n) * np.repeat(levels, frame_n)[:n]
+    stream = PcmBuffer(samples=x, sample_rate=sr)
+    # the ranged run first, so its output buffer cannot reuse the serial one's
+    with ranges_on(cpus):
+        got = split_on_silence(stream, min_silence_s=0.02)
+    want = split_on_silence(stream, min_silence_s=0.02)
+    assert [len(g) for g in got] == [len(w) for w in want]
+    for g, w in zip(got, want):
+        assert g.samples.tobytes() == w.samples.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_ranged_passes_reject_nan_in_last_range(tmp_path, cpus):
+    x = np.zeros(3 * CHUNK + 1)
+    x[-1] = np.nan
+    path = tmp_path / "nan.wav"
+    with ranges_on(cpus), pytest.raises(NonFiniteSamples):
+        write_wav(PcmBuffer(samples=x, sample_rate=44100), str(path))
+    assert not path.exists()
+    path.write_bytes(wav_file(3, 1, 32, x.astype("<f4").tobytes()))
+    with ranges_on(cpus), pytest.raises(NonFiniteSamples):
+        read_wav(str(path))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_ranged_write_warns_for_a_clip_in_any_range(tmp_path, cpus):
+    n = 3 * CHUNK + 1
+    for at in (0, CHUNK, 2 * CHUNK + 5, n - 1):
+        x = np.full(n, 0.25)
+        x[at] = 1.5
+        with ranges_on(cpus), pytest.warns(ClippingWarning):
+            write_wav(PcmBuffer(samples=x, sample_rate=44100), str(tmp_path / "clip.wav"))
+
+
 @st.composite
 def riff_blobs(draw):
     """RIFF/WAVE files with drawn tags, widths, channel counts and chunk
@@ -459,7 +587,7 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     assert want_env.shape == (n_frames - 1,)
     for workers in (1, 3):
         with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tempo, "_executor", lambda: pool)
+            mp.setattr(tempo, "shared_pool", lambda: pool)
             mp.setattr(tempo, "SETTINGS", config)
             env, rate = onset_envelope(buf)
         assert rate == want_rate

@@ -109,3 +109,17 @@ def test_out_overlapping_the_input_rejected(click):
     n = len(stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01))
     with pytest.raises(ValueError, match="apart from the input"):
         stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01, out=x[:n])
+
+
+def test_huge_and_tiny_samples_stretch_as_scaled_plain_samples(click):
+    # the alignment scores multiply two window energies, which overflow
+    # for samples past about 1e76 and underflow for samples of about
+    # 1e-100; a power-of-two scale is exact
+    buf = click(120, 12.0)
+    plain = stretch_tempo(buf, 1.01).samples
+    for scale in (2.0**532, 2.0**-532):
+        scaled = stretch_tempo(PcmBuffer(samples=buf.samples * scale, sample_rate=SR), 1.01)
+        assert np.array_equal(scaled.samples, plain * scale)
+    for scale in (1e100, 1e160, 1e-100):
+        scaled = stretch_tempo(PcmBuffer(samples=buf.samples * scale, sample_rate=SR), 1.01)
+        np.testing.assert_allclose(scaled.samples / scale, plain, rtol=1e-12)
