@@ -11,6 +11,13 @@ Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
 output element comes from the same elementwise operation at any CPU
 count, so results do not depend on it.
+
+Samples move straight between the file and the float buffer. The reader
+parses the chunk headers with small positioned reads, then each range
+reads its own part of the data chunk by position, one block at a time;
+a pipe or device is read in sequence, never past the size its RIFF
+header declares. The writer rewrites an existing file in place rather
+than truncating it on open, and writes the RIFF signature last.
 """
 
 from __future__ import annotations
@@ -67,6 +74,9 @@ CHUNK_SAMPLES = 1 << 16
 # CLI call on a 30 s file runs serial code only.
 PARALLEL_MIN_SAMPLES = 1 << 21
 
+# keeps Windows from translating line endings in WAV bytes; 0 elsewhere
+_O_BINARY = getattr(os, "O_BINARY", 0)
+
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -113,14 +123,20 @@ def run_ranges(n: int, fn: Callable[[int, int], T]) -> list[T]:
     CHUNK_SAMPLES into one range per usable CPU and the ranges run on the
     shared pool; below it, fn(0, n) runs in this thread. fn must write
     only its own range of any shared output, so the result does not
-    depend on the cut. The first exception a range raises is re-raised.
+    depend on the cut. Every range has ended when this returns or raises
+    (so a range may use a file descriptor the caller closes after); the
+    exception of the first range that raised is re-raised.
     """
     blocks = -(-n // CHUNK_SAMPLES)
     k = min(usable_cpus(), blocks) if n >= PARALLEL_MIN_SAMPLES else 1
     if k <= 1:
         return [fn(0, n)]
     cuts = [min(n, blocks * i // k * CHUNK_SAMPLES) for i in range(k + 1)]
-    return list(shared_pool().map(fn, cuts[:-1], cuts[1:]))
+    pool = shared_pool()
+    futures = [pool.submit(fn, a, b) for a, b in zip(cuts, cuts[1:])]
+    for f in futures:
+        f.exception()  # waits, and does not raise
+    return [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -153,46 +169,45 @@ def read_wav(path: str) -> PcmBuffer:
     samples are scaled by the full-scale value of their width (e.g.
     16-bit by 1/32768).
 
+    A regular file is read by position: the chunk headers with small
+    reads, then each sample range of the data chunk one block at a time
+    into a scratch that it converts, so no copy of the file is held. A
+    pipe or device, or any file where os.preadv is missing, is read in
+    sequence up to the size its RIFF header declares, and no further,
+    then parsed the same way.
+
     Raises IoError when the file cannot be read, MalformedHeader when the
     RIFF structure is broken, UnsupportedFormat for other encodings, and
     NonFiniteSamples when float content holds NaN or infinity.
     """
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = _read_all(fh)
+        fd = os.open(path, os.O_RDONLY | _O_BINARY)
+        try:
+            return _read_fd(fd, path)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
-    if len(data) < 12:
-        raise MalformedHeader(f"{path}: too small to be a WAV file")
-    riff, _, wave_id = struct.unpack_from("<4sI4s", data, 0)
-    if riff != b"RIFF" or wave_id != b"WAVE":
-        raise MalformedHeader(f"{path}: missing RIFF/WAVE signature")
 
-    # chunk bodies are views into the file bytes, so the data chunk is
-    # converted without being copied first
-    view = memoryview(data)
-    fmt = None
-    raw = None
-    pos = 12
-    while pos + 8 <= len(data):
-        cid, csize = struct.unpack_from("<4sI", data, pos)
-        pos += 8
-        if csize > len(data) - pos:
-            raise MalformedHeader(f"{path}: chunk {cid!r} extends past end of file")
-        body = view[pos : pos + csize]
-        # chunks are word-aligned; odd sizes carry a pad byte
-        pos += csize + (csize & 1)
-        if cid == b"fmt ":
-            fmt = _parse_fmt(path, body)
-        elif cid == b"data":
-            raw = body
+def _read_fd(fd: int, path: str) -> PcmBuffer:
+    info = os.fstat(fd)
+    if stat.S_ISREG(info.st_mode) and hasattr(os, "preadv"):
+        size = info.st_size
 
-    if fmt is None:
-        raise MalformedHeader(f"{path}: no fmt chunk")
-    if raw is None:
-        raise MalformedHeader(f"{path}: no data chunk")
+        def pread(buf, offset: int) -> int:
+            return os.preadv(fd, [buf], offset)
 
+    else:
+        blob = _read_declared(fd, path)
+        size = len(blob)
+
+        def pread(buf, offset: int) -> int:
+            got = blob[offset : offset + len(buf)]
+            buf[: len(got)] = got
+            return len(got)
+
+    fmt, offset, length = _parse_riff(path, pread, size)
     fmt_tag, channels, sample_rate, _, _, bits = fmt
     if fmt_tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
         raise UnsupportedFormat(f"{path}: format tag {fmt_tag} not supported")
@@ -204,20 +219,26 @@ def read_wav(path: str) -> PcmBuffer:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
 
     dtype, convert = _CONVERTERS[fmt_tag, bits]
-    n = len(raw) // (dtype.itemsize * channels)  # whole frames
-    src = np.frombuffer(raw[: n * channels * dtype.itemsize], dtype=dtype)
+    frame = dtype.itemsize * channels
+    n = length // frame  # whole frames
     x = np.empty(n)
 
     def read_range(a: int, b: int) -> None:
-        # a stereo block is converted into scratch, then mixed down
+        # each block's bytes are read into raw and converted from there;
+        # a stereo block is converted into pairs, then mixed down
+        raw = np.empty(min(b - a, CHUNK_SAMPLES) * frame, dtype=np.uint8)
         pairs = np.empty(2 * min(b - a, CHUNK_SAMPLES)) if channels == 2 else None
         for i in range(a, b, CHUNK_SAMPLES):
             j = min(i + CHUNK_SAMPLES, b)
+            block = raw[: (j - i) * frame]
+            if _fill(pread, block, offset + i * frame) < len(block):
+                raise MalformedHeader(f"{path}: chunk b'data' extends past end of file")
+            src = block.view(dtype)
             if pairs is None:
-                convert(src[i:j], x[i:j])
+                convert(src, x[i:j])
             else:
                 t = pairs[: 2 * (j - i)]
-                convert(src[2 * i : 2 * j], t)
+                convert(src, t)
                 np.mean(t.reshape(j - i, 2), axis=1, out=x[i:j])
             # only float content can be non-finite; integer PCM skips this
             # pass. A non-finite channel makes its frame's mean non-finite.
@@ -228,25 +249,87 @@ def read_wav(path: str) -> PcmBuffer:
     return PcmBuffer(samples=x, sample_rate=int(sample_rate))
 
 
-def _read_all(fh) -> np.ndarray:
-    """The bytes of an unbuffered binary file as one uint8 array.
-
-    A regular file is read with readinto into a buffer that fstat sizes,
-    for which numpy asks the kernel for huge pages when it is large; a
-    file that shrinks meanwhile yields what is left. What fstat cannot
-    size, such as a pipe, is read to its end.
-    """
-    info = os.fstat(fh.fileno())
-    if not stat.S_ISREG(info.st_mode):
-        return np.frombuffer(fh.read(), dtype=np.uint8)
-    data = np.empty(info.st_size, dtype=np.uint8)
+def _fill(pread: Callable[[memoryview, int], int], buf, offset: int) -> int:
+    """Read into buf from offset until it is full or the source ends;
+    the byte count read."""
+    view = memoryview(buf).cast("B")
     got = 0
-    while got < len(data):
-        k = fh.readinto(data[got:])
+    while got < len(view):
+        k = pread(view[got:], offset + got)
         if not k:
             break
         got += k
-    return data[:got]
+    return got
+
+
+def _signature(path: str, head: bytes) -> int:
+    """The size a RIFF/WAVE file's first 12 bytes declare for what
+    follows its first 8."""
+    if len(head) < 12:
+        raise MalformedHeader(f"{path}: too small to be a WAV file")
+    riff, size, wave_id = struct.unpack_from("<4sI4s", head, 0)
+    if riff != b"RIFF" or wave_id != b"WAVE":
+        raise MalformedHeader(f"{path}: missing RIFF/WAVE signature")
+    return size
+
+
+def _read_declared(fd: int, path: str) -> bytearray:
+    """A source read in sequence: its first 12 bytes, which must be a
+    RIFF/WAVE signature, then at most the rest that the RIFF size
+    declares."""
+    blob = bytearray()
+    _read_until(fd, blob, 12)
+    _read_until(fd, blob, 8 + _signature(path, blob))
+    return blob
+
+
+def _read_until(fd: int, blob: bytearray, end: int) -> None:
+    # os.read never returns more than it is asked for, so nothing past
+    # `end` leaves the source
+    while len(blob) < end:
+        part = os.read(fd, min(end - len(blob), 1 << 20))
+        if not part:
+            return
+        blob += part
+
+
+def _parse_riff(
+    path: str, pread: Callable[[memoryview, int], int], size: int
+) -> tuple[tuple[int, int, int, int, int, int], int, int]:
+    """The fmt fields of a RIFF/WAVE source of `size` bytes, and the
+    offset and length of its data chunk, from its chunk headers. Where a
+    chunk occurs twice, the last one counts."""
+    _signature(path, _read_at(pread, 0, 12))
+    fmt = None
+    data = None
+    pos = 12
+    while pos + 8 <= size:
+        head = _read_at(pread, pos, 8)
+        if len(head) < 8:  # the file shrank after it was sized
+            raise MalformedHeader(f"{path}: chunk header extends past end of file")
+        cid, csize = struct.unpack("<4sI", head)
+        pos += 8
+        if csize > size - pos:
+            raise MalformedHeader(f"{path}: chunk {cid!r} extends past end of file")
+        if cid == b"fmt ":
+            # _parse_fmt needs at most the first 40 bytes of the body
+            fmt = _parse_fmt(path, _read_at(pread, pos, min(csize, 40)))
+        elif cid == b"data":
+            data = (pos, csize)
+        # chunks are word-aligned; odd sizes carry a pad byte
+        pos += csize + (csize & 1)
+
+    if fmt is None:
+        raise MalformedHeader(f"{path}: no fmt chunk")
+    if data is None:
+        raise MalformedHeader(f"{path}: no data chunk")
+    return fmt, data[0], data[1]
+
+
+def _read_at(pread: Callable[[memoryview, int], int], offset: int, k: int) -> bytes:
+    """Up to k bytes from offset; fewer where the source ends first."""
+    buf = bytearray(k)
+    return bytes(buf[: _fill(pread, buf, offset)])
 
 
 def _from_u8(src: np.ndarray, out: np.ndarray) -> None:
@@ -282,7 +365,7 @@ _CONVERTERS = {
 }
 
 
-def _parse_fmt(path: str, body: memoryview) -> tuple[int, int, int, int, int, int]:
+def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
     """(format tag, channels, rate, byte rate, block align, bits) of a fmt
     chunk body. An EXTENSIBLE chunk reports the tag of its subformat."""
     if len(body) < 16:
@@ -306,7 +389,10 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     Samples outside [-1, 1] are saturated and a ClippingWarning is issued.
     NaN or infinite samples raise NonFiniteSamples, and a sample rate whose
     byte rate does not fit the header raises ValueError, before the file
-    is opened, so no partial file is left behind.
+    is opened, so neither leaves a file behind or changes an existing one.
+    An existing regular file is rewritten in place and cut to length, and
+    its RIFF signature is written last: a write that fails part way
+    leaves a file that read_wav rejects with MalformedHeader.
     """
     if len(buf) == 0:
         raise ValueError("refusing to write an empty buffer")
@@ -356,12 +442,32 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
         b"data",
         q.nbytes,
     )
+    # A regular file is rewritten in place, not truncated on open: on
+    # ext4, a truncating open frees the old blocks first. Rewriting a
+    # 53 MB file took 40-46 ms that way (20 ms in open) against 24-29 ms
+    # in place (quartiles of 12, 2-vCPU VM). The RIFF signature is
+    # written last, after the file is cut to length, so a write that
+    # fails part way leaves a file that read_wav rejects.
     try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(q)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            _write_all(fd, bytes(4) + header[4:] if regular else header)
+            _write_all(fd, q)
+            if regular:
+                os.ftruncate(fd, len(header) + q.nbytes)
+                os.lseek(fd, 0, os.SEEK_SET)
+                _write_all(fd, header[:4])
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def slice_buffer(buf: PcmBuffer, start_s: float, end_s: float) -> PcmBuffer:
@@ -421,6 +527,17 @@ def _sum_of_squares(a: np.ndarray, sq: np.ndarray) -> np.float64:
         return np.add.reduce(np.square(a, out=sq[:n]))
     half = n // 2 - (n // 2) % 8
     return _sum_of_squares(a[:half], sq) + _sum_of_squares(a[half:], sq)
+
+
+def energy(x: np.ndarray) -> float:
+    """x . x, summed by numpy's own multiply-add loop.
+
+    np.dot hands a vector of more than 10,000 samples to OpenBLAS, which
+    runs it on its own threads. Those keep spinning after the call
+    returns, so they take cores from the shared pool and encode's slice
+    workers wherever the BLAS thread count is not pinned.
+    """
+    return float(np.einsum("i,i->", x, x))
 
 
 def rms_dbfs(buf: PcmBuffer) -> float:

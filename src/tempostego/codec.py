@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, mean_square, rms_dbfs, usable_cpus
+from .audio import PcmBuffer, energy, mean_square, rms_dbfs, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -205,10 +205,10 @@ def _ratio_for(direction: Direction, delta: float) -> float:
 
 
 def _screen_finite(x: np.ndarray, what: str) -> None:
-    # one dot product screens x without a temporary; it is also inf for
-    # huge finite samples, so a second pass confirms before rejecting
+    # one sum of squares screens x without a temporary; it is also inf
+    # for huge finite samples, so a second pass confirms before rejecting
     with np.errstate(over="ignore"):
-        if not np.isfinite(np.dot(x, x)) and not np.isfinite(x).all():
+        if not math.isfinite(energy(x)) and not np.isfinite(x).all():
             raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
 
 

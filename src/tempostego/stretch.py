@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .audio import PcmBuffer
+from .audio import PcmBuffer, energy
 from .errors import BufferTooShort, RatioOutOfRange
 
 RATIO_MIN = 0.5
@@ -138,7 +138,7 @@ def stretch_tempo(
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
     x = np.ascontiguousarray(buf.samples, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        energy = float(np.dot(x, x))
+        e = energy(x)
         # An alignment score divides by the square root of a product of two
         # window energies, each at most the input's. That product can
         # overflow when the input's energy passes 2**511 (samples from
@@ -147,7 +147,7 @@ def stretch_tempo(
         # with its peak in [0.5, 1), then scaled back. Both scalings are
         # exact, so the result is what the unscaled arithmetic gives
         # without overflow or underflow. Silence keeps k = 0.
-        in_range = 2.0**-511 < energy < 2.0**511
+        in_range = 2.0**-511 < e < 2.0**511
         k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
         xs = np.ldexp(x, -k) if k else x
         y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out)

@@ -1,3 +1,4 @@
+import errno
 import gc
 import os
 import struct
@@ -192,6 +193,99 @@ def test_write_rejects_a_byte_rate_past_32_bits_without_leaving_a_file(tmp_path)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("samples,rate", [
+    (np.array([0.0, np.nan]), 8000),
+    (np.zeros(1000), 3_000_000_000),
+])
+def test_refused_write_leaves_an_existing_file_untouched(tmp_path, samples, rate):
+    path = tmp_path / "old.wav"
+    write_wav(make_buffer(0.5), str(path))
+    before = path.read_bytes()
+    with pytest.raises((NonFiniteSamples, ValueError)):
+        write_wav(PcmBuffer(samples=samples, sample_rate=rate), str(path))
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("old_seconds", [0.1, 0.5, 1.0])
+def test_rewrite_over_an_existing_file_equals_a_fresh_write(tmp_path, old_seconds):
+    # the old file is shorter than, as long as and longer than the new one
+    buf = make_buffer(0.5, seed=7)
+    write_wav(buf, str(tmp_path / "fresh.wav"))
+    path = tmp_path / "over.wav"
+    write_wav(make_buffer(old_seconds, seed=8), str(path))
+    write_wav(buf, str(path))
+    assert path.read_bytes() == (tmp_path / "fresh.wav").read_bytes()
+    # over bytes that are no WAV file at all
+    path.write_bytes(b"\xff" * 100_000)
+    write_wav(buf, str(path))
+    assert path.read_bytes() == (tmp_path / "fresh.wav").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs links")
+def test_rewrite_goes_through_symlinks_and_reaches_hard_links(tmp_path):
+    buf = make_buffer(0.5, seed=7)
+    write_wav(buf, str(tmp_path / "fresh.wav"))
+    want = (tmp_path / "fresh.wav").read_bytes()
+    target = tmp_path / "target.wav"
+    write_wav(make_buffer(1.0, seed=8), str(target))
+    os.symlink(target, tmp_path / "link.wav")
+    os.link(target, tmp_path / "hard.wav")
+    write_wav(buf, str(tmp_path / "link.wav"))
+    assert os.path.islink(tmp_path / "link.wav")
+    assert target.read_bytes() == want
+    assert (tmp_path / "hard.wav").read_bytes() == want
+    write_wav(make_buffer(0.2, seed=9), str(tmp_path / "hard.wav"))
+    assert target.read_bytes() == (tmp_path / "hard.wav").read_bytes() != want
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or not hasattr(os, "mkfifo"),
+                    reason="needs a null device and named pipes")
+def test_write_to_the_null_device_and_a_fifo(tmp_path):
+    buf = make_buffer(2.0)
+    write_wav(buf, os.devnull)
+    write_wav(buf, str(tmp_path / "plain.wav"))
+    fifo = tmp_path / "pipe.wav"
+    os.mkfifo(fifo)
+    got = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        write_wav(buf, str(fifo))
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [(tmp_path / "plain.wav").read_bytes()]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_that_fails_after_the_header_leaves_a_rejected_file(tmp_path, monkeypatch,
+                                                                 existing):
+    path = tmp_path / "cut.wav"
+    if existing:  # a longer valid file, so old samples follow the cut
+        write_wav(make_buffer(1.0, seed=8), str(path))
+    write = os.write
+    calls = []
+
+    def disk_full_after_the_header(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(fd, data)
+
+    monkeypatch.setattr(audio.os, "write", disk_full_after_the_header)
+    with pytest.raises(IoError):
+        write_wav(make_buffer(0.5), str(path))
+    monkeypatch.undo()
+    assert calls[0] == 44
+    with pytest.raises(MalformedHeader, match="signature"):
+        read_wav(str(path))
+
+
 def test_compressed_format_rejected(tmp_path):
     path = write_raw(tmp_path, "ulaw.wav", wav_bytes(7, 1, 8000, 8, bytes(100)))
     with pytest.raises(UnsupportedFormat):
@@ -230,6 +324,90 @@ def test_read_from_a_fifo(tmp_path):
         writer.join(timeout=30)
     assert not writer.is_alive()
     assert np.array_equal(got.samples, read_wav(str(tmp_path / "plain.wav")).samples)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_read_from_dev_zero_stops_at_the_signature():
+    # a source that never ends fails on its first 12 bytes
+    with pytest.raises(MalformedHeader, match="signature"):
+        read_wav("/dev/zero")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_fifo_stops_at_the_declared_size(tmp_path):
+    write_wav(make_buffer(0.1, sr=8000), str(tmp_path / "plain.wav"))
+    blob = (tmp_path / "plain.wav").read_bytes()
+    extra = b"LIST" + struct.pack("<I", 1 << 30) + b"not part of the file"
+    assert len(blob + extra) < 4096  # one atomic write into the pipe
+    fifo = tmp_path / "pipe.wav"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def feed():
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            os.write(fd, blob + extra)
+            done.wait(timeout=30)  # the unread bytes stay in the pipe meanwhile
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        got = read_wav(str(fifo))
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            left = os.read(fd, 4096)
+        finally:
+            os.close(fd)
+    finally:
+        done.set()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert np.array_equal(got.samples, read_wav(str(tmp_path / "plain.wav")).samples)
+    assert left == extra
+
+
+def test_read_holds_no_copy_of_the_file(tmp_path, monkeypatch):
+    # the float64 samples, plus a scratch of a few blocks per range
+    cpus = 2
+    monkeypatch.setattr(audio, "usable_cpus", lambda: cpus)
+    path = tmp_path / "long.wav"
+    write_wav(make_buffer(60.0), str(path))
+    n = 60 * 44100
+    assert n >= audio.PARALLEL_MIN_SAMPLES
+    audio.shared_pool()
+    tracemalloc.start()
+    try:
+        buf = read_wav(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(buf) == n
+    assert peak <= 8 * n + 2 * cpus * audio.CHUNK_SAMPLES * 8
+
+
+def test_ranges_start_at_the_parallel_size(monkeypatch):
+    monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
+    n = audio.PARALLEL_MIN_SAMPLES
+    assert audio.run_ranges(n, lambda a, b: (a, b)) == [(0, n // 2), (n // 2, n)]
+    assert audio.run_ranges(n - 1, lambda a, b: (a, b)) == [(0, n - 1)]
+
+
+def test_ranges_have_all_ended_when_one_raises(monkeypatch):
+    monkeypatch.setattr(audio, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
+    ended = []
+
+    def fn(a, b):
+        if a == 0:
+            raise OSError(errno.EIO, "first range fails at once")
+        threading.Event().wait(0.2)
+        ended.append(a)
+
+    with pytest.raises(OSError, match="first range"):
+        audio.run_ranges(3 * audio.CHUNK_SAMPLES, fn)
+    assert sorted(ended) == [audio.CHUNK_SAMPLES, 2 * audio.CHUNK_SAMPLES]
 
 
 def test_file_that_shrinks_after_fstat_is_malformed(tmp_path, monkeypatch):

@@ -531,7 +531,7 @@ def test_huge_carrier_encodes_as_the_scaled_plain_carrier(click):
 
 def test_decode_holds_no_full_length_temporary(click):
     # the level comes from the 10 s reference and the finiteness screen
-    # is a dot product: decode's own allocations stay far below the buffer
+    # is one sum of squares: decode's own allocations stay far below the buffer
     # it reads (a full-length square alone would be as large as it)
     carrier = click(120, 240.0)
     tracemalloc.start()
@@ -541,6 +541,21 @@ def test_decode_holds_no_full_length_temporary(click):
     finally:
         tracemalloc.stop()
     assert peak < carrier.samples.nbytes / 2
+
+
+def test_encode_and_decode_make_no_long_blas_dot(click, monkeypatch):
+    # np.dot of more than 10,000 samples runs on OpenBLAS threads that keep
+    # spinning after it returns; the finiteness screen and the stretch's
+    # range check sum their squares in numpy's own loop instead
+    dot = np.dot
+
+    def short_dot(a, b, *args, **kwargs):
+        assert np.size(a) <= 10_000, f"np.dot over {np.size(a)} samples"
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", short_dot)
+    stego = encode(click(120, 40.0), parse_bitstring("10"))
+    assert decode(stego, max_bits=2).bits == parse_bitstring("10")
 
 
 def test_decode_of_huge_samples_holds_no_full_length_temporary(click):

@@ -15,7 +15,10 @@ mean square must equal np.mean(x**2), the sum numpy makes of the whole
 squared buffer, bit for bit. The reader's conversions, the writer's and
 the splitter's scan run in sample ranges, one per usable CPU; with the
 CPU count patched to 1, 2 and 3 and the serial size lowered to 0, they
-must match a serial run sample for sample and byte for byte.
+must match a serial run sample for sample and byte for byte. The reader
+reads each range's bytes by position; it must also match the
+whole-buffer reader, which holds every byte of the file in one buffer
+and converts the data chunk in one piece.
 """
 
 import contextlib
@@ -314,6 +317,37 @@ def random_payload(tag, bits, count, seed):
     return rng.integers(0, 256, count * bits // 8, dtype=np.uint8).tobytes()
 
 
+def oracle_read_wav(path):
+    """The whole-buffer reader: every byte of the file in one buffer, the
+    chunks walked over it, the data chunk converted in one piece."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    fmt = raw = None
+    pos = 12
+    while pos + 8 <= len(data):
+        cid, size = struct.unpack_from("<4sI", data, pos)
+        body = data[pos + 8 : pos + 8 + size]
+        pos += 8 + size + (size & 1)
+        if cid == b"fmt ":
+            fmt = struct.unpack_from("<HHIIHH", body)
+            if fmt[0] == 0xFFFE:
+                fmt = (struct.unpack_from("<I", body, 24)[0],) + fmt[1:]
+        elif cid == b"data":
+            raw = body
+    tag, channels, _, _, _, bits = fmt
+    width = bits // 8
+    raw = raw[: len(raw) // (width * channels) * width * channels]
+    if bits == 8:
+        x = (np.frombuffer(raw, np.uint8) - 128.0) / 128.0
+    elif bits == 16:
+        x = np.frombuffer(raw, "<i2") / 32768.0
+    elif bits == 24:
+        x = oracle_pcm24(raw)
+    else:
+        x = np.frombuffer(raw, "<f4").astype(np.float64)
+    return x if channels == 1 else np.mean(x.reshape(-1, 2), axis=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=RANGE_LENGTHS,
@@ -328,11 +362,12 @@ def test_ranged_read_matches_serial(tmp_path_factory, n, fmt, channels, extensib
     path = tmp_path_factory.getbasetemp() / "ranged.wav"
     path.write_bytes(wav_file(tag, channels, bits, random_payload(tag, bits, n * channels, seed),
                               extensible))
-    want = read_wav(str(path)).samples
+    want = oracle_read_wav(str(path))
+    serial = read_wav(str(path)).samples
     with ranges_on(cpus):
         got = read_wav(str(path)).samples
     assert len(got) == n
-    assert np.array_equal(got, want)
+    assert got.tobytes() == serial.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
