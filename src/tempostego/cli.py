@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import sys
 
@@ -150,13 +151,14 @@ def _cmd_evaluate(args) -> int:
         )
         if not paths:
             raise ValueError(f"no .wav files in {args.carriers}")
-        carriers = [read_wav(p) for p in paths]
+        # one carrier in memory at a time
+        carriers = (read_wav(p) for p in paths)
         names = [os.path.basename(p) for p in paths]
     else:
         items = _parse_generate(args.generate)
-        carriers = [
+        carriers = (
             generate_click_track(bpm, dur, seed=i) for i, (bpm, dur) in enumerate(items)
-        ]
+        )
         names = [f"click-{bpm:g}bpm-{dur:g}s" for bpm, dur in items]
     perturbation = _parse_perturb(args.perturb) if args.perturb else None
     result = evaluate(carriers, message, params, perturbation=perturbation, names=names)
@@ -198,6 +200,13 @@ def _cmd_split(args) -> int:
                 shutil.rmtree(top, ignore_errors=True)
             raise
         print(f"wrote {path} ({seg.duration_s:.1f} s)")
+    # segments a longer earlier split left behind
+    for name in sorted(os.listdir(args.out_dir)):
+        number = re.fullmatch(r"segment-(\d+)\.wav", name)
+        if number and int(number[1]) > len(segments):
+            path = os.path.join(args.out_dir, name)
+            os.remove(path)
+            print(f"removed stale {path}")
     return 0
 
 

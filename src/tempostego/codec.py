@@ -128,6 +128,9 @@ class SliceDecision:
     direction: Direction | None
     confidence: float
     candidate_count_used: int
+    # "decided"; "forced" when force_decide broke an Undecidable tie toward
+    # DOWN; else the name of the error that erased the slice (direction None)
+    outcome: str = "decided"
 
 
 @dataclass(frozen=True)
@@ -417,7 +420,8 @@ def decode(
     max_bits). Slices the classifier cannot decide come back as erasures
     unless force_decide is set, which breaks ties toward DOWN with zero
     confidence. Slices where tempo measurement itself fails (silence, no
-    periodicity) are always erasures and noted in the warnings. Raises
+    periodicity) are always erasures. Each SliceDecision.outcome says why
+    its slice was decided or erased; the warnings derive from it. Raises
     TooShort when the buffer is shorter than the shortest file encode
     writes from a three-slice carrier (reference, one raised slice,
     tail), NonFiniteSamples when the buffer holds NaN or infinity,
@@ -457,43 +461,25 @@ def decode(
         PcmBuffer(samples=samples[trim_n : phi_n - trim_n] * factor, sample_rate=sr)
     )
 
-    symbols: list[int] = []
     decisions: list[SliceDecision] = []
     boundary = phi_n
     for i in range(1, n_read + 1):
         w0 = boundary + trim_n
         w1 = w0 + win_n
         if w1 > n:
-            notes.append(f"slice {i}: window runs past the end; stopping")
             break
         # only the samples decode reads are scaled; no full-length copy
         window = PcmBuffer(samples=samples[w0:w1] * factor, sample_rate=sr)
 
-        direction: Direction | None = None
-        conf = 0.0
-        used = 0
+        direction, conf, kept, outcome = None, 0.0, [], "decided"
         try:
-            cands = estimate_tempo(window)
-        except (LowEnergy, NoPeriodicity, TooShort) as exc:
-            notes.append(f"slice {i}: {type(exc).__name__}")
-        else:
-            kept = _surviving_attributes(ref_cands, cands, params.discard_pct)
-            used = len(kept)
-            try:
-                direction, conf = _decide(kept)
-            except Undecidable:
-                if force_decide:
-                    direction, conf = Direction.DOWN, 0.0
-                else:
-                    notes.append(f"slice {i}: Undecidable")
-
-        if direction is None:
-            symbols.append(ERASURE)
-        else:
-            symbols.append(1 if direction is Direction.UP else 0)
-            if conf < LOW_CONFIDENCE:
-                notes.append(f"slice {i}: low confidence {conf:.3f}")
-        decisions.append(SliceDecision(i, direction, conf, used))
+            kept = _surviving_attributes(ref_cands, estimate_tempo(window), params.discard_pct)
+            direction, conf = _decide(kept)
+        except (LowEnergy, NoPeriodicity, TooShort, Undecidable) as exc:
+            outcome = type(exc).__name__
+            if force_decide and outcome == "Undecidable":
+                direction, outcome = Direction.DOWN, "forced"
+        decisions.append(SliceDecision(i, direction, conf, len(kept), outcome))
 
         # tracked: the next slice starts where encode ended this one, by
         # the stretcher's length law; an erasure or static mode keeps the
@@ -503,8 +489,18 @@ def decode(
         else:
             boundary += stretched_length(phi_n, _ratio_for(direction, params.delta))
 
+    for d in decisions:
+        if d.direction is None:
+            notes.append(f"slice {d.slice_index}: {d.outcome}")
+        elif d.confidence < LOW_CONFIDENCE:
+            notes.append(f"slice {d.slice_index}: low confidence {d.confidence:.3f}")
+    if len(decisions) < n_read:  # the loop stopped early
+        notes.append(f"slice {len(decisions) + 1}: window runs past the end; stopping")
     return DecodeReport(
-        bits=BitString(tuple(symbols)),
+        bits=BitString(tuple(
+            ERASURE if d.direction is None else int(d.direction is Direction.UP)
+            for d in decisions
+        )),
         per_slice=tuple(decisions),
         warnings=tuple(notes),
         params_used=params,

@@ -12,6 +12,7 @@ against the expected bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,7 @@ class EvalResult:
 
 
 def evaluate(
-    carriers: list[PcmBuffer],
+    carriers: Iterable[PcmBuffer],
     message: BitString,
     params: StegoParams = StegoParams(),
     perturbation: Perturbation | None = None,
@@ -226,12 +227,16 @@ def evaluate(
 
     A carrier that fails outright (for example a silent reference) is
     recorded with the error name instead of bits and contributes nothing
-    to the totals.
+    to the totals. Carriers are taken one at a time, so a generator
+    holds only one in memory. Raises ValueError when names and carriers
+    differ in length.
     """
     if names is None:
-        names = [f"carrier-{i + 1}" for i in range(len(carriers))]
+        named = ((c, f"carrier-{i}") for i, c in enumerate(carriers, start=1))
+    else:
+        named = zip(carriers, names, strict=True)
     results = []
-    for name, carrier in zip(names, carriers):
+    for carrier, name in named:
         cap = plan_slices(len(carrier), carrier.sample_rate, params).capacity
         prefix = message[: min(cap, len(message))]
         bits, failure = None, None

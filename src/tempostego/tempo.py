@@ -61,7 +61,8 @@ def _hann(win: int) -> np.ndarray:
 
 
 # The estimator's fixed values, read through SETTINGS. They stay a record
-# because perfbench/spans.py builds a TempoConfig to read the STFT geometry.
+# because perfbench/spans.py imports TempoConfig and builds one to read the
+# STFT geometry, and a property test swaps in one with another geometry.
 @dataclass(frozen=True)
 class TempoConfig:
     bpm_min: float = 60.0 * (1.0 - MAX_DELTA)

@@ -4,8 +4,9 @@ import pytest
 
 from tempostego import concat, generate_click_track, read_wav, write_wav
 from tempostego.audio import PcmBuffer
-from tempostego.cli import _params_from, build_parser, main
+from tempostego.cli import _params_from, _parse_perturb, build_parser, main
 from tempostego.codec import BoundaryMode, StegoParams
+from tempostego.harness import Gain, Noise, ResampleRoundTrip
 
 import numpy as np
 
@@ -191,6 +192,26 @@ def test_evaluate_with_perturbation(capsys):
     assert "errors 0/" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec, want", [
+    ("noise:20", Noise(snr_db=20.0)),
+    ("gain:0.5", Gain(factor=0.5)),
+    ("resample:22050", ResampleRoundTrip(rate=22050)),
+])
+def test_parse_perturb(spec, want):
+    assert _parse_perturb(spec) == want
+
+
+def test_evaluate_reads_the_wavs_of_a_directory(tmp_path, capsys):
+    write_wav(generate_click_track(135, 40.0, seed=2), str(tmp_path / "b.wav"))
+    write_wav(generate_click_track(120, 40.0, seed=1), str(tmp_path / "a.wav"))
+    (tmp_path / "notes.txt").write_text("not a carrier")
+    assert main(["evaluate", "--carriers", str(tmp_path), "--bits", "1 0"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[1] for row in rows[2:4]] == ["a.wav", "b.wav"]
+    assert rows[4].startswith("totals: errors 0/4")
+    assert len(rows) == 5
+
+
 def test_evaluate_rejects_unknown_perturbation(capsys):
     rc = main(["evaluate", "--generate", "126@60", "--bits", "1",
                "--perturb", "echo:3"])
@@ -212,6 +233,23 @@ def test_split_writes_segments(tmp_path, capsys):
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == ["segment-01.wav", "segment-02.wav"]
     assert 34.0 < read_wav(str(out_dir / "segment-01.wav")).duration_s <= 35.05
+
+
+def test_split_removes_stale_segments(tmp_path, capsys):
+    gap = PcmBuffer(samples=np.zeros(3 * SR), sample_rate=SR)
+    songs = [generate_click_track(120 + 10 * i, 12.0, seed=i) for i in range(3)]
+    out_dir = tmp_path / "segments"
+    out_dir.mkdir()
+    (out_dir / "segment-notes.txt").write_text("kept")
+    for count in (3, 2):
+        stream_path = tmp_path / f"stream{count}.wav"
+        write_wav(concat([x for song in songs[:count] for x in (song, gap)][:-1]),
+                  str(stream_path))
+        assert main(["split", "--in", str(stream_path), "--out-dir", str(out_dir)]) == 0
+    stale = out_dir / "segment-03.wav"
+    assert f"removed stale {stale}" in capsys.readouterr().out.splitlines()
+    files = sorted(p.name for p in out_dir.iterdir())
+    assert files == ["segment-01.wav", "segment-02.wav", "segment-notes.txt"]
 
 
 def test_split_rejects_a_nan_threshold(tmp_path, capsys, carrier_wav):

@@ -65,6 +65,16 @@ def slice_lengths(message, phi_n=PHI_N, delta=0.01):
     return out
 
 
+ERASE_OUTCOMES = {"LowEnergy", "NoPeriodicity", "TooShort", "Undecidable"}
+
+
+def assert_outcomes_match_directions(report):
+    """A slice is an erasure exactly when its outcome names an error."""
+    for d in report.per_slice:
+        assert d.outcome in ERASE_OUTCOMES | {"decided", "forced"}
+        assert (d.direction is None) == (d.outcome in ERASE_OUTCOMES)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         StegoParams(phi_s=9.0)
@@ -387,6 +397,14 @@ def test_reference_override_skews_every_decision(click):
     )
     complement = tuple(1 - b for b in message)
     assert report.bits.symbols == complement
+    # the gated slices are forced toward DOWN at zero confidence, and keep
+    # their low-confidence warning
+    forced = (1, 2, 4, 5, 7, 8)
+    assert report.warnings == tuple(f"slice {i}: low confidence 0.000" for i in forced)
+    assert [d.outcome for d in report.per_slice] == [
+        "forced" if d.slice_index in forced else "decided" for d in report.per_slice
+    ]
+    assert_outcomes_match_directions(report)
 
 
 def test_erasure_leaves_later_bits_intact(click):
@@ -446,6 +464,7 @@ def test_decode_report_serializes(click):
         "direction": "up",
         "confidence": 1.7956173126271238,
         "candidate_count_used": 2,
+        "outcome": "decided",
     }
     assert d["params"] == {
         "phi_s": 10.0,
@@ -455,6 +474,43 @@ def test_decode_report_serializes(click):
         "boundary_mode": "tracked",
     }
     assert d["warnings"] == []
+
+
+def test_decode_stops_where_the_window_runs_past_the_end(click):
+    # five lowered slices lengthen the file; cut at 7 slices, the sixth
+    # window (asked for by max_bits) runs past the end
+    stego = encode(click(120, 70.0), parse_bitstring("0 0 0 0 0"))
+    cut = PcmBuffer(samples=stego.samples[: 7 * PHI_N], sample_rate=SR)
+    report = decode(cut, max_bits=6)
+    assert str(report.bits) == "0 0 0 0 0"
+    assert report.warnings == ("slice 6: window runs past the end; stopping",)
+    assert [d.outcome for d in report.per_slice] == ["decided"] * 5
+    assert all(d.confidence >= codec.LOW_CONFIDENCE for d in report.per_slice)
+    assert_outcomes_match_directions(report)
+
+
+@pytest.fixture(scope="module")
+def stego_1011(click):
+    return encode(click(120, 240.0), parse_bitstring("1 0 1 1"))
+
+
+def test_blind_decode_erases_the_unmodulated_slices(stego_1011):
+    report = decode(stego_1011)
+    assert str(report.bits) == "1 0 1 1" + " x" * 17
+    assert report.warnings == tuple(f"slice {i}: Undecidable" for i in range(5, 22))
+    assert [d.outcome for d in report.per_slice] == ["decided"] * 4 + ["Undecidable"] * 17
+    assert_outcomes_match_directions(report)
+
+
+def test_a_silent_slice_is_erased_as_low_energy(stego_1011):
+    x = stego_1011.samples.copy()
+    x[5 * PHI_N : 6 * PHI_N] = 0.0
+    report = decode(PcmBuffer(samples=x, sample_rate=SR), max_bits=6)
+    assert str(report.bits) == "1 0 1 1 x x"
+    assert report.warnings == ("slice 5: LowEnergy", "slice 6: Undecidable")
+    assert [d.outcome for d in report.per_slice] == ["decided"] * 4 + ["LowEnergy", "Undecidable"]
+    assert report.per_slice[4].candidate_count_used == 0
+    assert_outcomes_match_directions(report)
 
 
 def test_playlist_single_carrier_matches_encode(click):

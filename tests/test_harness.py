@@ -134,6 +134,19 @@ def test_evaluate_round_trip_totals():
         assert len(f.bits) == 2
 
 
+def test_evaluate_takes_carriers_one_at_a_time():
+    carriers = (generate_click_track(b, 35.0) for b in (120, 135))
+    result = evaluate(carriers, parse_bitstring("1"))
+    assert [f.name for f in result.files] == ["carrier-1", "carrier-2"]
+    assert result.total_errors == 0 and result.total_compared == 2
+
+
+def test_evaluate_rejects_names_that_do_not_match_the_carriers():
+    carriers = [generate_click_track(120, 35.0), generate_click_track(135, 35.0)]
+    with pytest.raises(ValueError):
+        evaluate(carriers, parse_bitstring("1"), names=["only-one"])
+
+
 def test_evaluate_records_failures_instead_of_raising():
     silent_start = concat([
         PcmBuffer(samples=np.zeros(5 * SR), sample_rate=SR),
