@@ -55,8 +55,8 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0..3 hold the tag.
 _SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
 
-# Samples per block of the chunked passes over long buffers (write_wav,
-# mean_square and the splitter's mean square). A block's float64 input
+# Samples per block of the chunked passes over long buffers (read_wav,
+# write_wav and the splitter's mean square). A block's float64 input
 # and temporaries (about 1.2 MB at 1 << 16) stay in a core's 2 MiB L2
 # cache across the five or six passes made over it; results do not
 # depend on the size.
@@ -502,33 +502,6 @@ def concat(parts: list[PcmBuffer]) -> PcmBuffer:
     return PcmBuffer(samples=np.concatenate([p.samples for p in parts]), sample_rate=rate)
 
 
-def mean_square(x: np.ndarray) -> float:
-    """np.mean(x**2) of a float64 array, bit for bit, without a
-    full-length temporary.
-
-    numpy sums a contiguous float64 array pairwise: it splits n values at
-    n2 = n//2 - (n//2) % 8 until a piece holds at most 128. Splitting the
-    same way down to pieces of at most CHUNK_SAMPLES, and summing each
-    with np.add.reduce, evaluates every subtree of that sum in the same
-    order, so the result is identical. Each piece is squared in one
-    reused block-sized buffer. (A plain left-to-right sum of blocks is a
-    different tree and can differ in the last bit.)
-    """
-    sq = np.empty(min(len(x), CHUNK_SAMPLES))
-    return float(_sum_of_squares(x, sq) / len(x))
-
-
-def _sum_of_squares(a: np.ndarray, sq: np.ndarray) -> np.float64:
-    # a module-level function, not a self-referencing closure: that would
-    # be a reference cycle keeping each call's block buffer alive until
-    # the cyclic garbage collector runs
-    n = len(a)
-    if n <= CHUNK_SAMPLES:
-        return np.add.reduce(np.square(a, out=sq[:n]))
-    half = n // 2 - (n // 2) % 8
-    return _sum_of_squares(a[:half], sq) + _sum_of_squares(a[half:], sq)
-
-
 def energy(x: np.ndarray) -> float:
     """x . x, summed by numpy's own multiply-add loop.
 
@@ -541,10 +514,16 @@ def energy(x: np.ndarray) -> float:
 
 
 def rms_dbfs(buf: PcmBuffer) -> float:
-    """RMS level in dBFS; digital silence reads as -inf."""
+    """RMS level in dBFS; digital silence reads as -inf.
+
+    A gate measure: callers only compare it with a level threshold. It
+    sums squares with energy, which makes no temporary; that sum runs in
+    another order than np.mean's, so the level may differ from
+    10*log10(np.mean(x**2)) in the last bits.
+    """
     if len(buf) == 0:
         raise ValueError("rms of an empty buffer is undefined")
-    mean_sq = mean_square(buf.samples)
+    mean_sq = energy(buf.samples) / len(buf)
     if mean_sq == 0.0:
         return float("-inf")
     return 10.0 * np.log10(mean_sq)

@@ -184,13 +184,13 @@ def _cmd_split(args) -> int:
     segments = split_stream(
         stream, min_silence_s=args.min_silence, threshold_dbfs=args.threshold
     )
-    if not segments:
+    if segments:
+        top, d = None, os.path.abspath(args.out_dir)
+        while not os.path.exists(d):  # the outermost directory makedirs makes
+            top, d = d, os.path.dirname(d)
+        os.makedirs(args.out_dir, exist_ok=True)
+    else:
         print("no non-silent segments found", file=sys.stderr)
-        return 0
-    top, d = None, os.path.abspath(args.out_dir)
-    while not os.path.exists(d):  # the outermost directory makedirs makes
-        top, d = d, os.path.dirname(d)
-    os.makedirs(args.out_dir, exist_ok=True)
     for i, seg in enumerate(segments, start=1):
         path = os.path.join(args.out_dir, f"segment-{i:02d}.wav")
         try:
@@ -200,13 +200,15 @@ def _cmd_split(args) -> int:
                 shutil.rmtree(top, ignore_errors=True)
             raise
         print(f"wrote {path} ({seg.duration_s:.1f} s)")
-    # segments a longer earlier split left behind
-    for name in sorted(os.listdir(args.out_dir)):
-        number = re.fullmatch(r"segment-(\d+)\.wav", name)
-        if number and int(number[1]) > len(segments):
-            path = os.path.join(args.out_dir, name)
-            os.remove(path)
-            print(f"removed stale {path}")
+    # segments a longer earlier split left behind; with no segments the
+    # directory is neither made nor required
+    if os.path.isdir(args.out_dir):
+        for name in sorted(os.listdir(args.out_dir)):
+            number = re.fullmatch(r"segment-(\d+)\.wav", name)
+            if number and int(number[1]) > len(segments):
+                path = os.path.join(args.out_dir, name)
+                os.remove(path)
+                print(f"removed stale {path}")
     return 0
 
 

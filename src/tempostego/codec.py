@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, energy, mean_square, rms_dbfs, usable_cpus
+from .audio import PcmBuffer, energy, rms_dbfs, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -222,7 +222,9 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     is under the scan gate."""
     peak = max(x.max(initial=0.0), -x.min(initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):  # an all-zero or empty x
-        factor = float(10.0 ** (_NORM_TARGET_DBFS / 20.0) / (peak * np.sqrt(mean_square(x / peak))))
+        q = x / peak
+        mean_sq = np.square(q, out=q).sum() / len(x)
+        factor = float(10.0 ** (_NORM_TARGET_DBFS / 20.0) / (peak * np.sqrt(mean_sq)))
     win = min(len(x), int(round(_SILENCE_WIN_S * sr)))
     hop = max(1, int(round(_SILENCE_HOP_S * sr)))
     if not math.isfinite(factor) or any(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CHUNK_SAMPLES, PcmBuffer, mean_square, run_ranges
+from .audio import CHUNK_SAMPLES, PcmBuffer, run_ranges
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
 from .errors import StegoError
@@ -105,11 +105,14 @@ def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
     length and sample rate."""
     x = buf.samples
     if isinstance(kind, Gain):
-        if kind.factor <= 0:
-            raise ValueError("gain factor must be positive")
+        if not 0 < kind.factor < math.inf:
+            raise ValueError("gain factor must be positive and finite")
         return PcmBuffer(samples=x * kind.factor, sample_rate=buf.sample_rate)
     if isinstance(kind, Noise):
-        sig_rms = float(np.sqrt(mean_square(x)))
+        # +inf dB is no noise; -inf or NaN would make every sample non-finite
+        if not -math.inf < kind.snr_db <= math.inf:
+            raise ValueError("noise SNR must be a number of dB above -inf")
+        sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
         if sig_rms == 0.0:
             return PcmBuffer(samples=x.copy(), sample_rate=buf.sample_rate)
         noise_rms = sig_rms * 10.0 ** (-kind.snr_db / 20.0)

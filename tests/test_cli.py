@@ -145,6 +145,13 @@ def test_non_finite_duration_reports_value_error(tmp_path, capsys, duration):
     assert "error: ValueError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["gain:nan", "gain:inf", "noise:nan", "noise:-inf"])
+def test_non_finite_perturbation_reports_value_error(capsys, spec):
+    rc = main(["evaluate", "--generate", "120@40", "--bits", "1", "--perturb", spec])
+    assert rc == 1
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 CHANNEL_FLAGS = {"--phi": "20", "--delta": "0.02", "--trim": "0.04",
                  "--discard": "3", "--mode": "static"}
 
@@ -241,15 +248,18 @@ def test_split_removes_stale_segments(tmp_path, capsys):
     out_dir = tmp_path / "segments"
     out_dir.mkdir()
     (out_dir / "segment-notes.txt").write_text("kept")
-    for count in (3, 2):
-        stream_path = tmp_path / f"stream{count}.wav"
-        write_wav(concat([x for song in songs[:count] for x in (song, gap)][:-1]),
-                  str(stream_path))
+    # three songs, then two, then a silent stream with no segment at all
+    streams = [concat([x for song in songs[:count] for x in (song, gap)][:-1])
+               for count in (3, 2)]
+    streams.append(PcmBuffer(samples=np.zeros(5 * SR), sample_rate=SR))
+    for i, stream in enumerate(streams):
+        stream_path = tmp_path / f"stream{i}.wav"
+        write_wav(stream, str(stream_path))
         assert main(["split", "--in", str(stream_path), "--out-dir", str(out_dir)]) == 0
-    stale = out_dir / "segment-03.wav"
-    assert f"removed stale {stale}" in capsys.readouterr().out.splitlines()
-    files = sorted(p.name for p in out_dir.iterdir())
-    assert files == ["segment-01.wav", "segment-02.wav", "segment-notes.txt"]
+    removed = [line for line in capsys.readouterr().out.splitlines() if "removed stale" in line]
+    assert removed == [f"removed stale {out_dir / name}"
+                       for name in ("segment-03.wav", "segment-01.wav", "segment-02.wav")]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["segment-notes.txt"]
 
 
 def test_split_rejects_a_nan_threshold(tmp_path, capsys, carrier_wav):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,8 +74,17 @@ def test_perturb_gain_scales_exactly():
     buf = generate_click_track(120, 5.0)
     out = perturb(buf, Gain(0.5))
     assert np.array_equal(out.samples, buf.samples * 0.5)
-    with pytest.raises(ValueError):
-        perturb(buf, Gain(0.0))
+    for factor in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            perturb(buf, Gain(factor))
+
+
+def test_perturb_noise_rejects_a_non_finite_snr_below_inf():
+    buf = generate_click_track(120, 5.0)
+    for snr_db in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            perturb(buf, Noise(snr_db=snr_db))
+    assert np.array_equal(perturb(buf, Noise(snr_db=math.inf)).samples, buf.samples)
 
 
 def test_perturb_noise_hits_requested_snr():

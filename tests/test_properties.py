@@ -10,15 +10,15 @@ shifts and ORs the three bytes in int64. The stretch oracle fills a
 zeroed buffer past the output length and copies the head out; the kernel
 writes its output exactly once and must match it. The encode oracle
 stretches each payload slice into its own array and concatenates the
-parts; encode writes one plan-sized buffer and must match it. The block
-mean square must equal np.mean(x**2), the sum numpy makes of the whole
-squared buffer, bit for bit. The reader's conversions, the writer's and
-the splitter's scan run in sample ranges, one per usable CPU; with the
-CPU count patched to 1, 2 and 3 and the serial size lowered to 0, they
-must match a serial run sample for sample and byte for byte. The reader
-reads each range's bytes by position; it must also match the
-whole-buffer reader, which holds every byte of the file in one buffer
-and converts the data chunk in one piece.
+parts; encode writes one plan-sized buffer and must match it. rms_dbfs
+sums squares without a temporary; it must stay within 1e-9 dB of
+10*log10(np.mean(x**2)), and equal it where either is infinite. The
+reader's conversions, the writer's and the splitter's scan run in sample
+ranges, one per usable CPU; with the CPU count patched to 1, 2 and 3 and
+the serial size lowered to 0, they must match a serial run sample for
+sample and byte for byte. The reader reads each range's bytes by
+position; it must also match the whole-buffer reader, which holds every
+byte of the file in one buffer and converts the data chunk in one piece.
 """
 
 import contextlib
@@ -215,19 +215,20 @@ CHUNK = audio.CHUNK_SAMPLES
         st.integers(3 * CHUNK - 9, 3 * CHUNK + 9),
     ),
     stride=st.integers(1, 3),
-    scale=st.sampled_from([0.0, 1e-300, 1.0, 1e160]),
+    scale=st.sampled_from([0.0, 1e-300, 1e-100, 1.0, 1e160]),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=3 * CHUNK + 9, stride=1, scale=1.0, seed=0)
 @example(n=3 * CHUNK + 9, stride=1, scale=1e160, seed=0)
-def test_mean_square_matches_numpy_mean(n, stride, scale, seed):
+def test_rms_dbfs_matches_the_mean_of_squares(n, stride, scale, seed):
     x = np.random.default_rng(seed).standard_normal(n * stride)[::stride] * scale
-    with np.errstate(over="ignore", under="ignore"):
-        got = audio.mean_square(x)
-        want = float(np.mean(x**2))
-    assert got == want
-    if scale == 1e160:
-        assert got == math.inf
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        got = rms_dbfs(PcmBuffer(samples=x, sample_rate=44100))
+        want = float(10.0 * np.log10(np.mean(x**2)))
+    if math.isinf(got) or math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) < 1e-9
 
 
 def samples_around_full_scale():
