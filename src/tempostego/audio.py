@@ -7,17 +7,30 @@ so that malformed files fail with a precise error instead of a generic
 one. Stereo input is mixed down to mono on read; output is always
 16-bit mono PCM.
 
+A 16-bit mono file, the format this package writes, is read into its
+int16 samples as they are, and its buffer makes the float64 `samples`
+(each int16 / 32768) only on first access, then drops the int16 array.
+Until then the splitter, the writer, encode and decode work from the
+int16 array: they convert only the blocks, slices and windows they read
+(float_range, copy_range, scaled_range), split it into int16 views
+(view_range), write its bytes unchanged and skip the finiteness screen,
+since integers are always finite. Every float they see equals the one
+the float64 form holds, so results do not depend on the form. No other
+module refers to the int16 form.
+
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
 output element comes from the same elementwise operation at any CPU
 count, so results do not depend on it.
 
-Samples move straight between the file and the float buffer. The reader
+Samples move straight between the file and the buffer. The reader
 parses the chunk headers with small positioned reads, then each range
-reads its own part of the data chunk by position, one block at a time;
-a pipe or device is read in sequence, never past the size its RIFF
-header declares. The writer rewrites an existing file in place rather
-than truncating it on open, and writes the RIFF signature last.
+reads its own part of the data chunk by position: 16-bit mono straight
+into the int16 array, other formats one block at a time into a scratch
+that it converts. A pipe or device is read in sequence, never past the
+size its RIFF header declares. The writer rewrites an existing file in
+place rather than truncating it on open, and writes the RIFF signature
+last.
 """
 
 from __future__ import annotations
@@ -29,7 +42,6 @@ import struct
 import threading
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
@@ -79,6 +91,13 @@ _O_BINARY = getattr(os, "O_BINARY", 0)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# marks the pool's own threads
+_pool_thread = threading.local()
+# held while a 16-bit buffer makes its float samples, so it makes them once
+_widen_lock = threading.Lock()
+
+# 1 / 32768: a 16-bit sample times this is exactly its float value
+_I16_SCALE = 2.0**-15
 
 
 def usable_cpus() -> int:
@@ -101,15 +120,22 @@ def shared_pool() -> ThreadPoolExecutor:
             # imported here, so a call that never needs the pool never pays for it
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(max_workers=usable_cpus(), thread_name_prefix="tempostego")
+            _pool = ThreadPoolExecutor(
+                max_workers=usable_cpus(),
+                thread_name_prefix="tempostego",
+                initializer=setattr,
+                initargs=(_pool_thread, "on", True),
+            )
         return _pool
 
 
 def _forget_pool_after_fork() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
+    # a forked child inherits the pool object but none of its threads,
+    # and locks that a thread it does not have may hold
+    global _pool, _pool_lock, _widen_lock
     _pool = None
     _pool_lock = threading.Lock()
+    _widen_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -121,15 +147,18 @@ def run_ranges(n: int, fn: Callable[[int, int], T]) -> list[T]:
 
     From PARALLEL_MIN_SAMPLES on, [0, n) is cut at multiples of
     CHUNK_SAMPLES into one range per usable CPU and the ranges run on the
-    shared pool; below it, fn(0, n) runs in this thread. fn must write
-    only its own range of any shared output, so the result does not
-    depend on the cut. Every range has ended when this returns or raises
-    (so a range may use a file descriptor the caller closes after); the
-    exception of the first range that raised is re-raised.
+    shared pool; below it, and on a thread of the pool, fn(0, n) runs in
+    this thread. fn must write only its own range of any shared output,
+    so the result does not depend on the cut. Every range has ended when
+    this returns or raises (so a range may use a file descriptor the
+    caller closes after); the exception of the first range that raised
+    is re-raised.
     """
     blocks = -(-n // CHUNK_SAMPLES)
     k = min(usable_cpus(), blocks) if n >= PARALLEL_MIN_SAMPLES else 1
-    if k <= 1:
+    # a pool thread runs its ranges itself: waiting on the pool from one
+    # of its own threads could wait for ever
+    if k <= 1 or getattr(_pool_thread, "on", False):
         return [fn(0, n)]
     cuts = [min(n, blocks * i // k * CHUNK_SAMPLES) for i in range(k + 1)]
     pool = shared_pool()
@@ -139,25 +168,126 @@ def run_ranges(n: int, fn: Callable[[int, int], T]) -> list[T]:
     return [f.result() for f in futures]
 
 
-@dataclass(frozen=True)
 class PcmBuffer:
-    """Mono audio: float64 samples in [-1, 1] plus a sample rate."""
+    """Mono audio: float64 samples in [-1, 1] plus a sample rate.
 
-    samples: np.ndarray
-    sample_rate: int
+    A buffer that read_wav fills from a 16-bit mono file holds the
+    file's int16 samples instead. Its `samples` are made on first access,
+    each int16 / 32768, and from then on the buffer holds only those.
+    Either way `samples` is the same array of floats; the int16 form is
+    audio's own (see the module docstring).
+    """
 
-    def __post_init__(self):
-        if self.samples.ndim != 1:
+    __slots__ = ("_x", "_q", "_n", "sample_rate")
+
+    def __init__(self, samples: np.ndarray, sample_rate: int):
+        if samples.ndim != 1:
             raise ValueError("PcmBuffer holds mono audio only")
-        if self.sample_rate <= 0:
+        if sample_rate <= 0:
             raise ValueError("sample rate must be positive")
+        self._x, self._q, self._n, self.sample_rate = samples, None, len(samples), sample_rate
+
+    def __repr__(self) -> str:
+        return f"PcmBuffer({self._n} samples at {self.sample_rate} Hz)"
+
+    @property
+    def samples(self) -> np.ndarray:
+        x = self._x
+        if x is None:
+            with _widen_lock:
+                x = self._x
+                if x is None:  # no other thread made them meanwhile
+                    q = self._q
+                    x = np.empty(len(q))
+                    run_ranges(len(q), lambda a, b: _widen(q[a:b], x[a:b], _I16_SCALE))
+                    # the floats are set before the int16 array goes, so a
+                    # reader that finds no int16 array finds the floats
+                    self._x = x
+                    self._q = None
+        return x
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self._n
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return self._n / self.sample_rate
+
+
+def _pcm16_buffer(q: np.ndarray, sample_rate: int) -> PcmBuffer:
+    """A buffer over 16-bit samples q, which it keeps (not a copy)."""
+    buf = object.__new__(PcmBuffer)
+    buf._x, buf._q, buf._n, buf.sample_rate = None, q, len(q), sample_rate
+    return buf
+
+
+def _widen(q: np.ndarray, out: np.ndarray, scale: float) -> None:
+    """out[:] = q * scale in float64, in cache-sized blocks: each block is
+    cast, then scaled in place. A 16-bit sample is exact in float64, so
+    each element is rounded once, as (q / 32768) * f is for a scale of
+    f / 32768: the power-of-two factor is exact."""
+    for i in range(0, len(q), CHUNK_SAMPLES):
+        o = out[i : i + CHUNK_SAMPLES]
+        o[...] = q[i : i + CHUNK_SAMPLES]
+        o *= scale
+
+
+def float_range(buf: PcmBuffer, a: int, b: int, scratch: np.ndarray | None = None) -> np.ndarray:
+    """samples[a:b], for reading only: a view of a float buffer's samples;
+    for a 16-bit buffer the range alone converted, into scratch (b - a
+    float64 samples) when given, else into a new array."""
+    q = buf._q
+    if q is None:
+        return buf.samples[a:b]
+    part = q[a:b]
+    out = np.empty(len(part)) if scratch is None else scratch
+    _widen(part, out, _I16_SCALE)
+    return out
+
+
+def copy_range(buf: PcmBuffer, a: int, b: int, out: np.ndarray) -> None:
+    """out[:] = samples[a:b], converting only that range of a 16-bit buffer."""
+    q = buf._q
+    if q is None:
+        out[...] = buf.samples[a:b]
+    else:
+        _widen(q[a:b], out, _I16_SCALE)
+
+
+def scaled_range(buf: PcmBuffer, a: int, b: int, factor: float) -> np.ndarray:
+    """A new array of samples[a:b] * factor. A 16-bit range is scaled by
+    factor / 32768 in one step, which gives the same floats."""
+    q = buf._q
+    if q is None:
+        return buf.samples[a:b] * factor
+    part = q[a:b]
+    out = np.empty(len(part))
+    _widen(part, out, factor * _I16_SCALE)
+    return out
+
+
+def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
+    """Samples [a, b) as a buffer sharing buf's memory, in buf's form: a
+    view of a float buffer's samples, or of a 16-bit buffer's int16
+    samples, whose own `samples` will then be a new array."""
+    q = buf._q
+    if q is None:
+        return PcmBuffer(samples=buf.samples[a:b], sample_rate=buf.sample_rate)
+    return _pcm16_buffer(q[a:b], buf.sample_rate)
+
+
+def screen_finite(buf: PcmBuffer, what: str) -> None:
+    """Raise NonFiniteSamples if buf holds NaN or infinity. 16-bit
+    samples are always finite and are not read. Float samples are
+    screened by one sum of squares, which makes no temporary; it is also
+    inf for huge finite samples, so a second pass confirms before
+    rejecting."""
+    if buf._q is not None:
+        return
+    x = buf.samples
+    with np.errstate(over="ignore"):
+        if not math.isfinite(energy(x)) and not np.isfinite(x).all():
+            raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
 
 
 def read_wav(path: str) -> PcmBuffer:
@@ -167,11 +297,13 @@ def read_wav(path: str) -> PcmBuffer:
     under a plain format tag or WAVE_FORMAT_EXTENSIBLE with the PCM or
     IEEE-float subformat. Stereo is mixed down by channel mean. Integer
     samples are scaled by the full-scale value of their width (e.g.
-    16-bit by 1/32768).
+    16-bit by 1/32768). A 16-bit mono file gives a buffer that holds its
+    int16 samples and makes the floats on first access (see PcmBuffer).
 
     A regular file is read by position: the chunk headers with small
-    reads, then each sample range of the data chunk one block at a time
-    into a scratch that it converts, so no copy of the file is held. A
+    reads, then each sample range of the data chunk, 16-bit mono straight
+    into the int16 array, other formats one block at a time into a
+    scratch that it converts, so no copy of the file is held. A
     pipe or device, or any file where os.preadv is missing, is read in
     sequence up to the size its RIFF header declares, and no further,
     then parsed the same way.
@@ -218,27 +350,48 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
     if (fmt_tag, bits) not in _CONVERTERS:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
 
-    dtype, convert = _CONVERTERS[fmt_tag, bits]
+    dtype, offset_value, scale = _CONVERTERS[fmt_tag, bits]
     frame = dtype.itemsize * channels
     n = length // frame  # whole frames
+
+    def fill(buf, at: int) -> None:
+        if _fill(pread, buf, offset + at * frame) < buf.nbytes:
+            raise MalformedHeader(f"{path}: chunk b'data' extends past end of file")
+
+    if (fmt_tag, bits, channels) == (WAVE_FORMAT_PCM, 16, 1):
+        q = np.empty(n, dtype="<i2")
+        # the bytes are the samples: each range reads its own straight in
+        run_ranges(n, lambda a, b: fill(q[a:b], a))
+        return _pcm16_buffer(q, int(sample_rate))
+
     x = np.empty(n)
 
     def read_range(a: int, b: int) -> None:
-        # each block's bytes are read into raw and converted from there;
-        # a stereo block is converted into pairs, then mixed down
-        raw = np.empty(min(b - a, CHUNK_SAMPLES) * frame, dtype=np.uint8)
-        pairs = np.empty(2 * min(b - a, CHUNK_SAMPLES)) if channels == 2 else None
+        # each block's bytes are read into raw and widened into x by cast
+        # (a stereo block into pairs, then mixed down), then offset and
+        # scaled in place by a power of two, which is exact
+        m = min(b - a, CHUNK_SAMPLES)
+        raw = np.empty(m * frame, dtype=np.uint8)
+        pairs = np.empty(2 * m) if channels == 2 else None
+        # a 24-bit triplet becomes the top three bytes of a little-endian
+        # int32, which carries its sign; the low byte stays zero
+        quads = np.zeros((m * channels, 4), dtype=np.uint8) if bits == 24 else None
         for i in range(a, b, CHUNK_SAMPLES):
             j = min(i + CHUNK_SAMPLES, b)
             block = raw[: (j - i) * frame]
-            if _fill(pread, block, offset + i * frame) < len(block):
-                raise MalformedHeader(f"{path}: chunk b'data' extends past end of file")
+            fill(block, i)
             src = block.view(dtype)
-            if pairs is None:
-                convert(src, x[i:j])
-            else:
-                t = pairs[: 2 * (j - i)]
-                convert(src, t)
+            if quads is not None:
+                k = len(src)
+                quads[:k, 1:] = block.reshape(k, 3)
+                src = quads[:k].view("<i4")[:, 0]
+            t = x[i:j] if pairs is None else pairs[: 2 * (j - i)]
+            t[...] = src
+            if offset_value:
+                t -= offset_value
+            if scale != 1.0:
+                t *= scale
+            if pairs is not None:
                 np.mean(t.reshape(j - i, 2), axis=1, out=x[i:j])
             # only float content can be non-finite; integer PCM skips this
             # pass. A non-finite channel makes its frame's mean non-finite.
@@ -332,36 +485,15 @@ def _read_at(pread: Callable[[memoryview, int], int], offset: int, k: int) -> by
     return bytes(buf[: _fill(pread, buf, offset)])
 
 
-def _from_u8(src: np.ndarray, out: np.ndarray) -> None:
-    np.subtract(src, 128.0, out=out, dtype=np.float64)
-    out /= 128.0
-
-
-def _from_i16(src: np.ndarray, out: np.ndarray) -> None:
-    # one promoting divide; exact because int16 fits float64 and the
-    # divisor is a power of two
-    np.divide(src, 32768.0, out=out, dtype=np.float64)
-
-
-def _from_i24(src: np.ndarray, out: np.ndarray) -> None:
-    # each triplet becomes the top three bytes of a little-endian int32,
-    # which carries its sign; the divide is exact as for 16-bit
-    quads = np.zeros((len(out), 4), dtype=np.uint8)
-    quads[:, 1:] = src.view(np.uint8).reshape(len(out), 3)
-    np.divide(quads.view("<i4")[:, 0], float(1 << 31), out=out, dtype=np.float64)
-
-
-def _from_f32(src: np.ndarray, out: np.ndarray) -> None:
-    out[...] = src
-
-
-# (format tag, bits): (dtype of one sample as stored, its conversion into
-# float64 samples in [-1, 1]); 24-bit samples are stored as byte triplets
+# (format tag, bits): (dtype of one sample as stored, then the offset
+# subtracted from it and the power of two it is scaled by to give float64
+# samples in [-1, 1]); 24-bit samples are stored as byte triplets, read
+# as int32 with the sample in the top three bytes
 _CONVERTERS = {
-    (WAVE_FORMAT_PCM, 8): (np.dtype(np.uint8), _from_u8),
-    (WAVE_FORMAT_PCM, 16): (np.dtype("<i2"), _from_i16),
-    (WAVE_FORMAT_PCM, 24): (np.dtype("V3"), _from_i24),
-    (WAVE_FORMAT_IEEE_FLOAT, 32): (np.dtype("<f4"), _from_f32),
+    (WAVE_FORMAT_PCM, 8): (np.dtype(np.uint8), 128.0, 2.0**-7),
+    (WAVE_FORMAT_PCM, 16): (np.dtype("<i2"), 0.0, _I16_SCALE),
+    (WAVE_FORMAT_PCM, 24): (np.dtype("V3"), 0.0, 2.0**-31),
+    (WAVE_FORMAT_IEEE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
 }
 
 
@@ -386,7 +518,9 @@ def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
 def write_wav(buf: PcmBuffer, path: str) -> None:
     """Write a buffer as 16-bit mono PCM.
 
-    Samples outside [-1, 1] are saturated and a ClippingWarning is issued.
+    A buffer that still holds 16-bit samples writes their bytes as they
+    are. Float samples are rounded to the nearest 16-bit step; samples
+    outside [-1, 1] are saturated and a ClippingWarning is issued.
     NaN or infinite samples raise NonFiniteSamples, and a sample rate whose
     byte rate does not fit the header raises ValueError, before the file
     is opened, so neither leaves a file behind or changes an existing one.
@@ -398,34 +532,9 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
         raise ValueError("refusing to write an empty buffer")
     if buf.sample_rate * 2 > 0xFFFFFFFF:
         raise ValueError(f"{buf.sample_rate} Hz overflows the header's 32-bit byte rate")
-    x = buf.samples
-    q = np.empty(len(x), dtype="<i2")
-
-    def write_range(a: int, b: int) -> bool:
-        """Convert x[a:b] into q[a:b]; whether any sample clipped."""
-        scaled = np.empty(min(b - a, CHUNK_SAMPLES))
-        clipped = False
-        for i in range(a, b, CHUNK_SAMPLES):
-            src = x[i : min(i + CHUNK_SAMPLES, b)]
-            t = scaled[: len(src)]
-            np.multiply(src, 32768.0, out=t)
-            # max and min propagate NaN, so they double as the finiteness
-            # test; only a finite sample past ~5e303 can scale to infinity
-            hi, lo = t.max(), t.min()
-            if not (np.isfinite(hi) and np.isfinite(lo)) and not np.isfinite(src).all():
-                raise NonFiniteSamples(f"cannot write NaN or infinite samples to {path}")
-            # the scale is a power of two, so this is exactly |x| > 1
-            clipped = clipped or hi > 32768.0 or lo < -32768.0
-            np.rint(t, out=t)
-            np.clip(t, -32768, 32767, out=t)
-            q[i : i + len(src)] = t
-        return clipped
-
-    clipped = any(run_ranges(len(x), write_range))
-    if clipped:
-        warnings.warn(
-            "samples outside [-1, 1] were clipped on write", ClippingWarning, stacklevel=2
-        )
+    q = buf._q
+    if q is None:
+        q = _to_pcm16(buf.samples, path)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -462,6 +571,43 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
             os.close(fd)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _to_pcm16(x: np.ndarray, path: str) -> np.ndarray:
+    """x rounded to 16-bit samples, saturated at full scale, with a
+    ClippingWarning if any sample was; NonFiniteSamples if any is NaN
+    or infinite."""
+    q = np.empty(len(x), dtype="<i2")
+
+    def write_range(a: int, b: int) -> bool:
+        """Convert x[a:b] into q[a:b]; whether any sample clipped."""
+        scaled = np.empty(min(b - a, CHUNK_SAMPLES))
+        clipped = False
+        for i in range(a, b, CHUNK_SAMPLES):
+            src = x[i : min(i + CHUNK_SAMPLES, b)]
+            t = scaled[: len(src)]
+            np.multiply(src, 32768.0, out=t)
+            # max and min propagate NaN, so they double as the finiteness
+            # test; only a finite sample past ~5e303 can scale to infinity
+            hi, lo = t.max(), t.min()
+            if -32768.0 <= lo and hi <= 32767.0:
+                # every sample rounds into range: round straight into q
+                np.rint(t, out=q[i : i + len(src)], casting="unsafe")
+                continue
+            if not (np.isfinite(hi) and np.isfinite(lo)) and not np.isfinite(src).all():
+                raise NonFiniteSamples(f"cannot write NaN or infinite samples to {path}")
+            # the scale is a power of two, so this is exactly |x| > 1
+            clipped = clipped or hi > 32768.0 or lo < -32768.0
+            np.rint(t, out=t)
+            np.clip(t, -32768, 32767, out=t)
+            q[i : i + len(src)] = t
+        return clipped
+
+    if any(run_ranges(len(x), write_range)):
+        warnings.warn(
+            "samples outside [-1, 1] were clipped on write", ClippingWarning, stacklevel=3
+        )
+    return q
 
 
 def _write_all(fd: int, data) -> None:

@@ -39,13 +39,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, energy, rms_dbfs, usable_cpus
+from .audio import (
+    PcmBuffer,
+    copy_range,
+    float_range,
+    rms_dbfs,
+    scaled_range,
+    screen_finite,
+    usable_cpus,
+)
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
     LowEnergy,
     MessageTooLong,
-    NonFiniteSamples,
     NoPeriodicity,
     ReferenceSilent,
     TooShort,
@@ -207,14 +214,6 @@ def _ratio_for(direction: Direction, delta: float) -> float:
     return 1.0 + delta if direction is Direction.UP else 1.0 - delta
 
 
-def _screen_finite(x: np.ndarray, what: str) -> None:
-    # one sum of squares screens x without a temporary; it is also inf
-    # for huge finite samples, so a second pass confirms before rejecting
-    with np.errstate(over="ignore"):
-        if not math.isfinite(energy(x)) and not np.isfinite(x).all():
-            raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
-
-
 def _reference_factor(x: np.ndarray, sr: int) -> float:
     """The factor that scales the reference slice x to _NORM_TARGET_DBFS
     RMS, found from x / peak so no finite sample overflows. Raises
@@ -290,35 +289,38 @@ def encode(
     """
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
-    x = carrier.samples
-    _screen_finite(x, "carrier")
-    plan = plan_slices(len(carrier), carrier.sample_rate, params)
+    screen_finite(carrier, "carrier")
+    n = len(carrier)
+    plan = plan_slices(n, carrier.sample_rate, params)
     if len(message) > plan.capacity:
         raise MessageTooLong(message_bits=len(message), capacity=plan.capacity)
 
     sr = carrier.sample_rate
     _, ref_end = plan.reference
-    _reference_factor(x[:ref_end], sr)
+    ref = float_range(carrier, 0, ref_end)
+    _reference_factor(ref, sr)
 
     # one output buffer sized by the length law; the payload slices are
     # stretched straight into it and everything else copied once
     ratios = [_ratio_for(Direction.UP if bit == 1 else Direction.DOWN, params.delta)
               for bit in message]
     jobs = [((s0, s1), r, stretched_length(s1 - s0, r)) for (s0, s1), r in zip(plan.data, ratios)]
-    out = np.empty(len(x) + sum(n - (s1 - s0) for (s0, s1), _, n in jobs))
-    o = _stretch_into(x, sr, jobs, out, ref_end)
-    out[:ref_end] = x[:ref_end]
+    out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs))
+    o = _stretch_into(carrier, jobs, out, ref_end)
+    out[:ref_end] = ref
     # the tail is what follows the last stretched slice's input
-    rest = x[jobs[-1][0][1] if jobs else ref_end :]
-    out[o : o + len(rest)] = rest
-    return PcmBuffer(samples=out[: o + len(rest)], sample_rate=sr)
+    rest = jobs[-1][0][1] if jobs else ref_end
+    end = o + n - rest
+    copy_range(carrier, rest, n, out[o:end])
+    return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
 def _stretch_into(
-    x: np.ndarray, sr: int, jobs: list[tuple[tuple[int, int], float, int]], out: np.ndarray, o: int
+    carrier: PcmBuffer, jobs: list[tuple[tuple[int, int], float, int]], out: np.ndarray, o: int
 ) -> int:
-    """Stretch each job ((s0, s1), ratio, n) of x into out in order, each
-    where the previous one ended, from o on; return where the last ended.
+    """Stretch each job ((s0, s1), ratio, n) of the carrier into out in
+    order, each where the previous one ended, from o on; return where the
+    last ended.
 
     The jobs are cut into k = min(usable CPUs, jobs) runs of consecutive
     jobs, the first of them the longest. This process stretches the first
@@ -331,6 +333,7 @@ def _stretch_into(
     this call. The result does not depend on k, and a stretch that
     returns fewer than n samples gives the file a serial loop writes.
     """
+    sr = carrier.sample_rate
     k = max(1, min(usable_cpus(), len(jobs)))
     q, r = divmod(len(jobs), k)
     cuts = [i * q + min(i, r) for i in range(k + 1)]
@@ -338,7 +341,9 @@ def _stretch_into(
 
     def stretch(run: list, o: int) -> int:
         for (s0, s1), ratio, n in run:
-            piece = PcmBuffer(samples=x[s0:s1], sample_rate=sr)
+            # a 16-bit carrier's slice is converted here, in the process
+            # that stretches it
+            piece = PcmBuffer(samples=float_range(carrier, s0, s1), sample_rate=sr)
             o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
         return o
 
@@ -442,9 +447,8 @@ def decode(
     n = len(stego)
     if n < 2 * phi_n + stretched_length(phi_n, _ratio_for(Direction.UP, params.delta)):
         raise TooShort("decoding needs a reference, one payload slice and a tail")
-    samples = stego.samples
-    _screen_finite(samples, "stego buffer")
-    factor = _reference_factor(samples[:phi_n], sr)
+    screen_finite(stego, "stego buffer")
+    factor = _reference_factor(float_range(stego, 0, phi_n), sr)
 
     notes: list[str] = []
     plan = plan_slices(n, sr, params)
@@ -460,7 +464,7 @@ def decode(
         n_read = min(max_bits, plan.capacity + 1)
 
     ref_cands = reference_override or estimate_tempo(
-        PcmBuffer(samples=samples[trim_n : phi_n - trim_n] * factor, sample_rate=sr)
+        PcmBuffer(samples=scaled_range(stego, trim_n, phi_n - trim_n, factor), sample_rate=sr)
     )
 
     decisions: list[SliceDecision] = []
@@ -471,7 +475,7 @@ def decode(
         if w1 > n:
             break
         # only the samples decode reads are scaled; no full-length copy
-        window = PcmBuffer(samples=samples[w0:w1] * factor, sample_rate=sr)
+        window = PcmBuffer(samples=scaled_range(stego, w0, w1, factor), sample_rate=sr)
 
         direction, conf, kept, outcome = None, 0.0, [], "decided"
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CHUNK_SAMPLES, PcmBuffer, run_ranges
+from .audio import CHUNK_SAMPLES, PcmBuffer, float_range, run_ranges, view_range
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
 from .errors import StegoError
@@ -100,18 +100,40 @@ class ResampleRoundTrip:
 Perturbation = Noise | Gain | ResampleRoundTrip
 
 
-def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
-    """Apply a channel perturbation, returning a new buffer of the same
-    length and sample rate."""
-    x = buf.samples
+# log10 of the largest float: a noise gain of 10**_MAX_LOG10 or more overflows
+_MAX_LOG10 = math.log10(np.finfo(np.float64).max)
+
+
+def _check_perturbation(kind: Perturbation) -> None:
+    """Raise ValueError if kind's parameters cannot perturb any buffer,
+    TypeError if it is no known perturbation. perturb checks this first."""
     if isinstance(kind, Gain):
         if not 0 < kind.factor < math.inf:
             raise ValueError("gain factor must be positive and finite")
-        return PcmBuffer(samples=x * kind.factor, sample_rate=buf.sample_rate)
-    if isinstance(kind, Noise):
+    elif isinstance(kind, Noise):
         # +inf dB is no noise; -inf or NaN would make every sample non-finite
         if not -math.inf < kind.snr_db <= math.inf:
             raise ValueError("noise SNR must be a number of dB above -inf")
+        if -kind.snr_db / 20.0 >= _MAX_LOG10:
+            raise ValueError(
+                f"noise SNR {kind.snr_db:g} dB puts the noise level past the float range"
+            )
+    elif isinstance(kind, ResampleRoundTrip):
+        if not 4000 <= kind.rate < math.inf:
+            raise ValueError("intermediate rate must be finite and at least 4 kHz")
+    else:
+        raise TypeError(f"unknown perturbation {kind!r}")
+
+
+def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
+    """Apply a channel perturbation, returning a new buffer of the same
+    length and sample rate. Raises ValueError for parameters that cannot
+    perturb any buffer, TypeError for an unknown perturbation."""
+    _check_perturbation(kind)
+    x = buf.samples
+    if isinstance(kind, Gain):
+        return PcmBuffer(samples=x * kind.factor, sample_rate=buf.sample_rate)
+    if isinstance(kind, Noise):
         sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
         if sig_rms == 0.0:
             return PcmBuffer(samples=x.copy(), sample_rate=buf.sample_rate)
@@ -119,16 +141,13 @@ def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
         rng = np.random.default_rng(kind.seed)
         y = x + rng.standard_normal(len(x)) * noise_rms
         return PcmBuffer(samples=y, sample_rate=buf.sample_rate)
-    if isinstance(kind, ResampleRoundTrip):
-        if kind.rate < 4000:
-            raise ValueError("intermediate rate must be at least 4 kHz")
-        n = len(x)
-        n_mid = int(round(n * kind.rate / buf.sample_rate))
-        step = buf.sample_rate / kind.rate
-        mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
-        back = np.interp(np.arange(n) / step, np.arange(n_mid), mid)
-        return PcmBuffer(samples=back, sample_rate=buf.sample_rate)
-    raise TypeError(f"unknown perturbation {kind!r}")
+    # a ResampleRoundTrip
+    n = len(x)
+    n_mid = int(round(n * kind.rate / buf.sample_rate))
+    step = buf.sample_rate / kind.rate
+    mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
+    back = np.interp(np.arange(n) / step, np.arange(n_mid), mid)
+    return PcmBuffer(samples=back, sample_rate=buf.sample_rate)
 
 
 def compare_bits(decoded: BitString, expected: BitString) -> tuple[int, int, int]:
@@ -232,8 +251,11 @@ def evaluate(
     recorded with the error name instead of bits and contributes nothing
     to the totals. Carriers are taken one at a time, so a generator
     holds only one in memory. Raises ValueError when names and carriers
-    differ in length.
+    differ in length, and perturb's ValueError for a perturbation that
+    cannot apply before the first carrier is taken.
     """
+    if perturbation is not None:
+        _check_perturbation(perturbation)
     if names is None:
         named = ((c, f"carrier-{i}") for i, c in enumerate(carriers, start=1))
     else:
@@ -278,17 +300,19 @@ def split_on_silence(
     threshold_dbfs lasting at least min_silence_s become separators.
     Returned segments keep their interior short pauses but have leading
     and trailing silent frames removed. All-silent input yields [].
-    Segments are views of the stream's samples, not copies: copy one
-    before mutating it. A threshold of +inf makes every frame silent and
-    -inf none; a NaN threshold raises ValueError, as does a min_silence_s
-    that is not positive and finite.
+    Segments share the stream's memory, in its form: a float stream's
+    segments are views of its samples (copy one before mutating it), and
+    a stream read from a 16-bit file gives views of its int16 samples,
+    each of which makes its own float `samples` on first access. A
+    threshold of +inf makes every frame silent and -inf none; a NaN
+    threshold raises ValueError, as does a min_silence_s that is not
+    positive and finite.
     """
     if not (0.0 < min_silence_s < math.inf):
         raise ValueError("min_silence_s must be positive and finite")
     if math.isnan(threshold_dbfs):
         raise ValueError("threshold_dbfs must not be NaN")
     sr = stream.sample_rate
-    x = stream.samples
     frame_n = max(1, int(round(0.020 * sr)))
     n = len(stream)
     n_full = n // frame_n
@@ -305,14 +329,16 @@ def split_on_silence(
         squares = np.empty((min(block, f1 - f0), frame_n))
         for g0 in range(f0, f1, block):
             g1 = min(g0 + block, f1)
-            frames = x[g0 * frame_n : g1 * frame_n].reshape(g1 - g0, frame_n)
             sq = squares[: g1 - g0]
+            # a 16-bit stream's block is converted into sq and squared there
+            frames = float_range(stream, g0 * frame_n, g1 * frame_n, sq.reshape(-1))
+            frames = frames.reshape(g1 - g0, frame_n)
             np.multiply(frames, frames, out=sq)
             np.mean(sq, axis=1, out=mean_sq[g0:g1])
 
     run_ranges(n_full * frame_n, scan_range)
     if n_frames > n_full:
-        tail = x[n_full * frame_n :]
+        tail = float_range(stream, n_full * frame_n, n)
         mean_sq[-1] = np.mean(tail * tail)
     with np.errstate(divide="ignore"):
         # log10(0) is -inf: digital silence is below any finite threshold
@@ -338,6 +364,5 @@ def split_on_silence(
     for i, j in zip(first, last):
         if i <= j:
             a, b = loud[i], loud[j] + 1
-            seg = x[a * frame_n : min(n, b * frame_n)]
-            segments.append(PcmBuffer(samples=seg, sample_rate=sr))
+            segments.append(view_range(stream, a * frame_n, min(n, b * frame_n)))
     return segments

@@ -409,6 +409,50 @@ def test_ranges_have_all_ended_when_one_raises(monkeypatch):
     assert sorted(ended) == [audio.CHUNK_SAMPLES, 2 * audio.CHUNK_SAMPLES]
 
 
+def test_ranges_run_in_the_calling_thread_on_a_pool_thread(monkeypatch):
+    # a pool thread that waited on ranges queued behind it could wait for
+    # ever, e.g. when it reads the samples of a 16-bit buffer
+    monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
+    n = 3 * audio.CHUNK_SAMPLES
+    assert len(audio.run_ranges(n, lambda a, b: (a, b))) == 2
+    nested = audio.shared_pool().submit(audio.run_ranges, n, lambda a, b: (a, b))
+    assert nested.result(timeout=60) == [(0, n)]
+
+
+def test_16bit_samples_are_made_once_under_concurrent_first_reads(tmp_path, monkeypatch):
+    # more threads than cores read `samples` of one 16-bit buffer at once,
+    # with rapid thread switches: every one must get the same array, or an
+    # edit through one would be lost to the buffer
+    monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
+    q = np.random.default_rng(3).integers(-32768, 32768, 3 * audio.CHUNK_SAMPLES + 5)
+    path = tmp_path / "pcm16.wav"
+    path.write_bytes(wav_bytes(1, 1, 8000, 16, q.astype("<i2").tobytes()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            buf = read_wav(str(path))
+            start = threading.Barrier(8)
+            got = []
+
+            def first_read():
+                start.wait(timeout=30)
+                got.append(buf.samples)
+
+            threads = [threading.Thread(target=first_read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 8 and all(x is buf.samples for x in got)
+            assert np.array_equal(buf.samples, q / 32768.0)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_file_that_shrinks_after_fstat_is_malformed(tmp_path, monkeypatch):
     path = tmp_path / "shrinks.wav"
     write_wav(make_buffer(2.0), str(path))

@@ -145,7 +145,8 @@ def test_non_finite_duration_reports_value_error(tmp_path, capsys, duration):
     assert "error: ValueError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["gain:nan", "gain:inf", "noise:nan", "noise:-inf"])
+@pytest.mark.parametrize("spec", ["gain:nan", "gain:inf", "noise:nan", "noise:-inf",
+                                  "noise:-7000"])
 def test_non_finite_perturbation_reports_value_error(capsys, spec):
     rc = main(["evaluate", "--generate", "120@40", "--bits", "1", "--perturb", spec])
     assert rc == 1

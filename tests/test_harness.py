@@ -19,6 +19,7 @@ from tempostego import (
     perturb,
     split_on_silence,
 )
+from tempostego import harness
 from tempostego.bits import ERASURE
 
 SR = 44100
@@ -87,6 +88,22 @@ def test_perturb_noise_rejects_a_non_finite_snr_below_inf():
     assert np.array_equal(perturb(buf, Noise(snr_db=math.inf)).samples, buf.samples)
 
 
+def test_perturb_noise_rejects_an_snr_whose_noise_level_overflows():
+    # 10 ** (7000 / 20) is past the float range; the SNR is named, not an
+    # OverflowError raised from the arithmetic
+    buf = generate_click_track(120, 5.0)
+    with pytest.raises(ValueError, match="noise SNR -7000 dB"):
+        perturb(buf, Noise(snr_db=-7000.0))
+    assert np.isfinite(perturb(buf, Noise(snr_db=-6000.0)).samples).all()
+
+
+def test_resample_rejects_a_non_finite_rate():
+    buf = generate_click_track(120, 5.0)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and at least 4 kHz"):
+            perturb(buf, ResampleRoundTrip(rate))
+
+
 def test_perturb_noise_hits_requested_snr():
     buf = generate_click_track(120, 30.0)
     out = perturb(buf, Noise(snr_db=20.0, seed=1))
@@ -150,6 +167,23 @@ def test_evaluate_takes_carriers_one_at_a_time():
     result = evaluate(carriers, parse_bitstring("1"))
     assert [f.name for f in result.files] == ["carrier-1", "carrier-2"]
     assert result.total_errors == 0 and result.total_compared == 2
+
+
+def test_evaluate_checks_the_perturbation_before_taking_a_carrier(monkeypatch):
+    taken = []
+
+    def carriers():
+        taken.append("carrier")
+        yield generate_click_track(120, 40.0)
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("encode ran before the perturbation was checked")
+
+    monkeypatch.setattr(harness, "encode", no_encode)
+    for bad in (Gain(math.nan), Noise(snr_db=-7000.0), ResampleRoundTrip(math.inf)):
+        with pytest.raises(ValueError):
+            evaluate(carriers(), parse_bitstring("1"), perturbation=bad)
+    assert taken == []
 
 
 def test_evaluate_rejects_names_that_do_not_match_the_carriers():

@@ -19,11 +19,16 @@ the serial size lowered to 0, they must match a serial run sample for
 sample and byte for byte. The reader reads each range's bytes by
 position; it must also match the whole-buffer reader, which holds every
 byte of the file in one buffer and converts the data chunk in one piece.
+A 16-bit mono file is read into its int16 samples: written again it must
+give the same bytes, and its split, encode and decode must equal those
+of a float buffer holding the same samples, without a whole-length
+float64 of the buffer.
 """
 
 import contextlib
 import math
 import struct
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,6 +50,7 @@ from tempostego import (
     encode,
     generate_click_track,
     onset_envelope,
+    parse_bitstring,
     plan_slices,
     read_wav,
     rms_dbfs,
@@ -742,3 +748,169 @@ def test_round_trip_over_click_tracks(bpm, duration_s, subdivision, seed, bits):
     message = BitString(tuple(bits[:capacity]))
     report = decode(encode(carrier, message, params), params, max_bits=len(message))
     assert report.bits == message
+
+
+# 16-bit mono path: a buffer read from such a file keeps its int16
+# samples until `samples` is first read. Lengths around one block and
+# around the size from which the passes run in ranges.
+PCM16_LENGTHS = st.one_of(
+    st.integers(1, 300),
+    st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+    st.sampled_from([audio.PARALLEL_MIN_SAMPLES - 1, audio.PARALLEL_MIN_SAMPLES,
+                     audio.PARALLEL_MIN_SAMPLES + 1]),
+)
+
+
+def pcm16_values(n, seed, extremes):
+    """n random 16-bit samples with full scale on both sides and zero
+    placed among them."""
+    rng = np.random.default_rng(seed)
+    q = rng.integers(-32768, 32768, n).astype("<i2")
+    q[rng.integers(0, n, len(extremes))] = extremes
+    return q
+
+
+def pcm16_file(path, q, sr=44100):
+    data = q.astype("<i2").tobytes()
+    fmt = struct.pack("<HHIIHH", 1, 1, sr, 2 * sr, 2, 16)
+    path.write_bytes(riff([b"fmt " + struct.pack("<I", 16) + fmt,
+                           b"data" + struct.pack("<I", len(data)) + data]))
+    return str(path)
+
+
+def float_twin(buf):
+    """The same samples in a buffer that holds floats."""
+    return PcmBuffer(samples=buf.samples.copy(), sample_rate=buf.sample_rate)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=PCM16_LENGTHS,
+    cpus=st.sampled_from([1, 2, 3]),
+    extremes=st.lists(st.sampled_from([-32768, 32767, 0]), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=audio.PARALLEL_MIN_SAMPLES + 1, cpus=2, extremes=[-32768, 32767, 0], seed=0)
+def test_pcm16_file_round_trips_byte_for_byte(tmp_path_factory, n, cpus, extremes, seed):
+    base = tmp_path_factory.getbasetemp()
+    path = pcm16_file(base / "in16.wav", pcm16_values(n, seed, extremes))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio, "usable_cpus", lambda: cpus)
+        buf = read_wav(path)
+        write_wav(buf, str(base / "out16.wav"))
+        got = buf.samples  # made here, from the int16 samples
+    assert (base / "out16.wav").read_bytes() == (base / "in16.wav").read_bytes()
+    assert got.tobytes() == oracle_read_wav(path).tobytes()
+    assert len(buf) == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(RANGE_LENGTHS, PCM16_LENGTHS),
+    sr=st.sampled_from(RATES),
+    cpus=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pcm16_split_equals_float_split(tmp_path_factory, n, sr, cpus, seed):
+    # 20 ms frames loud or quiet at random, quiet ones a few steps of
+    # 16-bit noise or zeros, full scale and zero among the loud ones
+    frame_n = int(round(0.020 * sr))
+    rng = np.random.default_rng(seed)
+    levels = rng.choice([8000.0, 3.0, 0.0], size=-(-n // frame_n))
+    q = np.clip(np.rint(rng.standard_normal(n) * np.repeat(levels, frame_n)[:n]), -32768, 32767)
+    q[rng.integers(0, n, 3)] = [-32768, 32767, 0]
+    base = tmp_path_factory.getbasetemp()
+    stream = read_wav(pcm16_file(base / "stream16.wav", q.astype("<i2"), sr))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio, "usable_cpus", lambda: cpus)
+        got = split_on_silence(stream, min_silence_s=0.02)
+        twin = float_twin(read_wav(str(base / "stream16.wav")))
+        want = split_on_silence(twin, min_silence_s=0.02)
+    assert [len(g) for g in got] == [len(w) for w in want]
+    for g, w in zip(got[:3], want[:3]):
+        write_wav(g, str(base / "g.wav"))
+        write_wav(w, str(base / "w.wav"))
+        assert (base / "g.wav").read_bytes() == (base / "w.wav").read_bytes()
+    for g, w in zip(got, want):
+        assert g.samples.tobytes() == w.samples.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bpm, duration_s, subdivision, bits",
+    [(90.0, 52.0, False, "101"), (128.0, 41.0, True, "1 0"), (174.0, 62.0, False, "0110")],
+)
+def test_pcm16_encode_and_decode_equal_the_float_twin(tmp_path, bpm, duration_s,
+                                                      subdivision, bits):
+    path = str(tmp_path / "carrier16.wav")
+    write_wav(generate_click_track(bpm, duration_s, subdivision=subdivision), path)
+    message = parse_bitstring(bits)
+    got = encode(read_wav(path), message)
+    want = encode(float_twin(read_wav(path)), message)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    stego = str(tmp_path / "stego16.wav")
+    write_wav(got, stego)
+    for kwargs in ({"max_bits": len(message)}, {}):
+        report = decode(read_wav(stego), **kwargs)
+        assert report.to_dict() == decode(float_twin(read_wav(stego)), **kwargs).to_dict()
+    assert report.bits[: len(message)] == message
+
+
+def test_pcm16_samples_edited_in_place_are_what_write_writes(tmp_path):
+    q = pcm16_values(CHUNK + 1, 7, [-32768, 32767, 0])
+    path = pcm16_file(tmp_path / "in16.wav", q)
+    buf = read_wav(path)
+    buf.samples[:3] = [0.5, -0.25, 1.5]
+    buf.samples[-1] = -1.0
+    with pytest.warns(ClippingWarning):  # 1.5 is past full scale
+        write_wav(buf, str(tmp_path / "edited.wav"))
+    back = read_wav(str(tmp_path / "edited.wav")).samples
+    assert back[:3].tolist() == [0.5, -0.25, 32767 / 32768]
+    assert back[-1] == -1.0
+    assert np.array_equal(back[3:-1], q[3:-1] / 32768.0)
+    # a segment of a 16-bit stream is a view of its int16 samples; its own
+    # float samples are a new array, so editing them leaves the stream as read
+    seg = split_on_silence(read_wav(path), min_silence_s=0.02, threshold_dbfs=-math.inf)[0]
+    seg.samples[:] = 0.0
+    write_wav(seg, str(tmp_path / "zeros.wav"))
+    assert not read_wav(str(tmp_path / "zeros.wav")).samples.any()
+    assert np.array_equal(read_wav(path).samples, q / 32768.0)
+
+
+@pytest.fixture(scope="module")
+def pcm16_carrier_240s(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("pcm16") / "carrier240.wav")
+    write_wav(generate_click_track(120.0, 240.0, subdivision=True), path)
+    return path
+
+
+def traced_peak(fn):
+    """fn's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("op", ["read", "split", "write", "decode", "encode"])
+def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path, op):
+    # a whole-length float64 of the buffer would be 8 bytes per sample;
+    # each of these converts only blocks, slices and windows, if any
+    buf = read_wav(pcm16_carrier_240s)
+    whole = 8 * len(buf)
+    if op == "read":
+        _, peak = traced_peak(lambda: read_wav(pcm16_carrier_240s))
+        peak -= 2 * len(buf)  # the int16 samples it returns
+    elif op == "split":
+        segments, peak = traced_peak(lambda: split_on_silence(buf))
+        assert len(segments) == 1
+    elif op == "write":
+        _, peak = traced_peak(lambda: write_wav(buf, str(tmp_path / "copy.wav")))
+    elif op == "decode":
+        _, peak = traced_peak(lambda: decode(buf, max_bits=3))
+    else:
+        out, peak = traced_peak(lambda: encode(buf, BitString((1, 0, 1))))
+        peak -= out.samples.nbytes  # encode's own output is exempt
+    assert peak < whole / 4
