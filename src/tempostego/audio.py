@@ -7,15 +7,17 @@ so that malformed files fail with a precise error instead of a generic
 one. Stereo input is mixed down to mono on read; output is always
 16-bit mono PCM.
 
-A 16-bit mono file, the format this package writes, is read into its
-int16 samples as they are, and its buffer makes the float64 `samples`
-(each int16 / 32768) only on first access, then drops the int16 array.
-Until then the splitter, the writer, encode and decode work from the
-int16 array: they convert only the blocks, slices and windows they read
-(float_range, copy_range, scaled_range), split it into int16 views
-(view_range), write its bytes unchanged and skip the finiteness screen,
-since integers are always finite. Every float they see equals the one
-the float64 form holds, so results do not depend on the form. No other
+A buffer holds its samples in one of two forms, which its constructor
+picks from their dtype: float samples as they are, or little-endian
+int16 samples, the form read_wav gives a 16-bit mono file, the format
+this package writes. A 16-bit buffer makes the float64 `samples` (each
+int16 / 32768) only on first access, then drops the int16 array. Until
+then the splitter, the writer, encode and decode work from the int16
+array: they convert only the blocks, slices and windows they read
+(float_range), cut it into int16 views (view_range), write its bytes
+unchanged and skip the finiteness screen (screen_finite), since
+integers are always finite. Every float they see equals the one the
+float64 form holds, so results do not depend on the form. No other
 module refers to the int16 form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
@@ -36,6 +38,7 @@ last.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 import struct
@@ -98,6 +101,8 @@ _widen_lock = threading.Lock()
 
 # 1 / 32768: a 16-bit sample times this is exactly its float value
 _I16_SCALE = 2.0**-15
+# the dtype of a buffer's 16-bit form, and of a 16-bit mono file's data
+_PCM16 = np.dtype("<i2")
 
 
 def usable_cpus() -> int:
@@ -169,56 +174,51 @@ def run_ranges(n: int, fn: Callable[[int, int], T]) -> list[T]:
 
 
 class PcmBuffer:
-    """Mono audio: float64 samples in [-1, 1] plus a sample rate.
+    """Mono audio: samples in [-1, 1] plus a sample rate in Hz.
 
-    A buffer that read_wav fills from a 16-bit mono file holds the
-    file's int16 samples instead. Its `samples` are made on first access,
-    each int16 / 32768, and from then on the buffer holds only those.
-    Either way `samples` is the same array of floats; the int16 form is
-    audio's own (see the module docstring).
+    The constructor keeps `samples` as given and picks the buffer's form
+    from its dtype. A 1-D float array is the float form. A little-endian
+    int16 array (what read_wav makes of a 16-bit mono file) is the 16-bit
+    form: its `samples` are made on first access, each int16 / 32768 in
+    float64, and from then on the buffer holds only those. Either way
+    `samples` is the same array of floats; the int16 form is audio's own
+    (see the module docstring). Any other dtype, and a sample rate that
+    is not a positive integer, raise ValueError.
     """
 
-    __slots__ = ("_x", "_q", "_n", "sample_rate")
+    __slots__ = ("_data", "sample_rate")
 
     def __init__(self, samples: np.ndarray, sample_rate: int):
         if samples.ndim != 1:
             raise ValueError("PcmBuffer holds mono audio only")
-        if sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
-        self._x, self._q, self._n, self.sample_rate = samples, None, len(samples), sample_rate
+        if samples.dtype != _PCM16 and samples.dtype.kind != "f":
+            raise ValueError(f"PcmBuffer holds float or <i2 samples, not {samples.dtype}")
+        rate_ok = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
+        if not (rate_ok and sample_rate > 0):
+            raise ValueError(f"sample rate must be a positive whole number of Hz, not {sample_rate!r}")
+        self._data, self.sample_rate = samples, int(sample_rate)
 
     def __repr__(self) -> str:
-        return f"PcmBuffer({self._n} samples at {self.sample_rate} Hz)"
+        return f"PcmBuffer({len(self)} samples at {self.sample_rate} Hz)"
 
     @property
     def samples(self) -> np.ndarray:
-        x = self._x
-        if x is None:
+        d = self._data
+        if d.dtype == _PCM16:
             with _widen_lock:
-                x = self._x
-                if x is None:  # no other thread made them meanwhile
-                    q = self._q
-                    x = np.empty(len(q))
-                    run_ranges(len(q), lambda a, b: _widen(q[a:b], x[a:b], _I16_SCALE))
-                    # the floats are set before the int16 array goes, so a
-                    # reader that finds no int16 array finds the floats
-                    self._x = x
-                    self._q = None
-        return x
+                d = self._data
+                if d.dtype == _PCM16:  # no other thread made them meanwhile
+                    x = np.empty(len(d))
+                    run_ranges(len(d), lambda a, b: _widen(d[a:b], x[a:b], _I16_SCALE))
+                    self._data = d = x
+        return d
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._data)
 
     @property
     def duration_s(self) -> float:
-        return self._n / self.sample_rate
-
-
-def _pcm16_buffer(q: np.ndarray, sample_rate: int) -> PcmBuffer:
-    """A buffer over 16-bit samples q, which it keeps (not a copy)."""
-    buf = object.__new__(PcmBuffer)
-    buf._x, buf._q, buf._n, buf.sample_rate = None, q, len(q), sample_rate
-    return buf
+        return len(self) / self.sample_rate
 
 
 def _widen(q: np.ndarray, out: np.ndarray, scale: float) -> None:
@@ -232,37 +232,22 @@ def _widen(q: np.ndarray, out: np.ndarray, scale: float) -> None:
         o *= scale
 
 
-def float_range(buf: PcmBuffer, a: int, b: int, scratch: np.ndarray | None = None) -> np.ndarray:
-    """samples[a:b], for reading only: a view of a float buffer's samples;
-    for a 16-bit buffer the range alone converted, into scratch (b - a
-    float64 samples) when given, else into a new array."""
-    q = buf._q
-    if q is None:
-        return buf.samples[a:b]
-    part = q[a:b]
-    out = np.empty(len(part)) if scratch is None else scratch
-    _widen(part, out, _I16_SCALE)
-    return out
-
-
-def copy_range(buf: PcmBuffer, a: int, b: int, out: np.ndarray) -> None:
-    """out[:] = samples[a:b], converting only that range of a 16-bit buffer."""
-    q = buf._q
-    if q is None:
-        out[...] = buf.samples[a:b]
-    else:
-        _widen(q[a:b], out, _I16_SCALE)
-
-
-def scaled_range(buf: PcmBuffer, a: int, b: int, factor: float) -> np.ndarray:
-    """A new array of samples[a:b] * factor. A 16-bit range is scaled by
-    factor / 32768 in one step, which gives the same floats."""
-    q = buf._q
-    if q is None:
-        return buf.samples[a:b] * factor
-    part = q[a:b]
-    out = np.empty(len(part))
-    _widen(part, out, factor * _I16_SCALE)
+def float_range(
+    buf: PcmBuffer, a: int, b: int, factor: float = 1.0, out: np.ndarray | None = None
+) -> np.ndarray:
+    """samples[a:b] * factor, for reading only, converting only that range
+    of a 16-bit buffer. Written into out (b - a float64 samples) when
+    given; else a view of a float buffer's samples when factor is 1, or a
+    new array. A 16-bit range is scaled by factor / 32768 in one step,
+    which gives the same floats."""
+    part = buf._data[a:b]
+    if part.dtype == _PCM16:
+        out = np.empty(len(part)) if out is None else out
+        _widen(part, out, factor * _I16_SCALE)
+        return out
+    if out is None:
+        return part if factor == 1.0 else part * factor
+    np.multiply(part, factor, out=out)
     return out
 
 
@@ -270,10 +255,7 @@ def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
     """Samples [a, b) as a buffer sharing buf's memory, in buf's form: a
     view of a float buffer's samples, or of a 16-bit buffer's int16
     samples, whose own `samples` will then be a new array."""
-    q = buf._q
-    if q is None:
-        return PcmBuffer(samples=buf.samples[a:b], sample_rate=buf.sample_rate)
-    return _pcm16_buffer(q[a:b], buf.sample_rate)
+    return PcmBuffer(samples=buf._data[a:b], sample_rate=buf.sample_rate)
 
 
 def screen_finite(buf: PcmBuffer, what: str) -> None:
@@ -282,9 +264,9 @@ def screen_finite(buf: PcmBuffer, what: str) -> None:
     screened by one sum of squares, which makes no temporary; it is also
     inf for huge finite samples, so a second pass confirms before
     rejecting."""
-    if buf._q is not None:
+    x = buf._data
+    if x.dtype == _PCM16:
         return
-    x = buf.samples
     with np.errstate(over="ignore"):
         if not math.isfinite(energy(x)) and not np.isfinite(x).all():
             raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
@@ -359,10 +341,10 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
             raise MalformedHeader(f"{path}: chunk b'data' extends past end of file")
 
     if (fmt_tag, bits, channels) == (WAVE_FORMAT_PCM, 16, 1):
-        q = np.empty(n, dtype="<i2")
+        q = np.empty(n, dtype=_PCM16)
         # the bytes are the samples: each range reads its own straight in
         run_ranges(n, lambda a, b: fill(q[a:b], a))
-        return _pcm16_buffer(q, int(sample_rate))
+        return PcmBuffer(samples=q, sample_rate=int(sample_rate))
 
     x = np.empty(n)
 
@@ -491,7 +473,7 @@ def _read_at(pread: Callable[[memoryview, int], int], offset: int, k: int) -> by
 # as int32 with the sample in the top three bytes
 _CONVERTERS = {
     (WAVE_FORMAT_PCM, 8): (np.dtype(np.uint8), 128.0, 2.0**-7),
-    (WAVE_FORMAT_PCM, 16): (np.dtype("<i2"), 0.0, _I16_SCALE),
+    (WAVE_FORMAT_PCM, 16): (_PCM16, 0.0, _I16_SCALE),
     (WAVE_FORMAT_PCM, 24): (np.dtype("V3"), 0.0, 2.0**-31),
     (WAVE_FORMAT_IEEE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
 }
@@ -532,9 +514,9 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
         raise ValueError("refusing to write an empty buffer")
     if buf.sample_rate * 2 > 0xFFFFFFFF:
         raise ValueError(f"{buf.sample_rate} Hz overflows the header's 32-bit byte rate")
-    q = buf._q
-    if q is None:
-        q = _to_pcm16(buf.samples, path)
+    d = buf._data
+    # a 16-bit view may be strided; the writer needs its bytes in order
+    q = np.ascontiguousarray(d) if d.dtype == _PCM16 else _to_pcm16(d, path)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF",
@@ -634,7 +616,8 @@ def slice_buffer(buf: PcmBuffer, start_s: float, end_s: float) -> PcmBuffer:
         raise OutOfRange(f"slice end {end_s} s is past the buffer end")
     if i0 >= i1:
         raise OutOfRange(f"slice [{start_s}, {end_s}) s is empty")
-    return PcmBuffer(samples=buf.samples[i0:i1].copy(), sample_rate=sr)
+    # a copy of the range in buf's form: a 16-bit buffer stays 16-bit
+    return PcmBuffer(samples=buf._data[i0:i1].copy(), sample_rate=sr)
 
 
 def concat(parts: list[PcmBuffer]) -> PcmBuffer:

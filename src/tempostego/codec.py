@@ -39,15 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import (
-    PcmBuffer,
-    copy_range,
-    float_range,
-    rms_dbfs,
-    scaled_range,
-    screen_finite,
-    usable_cpus,
-)
+from .audio import PcmBuffer, float_range, rms_dbfs, screen_finite, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -297,21 +289,19 @@ def encode(
 
     sr = carrier.sample_rate
     _, ref_end = plan.reference
-    ref = float_range(carrier, 0, ref_end)
-    _reference_factor(ref, sr)
-
-    # one output buffer sized by the length law; the payload slices are
-    # stretched straight into it and everything else copied once
+    # one output buffer sized by the length law; the reference and the
+    # tail are read straight into it and the payload slices stretched
+    # into it
     ratios = [_ratio_for(Direction.UP if bit == 1 else Direction.DOWN, params.delta)
               for bit in message]
     jobs = [((s0, s1), r, stretched_length(s1 - s0, r)) for (s0, s1), r in zip(plan.data, ratios)]
     out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs))
+    _reference_factor(float_range(carrier, 0, ref_end, out=out[:ref_end]), sr)
     o = _stretch_into(carrier, jobs, out, ref_end)
-    out[:ref_end] = ref
     # the tail is what follows the last stretched slice's input
     rest = jobs[-1][0][1] if jobs else ref_end
     end = o + n - rest
-    copy_range(carrier, rest, n, out[o:end])
+    float_range(carrier, rest, n, out=out[o:end])
     return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
@@ -464,7 +454,7 @@ def decode(
         n_read = min(max_bits, plan.capacity + 1)
 
     ref_cands = reference_override or estimate_tempo(
-        PcmBuffer(samples=scaled_range(stego, trim_n, phi_n - trim_n, factor), sample_rate=sr)
+        PcmBuffer(samples=float_range(stego, trim_n, phi_n - trim_n, factor), sample_rate=sr)
     )
 
     decisions: list[SliceDecision] = []
@@ -475,7 +465,7 @@ def decode(
         if w1 > n:
             break
         # only the samples decode reads are scaled; no full-length copy
-        window = PcmBuffer(samples=scaled_range(stego, w0, w1, factor), sample_rate=sr)
+        window = PcmBuffer(samples=float_range(stego, w0, w1, factor), sample_rate=sr)
 
         direction, conf, kept, outcome = None, 0.0, [], "decided"
         try:

@@ -300,13 +300,15 @@ def split_on_silence(
     threshold_dbfs lasting at least min_silence_s become separators.
     Returned segments keep their interior short pauses but have leading
     and trailing silent frames removed. All-silent input yields [].
+    The scan reads the stream through audio.float_range, one block of
+    frames at a time, so a 16-bit stream is never widened whole.
     Segments share the stream's memory, in its form: a float stream's
     segments are views of its samples (copy one before mutating it), and
-    a stream read from a 16-bit file gives views of its int16 samples,
-    each of which makes its own float `samples` on first access. A
-    threshold of +inf makes every frame silent and -inf none; a NaN
-    threshold raises ValueError, as does a min_silence_s that is not
-    positive and finite.
+    a 16-bit stream's (one read from a 16-bit file, or built from int16
+    samples) are views of its int16 samples, each of which makes its own
+    float `samples` on first access. A threshold of +inf makes every
+    frame silent and -inf none; a NaN threshold raises ValueError, as
+    does a min_silence_s that is not positive and finite.
     """
     if not (0.0 < min_silence_s < math.inf):
         raise ValueError("min_silence_s must be positive and finite")
@@ -330,8 +332,9 @@ def split_on_silence(
         for g0 in range(f0, f1, block):
             g1 = min(g0 + block, f1)
             sq = squares[: g1 - g0]
-            # a 16-bit stream's block is converted into sq and squared there
-            frames = float_range(stream, g0 * frame_n, g1 * frame_n, sq.reshape(-1))
+            # each block is read into sq, a 16-bit one converted on the
+            # way, and squared there
+            frames = float_range(stream, g0 * frame_n, g1 * frame_n, out=sq.reshape(-1))
             frames = frames.reshape(g1 - g0, frame_n)
             np.multiply(frames, frames, out=sq)
             np.mean(sq, axis=1, out=mean_sq[g0:g1])

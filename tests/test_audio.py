@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tempostego import (
+    BitString,
     ClippingWarning,
     IoError,
     MalformedHeader,
@@ -19,6 +20,8 @@ from tempostego import (
     SampleRateMismatch,
     UnsupportedFormat,
     concat,
+    encode,
+    generate_click_track,
     read_wav,
     rms_dbfs,
     slice_buffer,
@@ -558,10 +561,53 @@ def make_buffer(duration_s=60.0, sr=44100, seed=1):
 
 
 def test_slice_sample_window():
-    buf = make_buffer()
-    piece = slice_buffer(buf, 10.0, 20.0)
-    assert len(piece) == 441000
-    assert np.array_equal(piece.samples, buf.samples[441000:882000])
+    floats = make_buffer()
+    q = np.rint(floats.samples * 32767.0).astype("<i2")
+    # a float buffer, and a 16-bit one beside its float twin
+    for buf, twin, stored in ((floats, floats, floats.samples),
+                              (PcmBuffer(samples=q, sample_rate=44100),
+                               PcmBuffer(samples=q / 32768.0, sample_rate=44100), q)):
+        want = twin.samples[441000:882000].copy()
+        assert slice_buffer(twin, 10.0, 20.0).samples.tobytes() == want.tobytes()
+        piece = slice_buffer(buf, 10.0, 20.0)
+        stored[:] = 0  # the slice shares no memory with its source
+        assert len(piece) == 441000
+        assert piece.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("samples", [
+    np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=bool),
+    np.zeros(4, dtype=complex), np.zeros(4, dtype=">i2"),
+], ids=["int64", "uint8", "bool", "complex", "big-endian int16"])
+def test_buffer_refuses_samples_that_are_neither_float_nor_little_endian_int16(samples):
+    with pytest.raises(ValueError, match=f"not {samples.dtype}"):
+        PcmBuffer(samples=samples, sample_rate=44100)
+
+
+@pytest.mark.parametrize("rate", [44100.0, 0, -1, True])
+def test_buffer_refuses_a_rate_that_is_not_a_positive_integer(rate):
+    with pytest.raises(ValueError, match="sample rate must be"):
+        PcmBuffer(samples=np.zeros(4), sample_rate=rate)
+
+
+def test_int16_built_buffer_equals_its_float_twin(tmp_path):
+    # quiet enough that its sum of squares in int16 would overflow
+    x = generate_click_track(120.0, 41.0).samples * 0.01
+    q = np.rint(x * 32768.0).astype("<i2")
+    twin = PcmBuffer(samples=q / 32768.0, sample_rate=44100)
+    assert rms_dbfs(PcmBuffer(samples=q, sample_rate=44100)) == rms_dbfs(twin)
+    write_wav(PcmBuffer(samples=q, sample_rate=44100), str(tmp_path / "q.wav"))
+    write_wav(twin, str(tmp_path / "twin.wav"))
+    assert (tmp_path / "q.wav").read_bytes() == (tmp_path / "twin.wav").read_bytes()
+    message = BitString((1,))
+    got = encode(PcmBuffer(samples=q, sample_rate=44100), message).samples
+    assert got.tobytes() == encode(twin, message).samples.tobytes()
+    # a strided view of int16 samples writes the samples it shows, in order
+    for view in (q[::2], q[::-3]):
+        write_wav(PcmBuffer(samples=view, sample_rate=22050), str(tmp_path / "view.wav"))
+        write_wav(PcmBuffer(samples=view / 32768.0, sample_rate=22050), str(tmp_path / "want.wav"))
+        assert (tmp_path / "view.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+        assert np.array_equal(read_wav(str(tmp_path / "view.wav")).samples, view / 32768.0)
 
 
 def test_slice_full_span_is_identity():

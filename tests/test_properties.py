@@ -22,7 +22,8 @@ byte of the file in one buffer and converts the data chunk in one piece.
 A 16-bit mono file is read into its int16 samples: written again it must
 give the same bytes, and its split, encode and decode must equal those
 of a float buffer holding the same samples, without a whole-length
-float64 of the buffer.
+float64 of the buffer. audio.float_range, the one range reader of both
+forms, must give samples[a:b] * factor byte for byte.
 """
 
 import contextlib
@@ -54,6 +55,7 @@ from tempostego import (
     plan_slices,
     read_wav,
     rms_dbfs,
+    slice_buffer,
     split_on_silence,
     stretch_tempo,
     write_wav,
@@ -876,6 +878,34 @@ def test_pcm16_samples_edited_in_place_are_what_write_writes(tmp_path):
     assert np.array_equal(read_wav(path).samples, q / 32768.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 300), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])),
+    pcm16=st.booleans(),
+    factor=st.sampled_from([1.0, 0.3, 1e160]),
+    with_out=st.booleans(),
+    cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_range_is_samples_times_factor(n, pcm16, factor, with_out, cut, seed):
+    if pcm16:
+        buf = PcmBuffer(samples=pcm16_values(max(n, 1), seed, [-32768, 32767, 0])[:n],
+                        sample_rate=44100)
+    else:
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        buf = PcmBuffer(samples=x, sample_rate=44100)
+    a, b = sorted(int(c * n) for c in cut)
+    out = np.full(b - a, np.nan) if with_out else None
+    got = audio.float_range(buf, a, b, factor, out=out)
+    if with_out:
+        assert got is out
+    elif not pcm16 and factor == 1.0 and a < b:
+        assert np.shares_memory(got, buf.samples)  # a float buffer's view
+    # the 16-bit buffer makes its float samples only here, after the read
+    assert got.dtype == np.float64
+    assert got.tobytes() == (buf.samples[a:b] * factor).tobytes()
+
+
 @pytest.fixture(scope="module")
 def pcm16_carrier_240s(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("pcm16") / "carrier240.wav")
@@ -894,7 +924,7 @@ def traced_peak(fn):
     return result, peak
 
 
-@pytest.mark.parametrize("op", ["read", "split", "write", "decode", "encode"])
+@pytest.mark.parametrize("op", ["read", "split", "write", "decode", "encode", "slice"])
 def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path, op):
     # a whole-length float64 of the buffer would be 8 bytes per sample;
     # each of these converts only blocks, slices and windows, if any
@@ -910,6 +940,8 @@ def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path
         _, peak = traced_peak(lambda: write_wav(buf, str(tmp_path / "copy.wav")))
     elif op == "decode":
         _, peak = traced_peak(lambda: decode(buf, max_bits=3))
+    elif op == "slice":
+        _, peak = traced_peak(lambda: slice_buffer(buf, 10.0, 20.0))
     else:
         out, peak = traced_peak(lambda: encode(buf, BitString((1, 0, 1))))
         peak -= out.samples.nbytes  # encode's own output is exempt
