@@ -177,7 +177,8 @@ class PcmBuffer:
     """Mono audio: samples in [-1, 1] plus a sample rate in Hz.
 
     The constructor keeps `samples` as given and picks the buffer's form
-    from its dtype. A 1-D float array is the float form. A little-endian
+    from its dtype. A 1-D float32 or wider array is the float form (float16
+    is refused: its sums of squares overflow). A little-endian
     int16 array (what read_wav makes of a 16-bit mono file) is the 16-bit
     form: its `samples` are made on first access, each int16 / 32768 in
     float64, and from then on the buffer holds only those. Either way
@@ -191,8 +192,8 @@ class PcmBuffer:
     def __init__(self, samples: np.ndarray, sample_rate: int):
         if samples.ndim != 1:
             raise ValueError("PcmBuffer holds mono audio only")
-        if samples.dtype != _PCM16 and samples.dtype.kind != "f":
-            raise ValueError(f"PcmBuffer holds float or <i2 samples, not {samples.dtype}")
+        if samples.dtype != _PCM16 and not (samples.dtype.kind == "f" and samples.itemsize >= 4):
+            raise ValueError(f"PcmBuffer holds float32 or wider or <i2 samples, not {samples.dtype}")
         rate_ok = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
         if not (rate_ok and sample_rate > 0):
             raise ValueError(f"sample rate must be a positive whole number of Hz, not {sample_rate!r}")
@@ -621,14 +622,19 @@ def slice_buffer(buf: PcmBuffer, start_s: float, end_s: float) -> PcmBuffer:
 
 
 def concat(parts: list[PcmBuffer]) -> PcmBuffer:
-    """Join buffers sample-exactly. All parts must share one sample rate."""
+    """Join buffers sample-exactly into a new buffer, 16-bit when every
+    part is, leaving each part in its form. All parts must share one
+    sample rate."""
     if not parts:
         raise ValueError("concat needs at least one buffer")
     rate = parts[0].sample_rate
     for p in parts[1:]:
         if p.sample_rate != rate:
             raise SampleRateMismatch(f"cannot concat {p.sample_rate} Hz into {rate} Hz")
-    return PcmBuffer(samples=np.concatenate([p.samples for p in parts]), sample_rate=rate)
+    stored = [p._data for p in parts]
+    if any(d.dtype != _PCM16 for d in stored):
+        stored = [float_range(p, 0, len(p)) for p in parts]
+    return PcmBuffer(samples=np.concatenate(stored), sample_rate=rate)
 
 
 def energy(x: np.ndarray) -> float:

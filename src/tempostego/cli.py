@@ -73,15 +73,17 @@ def _payload_from(args: argparse.Namespace) -> BitString:
     return text_to_bits(bytes.fromhex(args.hex).decode("latin-1"))
 
 
+# --perturb NAME:VALUE by NAME: the perturbation class, and the type VALUE is read as
+_PERTURBATIONS = {"noise": (Noise, float), "gain": (Gain, float),
+                  "resample": (ResampleRoundTrip, int)}
+
+
 def _parse_perturb(spec: str):
-    kind, _, value = spec.partition(":")
-    if kind == "noise":
-        return Noise(snr_db=float(value))
-    if kind == "gain":
-        return Gain(factor=float(value))
-    if kind == "resample":
-        return ResampleRoundTrip(rate=int(value))
-    raise ValueError(f"unknown perturbation {spec!r}; use noise:SNR, gain:F, or resample:RATE")
+    name, _, value = spec.partition(":")
+    if name not in _PERTURBATIONS:
+        raise ValueError(f"unknown perturbation {spec!r}; use noise:SNR, gain:F, or resample:RATE")
+    kind, value_type = _PERTURBATIONS[name]
+    return kind(value_type(value))
 
 
 def _parse_generate(spec: str) -> list[tuple[float, float]]:

@@ -74,6 +74,10 @@ def generate_click_track(
     return PcmBuffer(samples=y, sample_rate=sample_rate)
 
 
+# log10 of the largest float: a noise gain of 10**_MAX_LOG10 or more overflows
+_MAX_LOG10 = math.log10(np.finfo(np.float64).max)
+
+
 @dataclass(frozen=True)
 class Noise:
     """Additive white Gaussian noise at a given SNR (dB) below signal RMS."""
@@ -81,12 +85,36 @@ class Noise:
     snr_db: float
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # +inf dB is no noise; -inf or NaN would make every sample non-finite
+        if not -math.inf < self.snr_db <= math.inf:
+            raise ValueError("noise SNR must be a number of dB above -inf")
+        if -self.snr_db / 20.0 >= _MAX_LOG10:
+            raise ValueError(
+                f"noise SNR {self.snr_db:g} dB puts the noise level past the float range"
+            )
+
+    def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:
+        sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
+        if sig_rms == 0.0:
+            return x.copy()
+        noise_rms = sig_rms * 10.0 ** (-self.snr_db / 20.0)
+        rng = np.random.default_rng(self.seed)
+        return x + rng.standard_normal(len(x)) * noise_rms
+
 
 @dataclass(frozen=True)
 class Gain:
     """Uniform amplitude scaling."""
 
     factor: float
+
+    def __post_init__(self) -> None:
+        if not 0 < self.factor < math.inf:
+            raise ValueError("gain factor must be positive and finite")
+
+    def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:
+        return x * self.factor
 
 
 @dataclass(frozen=True)
@@ -96,58 +124,31 @@ class ResampleRoundTrip:
 
     rate: int
 
+    def __post_init__(self) -> None:
+        if not 4000 <= self.rate < math.inf:
+            raise ValueError("intermediate rate must be finite and at least 4 kHz")
 
+    def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:
+        n = len(x)
+        n_mid = int(round(n * self.rate / sample_rate))
+        step = sample_rate / self.rate
+        mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
+        return np.interp(np.arange(n) / step, np.arange(n_mid), mid)
+
+
+# Each raises ValueError when made with parameters that cannot apply, and
+# its apply(x, sample_rate) returns a new array of len(x) floats
 Perturbation = Noise | Gain | ResampleRoundTrip
 
 
-# log10 of the largest float: a noise gain of 10**_MAX_LOG10 or more overflows
-_MAX_LOG10 = math.log10(np.finfo(np.float64).max)
-
-
-def _check_perturbation(kind: Perturbation) -> None:
-    """Raise ValueError if kind's parameters cannot perturb any buffer,
-    TypeError if it is no known perturbation. perturb checks this first."""
-    if isinstance(kind, Gain):
-        if not 0 < kind.factor < math.inf:
-            raise ValueError("gain factor must be positive and finite")
-    elif isinstance(kind, Noise):
-        # +inf dB is no noise; -inf or NaN would make every sample non-finite
-        if not -math.inf < kind.snr_db <= math.inf:
-            raise ValueError("noise SNR must be a number of dB above -inf")
-        if -kind.snr_db / 20.0 >= _MAX_LOG10:
-            raise ValueError(
-                f"noise SNR {kind.snr_db:g} dB puts the noise level past the float range"
-            )
-    elif isinstance(kind, ResampleRoundTrip):
-        if not 4000 <= kind.rate < math.inf:
-            raise ValueError("intermediate rate must be finite and at least 4 kHz")
-    else:
-        raise TypeError(f"unknown perturbation {kind!r}")
-
-
 def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
-    """Apply a channel perturbation, returning a new buffer of the same
-    length and sample rate. Raises ValueError for parameters that cannot
-    perturb any buffer, TypeError for an unknown perturbation."""
-    _check_perturbation(kind)
-    x = buf.samples
-    if isinstance(kind, Gain):
-        return PcmBuffer(samples=x * kind.factor, sample_rate=buf.sample_rate)
-    if isinstance(kind, Noise):
-        sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
-        if sig_rms == 0.0:
-            return PcmBuffer(samples=x.copy(), sample_rate=buf.sample_rate)
-        noise_rms = sig_rms * 10.0 ** (-kind.snr_db / 20.0)
-        rng = np.random.default_rng(kind.seed)
-        y = x + rng.standard_normal(len(x)) * noise_rms
-        return PcmBuffer(samples=y, sample_rate=buf.sample_rate)
-    # a ResampleRoundTrip
-    n = len(x)
-    n_mid = int(round(n * kind.rate / buf.sample_rate))
-    step = buf.sample_rate / kind.rate
-    mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
-    back = np.interp(np.arange(n) / step, np.arange(n_mid), mid)
-    return PcmBuffer(samples=back, sample_rate=buf.sample_rate)
+    """Apply a channel perturbation, returning a new float buffer of the
+    same length and sample rate; buf keeps its form and its samples.
+    Raises TypeError for an unknown perturbation."""
+    if not isinstance(kind, Perturbation):
+        raise TypeError(f"unknown perturbation {kind!r}")
+    x = kind.apply(float_range(buf, 0, len(buf)), buf.sample_rate)
+    return PcmBuffer(samples=x, sample_rate=buf.sample_rate)
 
 
 def compare_bits(decoded: BitString, expected: BitString) -> tuple[int, int, int]:
@@ -251,11 +252,9 @@ def evaluate(
     recorded with the error name instead of bits and contributes nothing
     to the totals. Carriers are taken one at a time, so a generator
     holds only one in memory. Raises ValueError when names and carriers
-    differ in length, and perturb's ValueError for a perturbation that
-    cannot apply before the first carrier is taken.
+    differ in length. A perturbation checks its parameters when it is
+    made, so one that cannot apply never reaches this call.
     """
-    if perturbation is not None:
-        _check_perturbation(perturbation)
     if names is None:
         named = ((c, f"carrier-{i}") for i, c in enumerate(carriers, start=1))
     else:
@@ -350,22 +349,11 @@ def split_on_silence(
     # and the cap keeps a huge finite min_silence_s from overflowing
     need = max(1, int(np.ceil(min(min_silence_s * sr / frame_n, n_frames + 1))))
 
-    # silent runs [starts, ends); those of at least `need` frames separate
-    edges = np.diff(np.concatenate(([0], silent.view(np.int8), [0])))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    keep = ends - starts >= need
-    # the regions between separators, with their silent edge frames
-    # trimmed to the first and last loud frame inside each
-    region_starts = np.concatenate(([0], ends[keep]))
-    region_ends = np.concatenate((starts[keep], [n_frames]))
+    # j - i - 1 silent frames lie between loud frames i < j: a gap of `need`
+    # or more separates segments, each from its first loud frame to its last
     loud = np.flatnonzero(~silent)
-    first = np.searchsorted(loud, region_starts)
-    last = np.searchsorted(loud, region_ends) - 1
-
-    segments = []
-    for i, j in zip(first, last):
-        if i <= j:
-            a, b = loud[i], loud[j] + 1
-            segments.append(view_range(stream, a * frame_n, min(n, b * frame_n)))
-    return segments
+    cut = np.flatnonzero(np.diff(loud) > need)
+    firsts = np.concatenate((loud[:1], loud[cut + 1]))
+    lasts = np.concatenate((loud[cut], loud[-1:]))
+    return [view_range(stream, a * frame_n, min(n, (b + 1) * frame_n))
+            for a, b in zip(firsts, lasts)]

@@ -577,8 +577,8 @@ def test_slice_sample_window():
 
 @pytest.mark.parametrize("samples", [
     np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=bool),
-    np.zeros(4, dtype=complex), np.zeros(4, dtype=">i2"),
-], ids=["int64", "uint8", "bool", "complex", "big-endian int16"])
+    np.zeros(4, dtype=complex), np.zeros(4, dtype=">i2"), np.zeros(4, dtype=np.float16),
+], ids=["int64", "uint8", "bool", "complex", "big-endian int16", "float16"])
 def test_buffer_refuses_samples_that_are_neither_float_nor_little_endian_int16(samples):
     with pytest.raises(ValueError, match=f"not {samples.dtype}"):
         PcmBuffer(samples=samples, sample_rate=44100)
@@ -642,6 +642,31 @@ def test_concat_singleton_and_rate_mismatch():
         concat([buf, other])
     with pytest.raises(ValueError):
         concat([])
+
+
+def test_concat_keeps_each_part_in_its_form():
+    rng = np.random.default_rng(0)
+    q = [rng.integers(-32768, 32768, 60 * 44100).astype("<i2") for _ in range(2)]
+    f = rng.uniform(-1.0, 1.0, 44100)
+    parts = [PcmBuffer(samples=a, sample_rate=44100) for a in q]
+    mixed = concat([parts[0], PcmBuffer(samples=f, sample_rate=44100), parts[1]])
+    assert mixed.samples.tobytes() == np.concatenate([q[0] / 32768.0, f, q[1] / 32768.0]).tobytes()
+    tracemalloc.start()
+    try:
+        joined = concat(parts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the int16 join takes 10.6 MB; a float64 one takes 42 MB
+    assert peak < 16e6
+    want = np.concatenate([q[0] / 32768.0, q[1] / 32768.0])
+    assert joined.samples.tobytes() == want.tobytes()
+    # each part still holds its int16 samples: an edit to them shows in the
+    # float samples it makes only now, and not in the join
+    for a, part in zip(q, parts):
+        a[:] = 1
+        assert (part.samples == 1 / 32768).all()
+    assert joined.samples.tobytes() == want.tobytes()
 
 
 def test_rms_levels():

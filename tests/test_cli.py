@@ -209,6 +209,13 @@ def test_parse_perturb(spec, want):
     assert _parse_perturb(spec) == want
 
 
+@pytest.mark.parametrize("spec", ["resample:3999", "resample:22050.5", "gain:0", "gain:-1"])
+def test_evaluate_reports_a_perturbation_it_cannot_make(capsys, spec):
+    rc = main(["evaluate", "--generate", "120@40", "--bits", "1", "--perturb", spec])
+    assert rc == 1
+    assert "error: ValueError" in capsys.readouterr().err
+
+
 def test_evaluate_reads_the_wavs_of_a_directory(tmp_path, capsys):
     write_wav(generate_click_track(135, 40.0, seed=2), str(tmp_path / "b.wav"))
     write_wav(generate_click_track(120, 40.0, seed=1), str(tmp_path / "a.wav"))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +71,26 @@ def test_click_track_validation():
         generate_click_track(120, 0.5)
     with pytest.raises(ValueError):
         generate_click_track(120, 10.0, sample_rate=4000)
+
+
+SNR_PAST_INF = "noise SNR must be a number of dB above -inf"
+RATE_TOO_LOW = "intermediate rate must be finite and at least 4 kHz"
+
+
+@pytest.mark.parametrize("kind, field, valid, bad, message", [
+    *[(Gain, "factor", 1.0, v, "gain factor must be positive and finite")
+      for v in (0.0, -1.0, math.nan, math.inf)],
+    (Noise, "snr_db", 20.0, math.nan, SNR_PAST_INF),
+    (Noise, "snr_db", 20.0, -math.inf, SNR_PAST_INF),
+    (Noise, "snr_db", 20.0, -7000.0,
+     "noise SNR -7000 dB puts the noise level past the float range"),
+    *[(ResampleRoundTrip, "rate", 22050, v, RATE_TOO_LOW) for v in (3999, math.inf, math.nan)],
+])
+def test_a_perturbation_checks_its_parameters_when_made(kind, field, valid, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kind(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(kind(valid), **{field: bad})
 
 
 def test_perturb_gain_scales_exactly():
@@ -170,6 +192,8 @@ def test_evaluate_takes_carriers_one_at_a_time():
 
 
 def test_evaluate_checks_the_perturbation_before_taking_a_carrier(monkeypatch):
+    # a perturbation checks itself when made, so a bad one raises before
+    # evaluate can take a carrier or encode
     taken = []
 
     def carriers():
@@ -180,9 +204,10 @@ def test_evaluate_checks_the_perturbation_before_taking_a_carrier(monkeypatch):
         raise AssertionError("encode ran before the perturbation was checked")
 
     monkeypatch.setattr(harness, "encode", no_encode)
-    for bad in (Gain(math.nan), Noise(snr_db=-7000.0), ResampleRoundTrip(math.inf)):
+    for make in (lambda: Gain(math.nan), lambda: Noise(snr_db=-7000.0),
+                 lambda: ResampleRoundTrip(math.inf)):
         with pytest.raises(ValueError):
-            evaluate(carriers(), parse_bitstring("1"), perturbation=bad)
+            evaluate(carriers(), parse_bitstring("1"), perturbation=make())
     assert taken == []
 
 

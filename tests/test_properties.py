@@ -23,7 +23,9 @@ A 16-bit mono file is read into its int16 samples: written again it must
 give the same bytes, and its split, encode and decode must equal those
 of a float buffer holding the same samples, without a whole-length
 float64 of the buffer. audio.float_range, the one range reader of both
-forms, must give samples[a:b] * factor byte for byte.
+forms, must give samples[a:b] * factor byte for byte. perturb must give
+the perturbation's formula, written out per kind, byte for byte from a
+16-bit buffer and its float twin, and leave the source as it was.
 """
 
 import contextlib
@@ -52,6 +54,7 @@ from tempostego import (
     generate_click_track,
     onset_envelope,
     parse_bitstring,
+    perturb,
     plan_slices,
     read_wav,
     rms_dbfs,
@@ -904,6 +907,62 @@ def test_float_range_is_samples_times_factor(n, pcm16, factor, with_out, cut, se
     # the 16-bit buffer makes its float samples only here, after the read
     assert got.dtype == np.float64
     assert got.tobytes() == (buf.samples[a:b] * factor).tobytes()
+
+
+def oracle_perturb(x, sr, kind):
+    """perturb's arithmetic written out per kind, as one function with a
+    branch for each."""
+    if isinstance(kind, harness.Gain):
+        return x * kind.factor
+    if isinstance(kind, harness.Noise):
+        sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
+        if sig_rms == 0.0:
+            return x.copy()
+        noise_rms = sig_rms * 10.0 ** (-kind.snr_db / 20.0)
+        return x + np.random.default_rng(kind.seed).standard_normal(len(x)) * noise_rms
+    n = len(x)
+    n_mid = int(round(n * kind.rate / sr))
+    step = sr / kind.rate
+    mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
+    return np.interp(np.arange(n) / step, np.arange(n_mid), mid)
+
+
+PERTURBATIONS = st.one_of(
+    st.builds(harness.Gain, st.floats(0.01, 10.0)),
+    st.builds(harness.Noise, st.one_of(st.floats(-40.0, 60.0), st.just(math.inf)),
+              st.integers(0, 2**32 - 1)),
+    st.builds(harness.ResampleRoundTrip,
+              st.one_of(st.sampled_from([4000, 22050, 44100, 48000]), st.integers(4000, 96000))),
+)
+
+
+# from 16 samples on, every rate drawn leaves at least one intermediate
+# sample, which np.interp needs
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.one_of(st.integers(16, 3000), st.sampled_from([CHUNK - 1, CHUNK + 1])),
+    sr=st.sampled_from(RATES),
+    kind=PERTURBATIONS,
+    silent=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perturb_matches_its_formula_and_leaves_the_source_as_it_was(n, sr, kind, silent, seed):
+    q = np.zeros(n, "<i2") if silent else pcm16_values(n, seed, [-32768, 32767, 0])
+    want = oracle_perturb(q / 32768.0, sr, kind)
+    # a 16-bit buffer and its float twin
+    for stored, scale in ((q.copy(), 2.0**-15), (q / 32768.0, 1.0)):
+        before = stored.copy()
+        buf = PcmBuffer(samples=stored, sample_rate=sr)
+        got = perturb(buf, kind)
+        assert (len(got), got.sample_rate) == (n, sr)
+        assert got.samples.tobytes() == want.tobytes()
+        assert stored.tobytes() == before.tobytes()
+        # the source still holds `stored` in its form: an edit to it shows
+        # in the source's samples, made only now for a 16-bit one, and not
+        # in the result
+        stored[:] = 1
+        assert (buf.samples == scale).all()
+        assert got.samples.tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
