@@ -17,8 +17,11 @@ array: they convert only the blocks, slices and windows they read
 (float_range), cut it into int16 views (view_range), write its bytes
 unchanged and skip the finiteness screen (screen_finite), since
 integers are always finite. Every float they see equals the one the
-float64 form holds, so results do not depend on the form. No other
-module refers to the int16 form.
+float64 form holds, so results do not depend on the form. The
+splitter's frame scan (frame_mean_squares) reads the int16 array too:
+it sums each frame's squared integers exactly and scales the sum once,
+which gives the same mean square as the float64 form. No other module
+refers to the int16 form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
@@ -71,7 +74,7 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
 
 # Samples per block of the chunked passes over long buffers (read_wav,
-# write_wav and the splitter's mean square). A block's float64 input
+# write_wav and frame_mean_squares). A block's float64 input
 # and temporaries (about 1.2 MB at 1 << 16) stay in a core's 2 MiB L2
 # cache across the five or six passes made over it; results do not
 # depend on the size.
@@ -662,3 +665,56 @@ def rms_dbfs(buf: PcmBuffer) -> float:
     if mean_sq == 0.0:
         return float("-inf")
     return 10.0 * np.log10(mean_sq)
+
+
+# A 16-bit frame shorter than this sums its squares exactly in float64:
+# each q*q is an integer of at most 2**30, so every partial sum of fewer
+# than 2**23 of them stays below 2**53
+_EXACT_FRAME_N = 1 << 23
+
+
+def frame_mean_squares(buf: PcmBuffer, frame_n: int) -> np.ndarray:
+    """The mean square of each frame_n-sample frame of buf's samples, in
+    order, the last frame ragged when frame_n does not divide len(buf).
+
+    Whole frames are scanned a block at a time, in sample ranges on the
+    shared pool (run_ranges), so the float64 scratch stays one block per
+    range. A 16-bit frame is cast into the scratch unscaled and its
+    squares summed by np.einsum, then the sum is scaled by 2**-30 and
+    divided by frame_n. Every partial sum of squared integers is exact
+    below _EXACT_FRAME_N, so this is the double np.mean(x**2) gives for
+    the frame's floats x, in any summation order. Longer 16-bit frames
+    and float frames are read through float_range, squared in the
+    scratch and averaged by np.mean.
+    """
+    n = len(buf)
+    n_full = n // frame_n
+    mean_sq = np.empty(-(-n // frame_n))
+    exact = buf._data.dtype == _PCM16 and frame_n < _EXACT_FRAME_N
+    block = max(1, CHUNK_SAMPLES // frame_n)
+
+    def frames(a: int, sq: np.ndarray, out: np.ndarray) -> None:
+        # the mean square of each row of samples[a:] laid out as sq
+        b = a + sq.size
+        if exact:
+            sq[...] = buf._data[a:b].reshape(sq.shape)
+            np.einsum("ij,ij->i", sq, sq, out=out)
+            out *= _I16_SCALE * _I16_SCALE
+            out /= sq.shape[1]
+        else:
+            float_range(buf, a, b, out=sq.reshape(-1))
+            np.multiply(sq, sq, out=sq)
+            np.mean(sq, axis=1, out=out)
+
+    def scan_range(a: int, b: int) -> None:
+        # the whole frames that start in [a, b)
+        f0, f1 = -(-a // frame_n), -(-b // frame_n)
+        scratch = np.empty((min(block, f1 - f0), frame_n))
+        for g0 in range(f0, f1, block):
+            g1 = min(g0 + block, f1)
+            frames(g0 * frame_n, scratch[: g1 - g0], mean_sq[g0:g1])
+
+    run_ranges(n_full * frame_n, scan_range)
+    if n_full < len(mean_sq):
+        frames(n_full * frame_n, np.empty((1, n - n_full * frame_n)), mean_sq[n_full:])
+    return mean_sq

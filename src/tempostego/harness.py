@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import CHUNK_SAMPLES, PcmBuffer, float_range, run_ranges, view_range
+from .audio import PcmBuffer, float_range, frame_mean_squares, view_range
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
-from .errors import StegoError
+from .errors import BufferTooShort, StegoError
 
 CLICK_DECAY_S = 0.005
 CLICK_LEN_S = 0.030
@@ -95,6 +95,8 @@ class Noise:
             )
 
     def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:
+        if len(x) == 0:
+            raise BufferTooShort("noise needs the level of at least one sample")
         sig_rms = float(np.sqrt(np.square(x).sum() / len(x)))
         if sig_rms == 0.0:
             return x.copy()
@@ -131,20 +133,27 @@ class ResampleRoundTrip:
     def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:
         n = len(x)
         n_mid = int(round(n * self.rate / sample_rate))
+        if n_mid == 0:
+            raise BufferTooShort(
+                f"{n} samples at {sample_rate} Hz leave no sample at {self.rate} Hz"
+            )
         step = sample_rate / self.rate
         mid = np.interp(np.arange(n_mid) * step, np.arange(n), x)
         return np.interp(np.arange(n) / step, np.arange(n_mid), mid)
 
 
 # Each raises ValueError when made with parameters that cannot apply, and
-# its apply(x, sample_rate) returns a new array of len(x) floats
+# its apply(x, sample_rate) returns a new array of len(x) floats, or raises
+# BufferTooShort for a buffer too short to carry it
 Perturbation = Noise | Gain | ResampleRoundTrip
 
 
 def perturb(buf: PcmBuffer, kind: Perturbation) -> PcmBuffer:
     """Apply a channel perturbation, returning a new float buffer of the
     same length and sample rate; buf keeps its form and its samples.
-    Raises TypeError for an unknown perturbation."""
+    Raises TypeError for an unknown perturbation, and BufferTooShort for
+    Noise on an empty buffer and for a ResampleRoundTrip that leaves no
+    intermediate sample."""
     if not isinstance(kind, Perturbation):
         raise TypeError(f"unknown perturbation {kind!r}")
     x = kind.apply(float_range(buf, 0, len(buf)), buf.sample_rate)
@@ -299,8 +308,11 @@ def split_on_silence(
     threshold_dbfs lasting at least min_silence_s become separators.
     Returned segments keep their interior short pauses but have leading
     and trailing silent frames removed. All-silent input yields [].
-    The scan reads the stream through audio.float_range, one block of
-    frames at a time, so a 16-bit stream is never widened whole.
+    Each frame's mean square comes from audio.frame_mean_squares, which
+    scans a block of frames at a time, so a 16-bit stream is never
+    widened whole. It sums a 16-bit frame's squared samples exactly, so
+    the levels, and with them the segments, are those of a float stream
+    holding the same samples, at any threshold.
     Segments share the stream's memory, in its form: a float stream's
     segments are views of its samples (copy one before mutating it), and
     a 16-bit stream's (one read from a 16-bit file, or built from int16
@@ -316,32 +328,8 @@ def split_on_silence(
     sr = stream.sample_rate
     frame_n = max(1, int(round(0.020 * sr)))
     n = len(stream)
-    n_full = n // frame_n
-    n_frames = (n + frame_n - 1) // frame_n
-
-    # per-frame mean square over whole frames, a block of frames at a time
-    # so the squared temporary stays small; the partial last frame alone
-    mean_sq = np.empty(n_frames)
-    block = max(1, CHUNK_SAMPLES // frame_n)
-
-    def scan_range(a: int, b: int) -> None:
-        # the whole frames that start in [a, b)
-        f0, f1 = -(-a // frame_n), -(-b // frame_n)
-        squares = np.empty((min(block, f1 - f0), frame_n))
-        for g0 in range(f0, f1, block):
-            g1 = min(g0 + block, f1)
-            sq = squares[: g1 - g0]
-            # each block is read into sq, a 16-bit one converted on the
-            # way, and squared there
-            frames = float_range(stream, g0 * frame_n, g1 * frame_n, out=sq.reshape(-1))
-            frames = frames.reshape(g1 - g0, frame_n)
-            np.multiply(frames, frames, out=sq)
-            np.mean(sq, axis=1, out=mean_sq[g0:g1])
-
-    run_ranges(n_full * frame_n, scan_range)
-    if n_frames > n_full:
-        tail = float_range(stream, n_full * frame_n, n)
-        mean_sq[-1] = np.mean(tail * tail)
+    mean_sq = frame_mean_squares(stream, frame_n)
+    n_frames = len(mean_sq)
     with np.errstate(divide="ignore"):
         # log10(0) is -inf: digital silence is below any finite threshold
         silent = 10.0 * np.log10(mean_sq) < threshold_dbfs

@@ -7,6 +7,7 @@ import pytest
 
 from tempostego import (
     BitString,
+    BufferTooShort,
     EvalResult,
     FileResult,
     Gain,
@@ -159,6 +160,45 @@ def test_resample_round_trip_preserves_shape():
     # 440 Hz sits far below the 11 kHz fold, so the tone survives
     err = np.sqrt(np.mean((out.samples[SR : 4 * SR] - buf.samples[SR : 4 * SR]) ** 2))
     assert err < 0.02
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "n, sr, kind",
+    [
+        (1, 8000, ResampleRoundTrip(4000)),  # round(0.5) leaves no sample at 4 kHz
+        (2, 44100, ResampleRoundTrip(8000)),
+        (0, 44100, ResampleRoundTrip(22050)),
+        (0, 8000, ResampleRoundTrip(8000)),
+        (0, 44100, Noise(snr_db=20.0)),
+        (0, 44100, Noise(snr_db=math.inf)),
+    ],
+)
+def test_perturb_refuses_a_buffer_too_short_to_carry_it(n, sr, kind):
+    # a named library error, not numpy's ValueError or a 0/0 RuntimeWarning
+    for samples in (np.full(n, 0.5), np.full(n, 16384, dtype="<i2")):
+        with pytest.raises(BufferTooShort):
+            perturb(PcmBuffer(samples=samples, sample_rate=sr), kind)
+
+
+@pytest.mark.filterwarnings("error")
+def test_perturb_carries_the_shortest_buffers_that_fit():
+    # one intermediate sample is enough, and an empty buffer keeps its gain
+    out = perturb(PcmBuffer(samples=np.full(2, 0.5), sample_rate=8000), ResampleRoundTrip(4000))
+    assert out.samples.tolist() == [0.5, 0.5]
+    out = perturb(PcmBuffer(samples=np.array([0.25]), sample_rate=8000), Noise(snr_db=math.inf))
+    assert out.samples.tolist() == [0.25]
+    assert len(perturb(PcmBuffer(samples=np.zeros(0), sample_rate=8000), Gain(2.0))) == 0
+
+
+def test_evaluate_records_a_stego_file_too_short_to_perturb(monkeypatch):
+    # BufferTooShort is a StegoError, so evaluate records the file and goes on
+    monkeypatch.setattr(harness, "encode",
+                        lambda carrier, bits, params: PcmBuffer(np.zeros(0), carrier.sample_rate))
+    result = evaluate([generate_click_track(120, 35.0)], parse_bitstring("1"),
+                      perturbation=Noise(snr_db=20.0))
+    assert result.files[0].failure == "BufferTooShort"
+    assert result.total_compared == 0
 
 
 def test_compare_bits_counts():

@@ -22,8 +22,12 @@ byte of the file in one buffer and converts the data chunk in one piece.
 A 16-bit mono file is read into its int16 samples: written again it must
 give the same bytes, and its split, encode and decode must equal those
 of a float buffer holding the same samples, without a whole-length
-float64 of the buffer. audio.float_range, the one range reader of both
-forms, must give samples[a:b] * factor byte for byte. perturb must give
+float64 of the buffer. The 16-bit frame scan sums squared integers;
+its mean squares must equal np.mean of the float twin's squares byte
+for byte, past its exactness bound too, and its split the oracle's at
+a threshold on one frame's level or the next double above or below it.
+audio.float_range, the one range reader of both forms, must give
+samples[a:b] * factor byte for byte. perturb must give
 the perturbation's formula, written out per kind, byte for byte from a
 16-bit buffer and its float twin, and leave the source as it was.
 """
@@ -184,7 +188,7 @@ def run_streams(draw):
 )
 def test_split_matches_frame_loop(stream, threshold, min_silence_s, block_samples):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "CHUNK_SAMPLES", block_samples)
+        mp.setattr(audio, "CHUNK_SAMPLES", block_samples)
         assert_split_matches_oracle(
             stream, min_silence_s=min_silence_s, threshold_dbfs=threshold
         )
@@ -838,6 +842,102 @@ def test_pcm16_split_equals_float_split(tmp_path_factory, n, sr, cpus, seed):
         assert (base / "g.wav").read_bytes() == (base / "w.wav").read_bytes()
     for g, w in zip(got, want):
         assert g.samples.tobytes() == w.samples.tobytes()
+
+
+def oracle_mean_squares(x, frame_n):
+    """np.mean of each frame's squares, frame by frame, as the oracle
+    splitter takes them."""
+    return np.array([np.mean(x[f : f + frame_n] ** 2) for f in range(0, len(x), frame_n)])
+
+
+@st.composite
+def pcm16_level_streams(draw):
+    """16-bit samples of frames at drawn levels: zero frames, frames at
+    -32768 throughout, a few steps of noise and loud noise with full scale
+    on both sides, and a ragged last frame."""
+    sr = draw(st.sampled_from([50, 1000, 8000, 44100]))
+    frame_n = max(1, int(round(0.020 * sr)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0, 300.0, 8000.0, -32768.0]),
+                           min_size=1, max_size=40))
+    n = len(levels) * frame_n + draw(st.integers(-(frame_n - 1), 0))
+    x = rng.standard_normal(n) * np.repeat(levels, frame_n)[:n]
+    x[np.repeat(np.array(levels) < 0, frame_n)[:n]] = -32768.0
+    q = np.clip(np.rint(x), -32768, 32767).astype("<i2")
+    if n > 2 and levels[0] == 8000.0:
+        q[:2] = [-32768, 32767]
+    return q, sr
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    stream=pcm16_level_streams(),
+    at=st.floats(0.0, 1.0, exclude_max=True),
+    ulps=st.sampled_from([-1, 0, 1]),
+    min_silence_s=st.sampled_from([0.02, 0.06, 1.0]),
+    chunk=st.sampled_from([1, 7, 64, 1000, CHUNK]),
+    cpus=st.sampled_from([1, 2, 3]),
+)
+def test_pcm16_split_equals_float_split_at_a_frame_level(stream, at, ulps, min_silence_s,
+                                                         chunk, cpus):
+    # the threshold is one frame's level to the last bit, or the next
+    # double above or below it, so a mean square one ulp off would flip
+    # that frame
+    q, sr = stream
+    frame_n = max(1, int(round(0.020 * sr)))
+    x = q / 32768.0
+    want_sq = oracle_mean_squares(x, frame_n)
+    with np.errstate(divide="ignore"):
+        level = 10.0 * np.log10(want_sq[int(at * len(want_sq))])
+    threshold = float(np.nextafter(level, math.copysign(math.inf, ulps))) if ulps else level
+    with pytest.MonkeyPatch.context() as mp, ranges_on(cpus):
+        mp.setattr(audio, "CHUNK_SAMPLES", chunk)
+        got_sq = audio.frame_mean_squares(PcmBuffer(samples=q, sample_rate=sr), frame_n)
+        got = split_on_silence(PcmBuffer(samples=q, sample_rate=sr),
+                               min_silence_s=min_silence_s, threshold_dbfs=threshold)
+    assert got_sq.tobytes() == want_sq.tobytes()
+    want = oracle_split_on_silence(PcmBuffer(samples=x, sample_rate=sr),
+                                   min_silence_s=min_silence_s, threshold_dbfs=threshold)
+    assert [len(g) for g in got] == [len(w) for w in want]
+    for g, w in zip(got, want):
+        assert g.samples.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_16bit_frames_past_the_exact_bound_take_the_float_path(monkeypatch, exact):
+    # 16-bit frames sum their squares exactly only below audio._EXACT_FRAME_N
+    # samples; from there on the scan reads them as floats. The bound is
+    # moved to this frame length rather than making a 2**23-sample frame.
+    frame_n = 160
+    q = pcm16_values(3 * CHUNK + 77, 5, [-32768, 32767, 0])
+    q[:frame_n] = -32768
+    q[frame_n : 2 * frame_n] = 0
+    reads = []
+    float_range = audio.float_range
+
+    def counted(buf, a, *args, **kwargs):
+        reads.append(a)
+        return float_range(buf, a, *args, **kwargs)
+
+    monkeypatch.setattr(audio, "float_range", counted)
+    monkeypatch.setattr(audio, "_EXACT_FRAME_N", frame_n + 1 if exact else frame_n)
+    got = audio.frame_mean_squares(PcmBuffer(samples=q, sample_rate=8000), frame_n)
+    assert got.tobytes() == oracle_mean_squares(q / 32768.0, frame_n).tobytes()
+    assert got[:2].tolist() == [1.0, 0.0]
+    assert (reads == []) == exact
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_16bit_frame_scan_holds_one_block_scratch_per_range(cpus):
+    # 240 s of 16-bit samples: the scan makes the frame array and one block
+    # of float64 scratch per range, never a float64 of the stream
+    n = 240 * 44100 + 123
+    buf = PcmBuffer(samples=pcm16_values(n, 2, [-32768]), sample_rate=44100)
+    with ranges_on(cpus):
+        audio.shared_pool()
+        mean_sq, peak = traced_peak(lambda: audio.frame_mean_squares(buf, 882))
+    assert len(mean_sq) == -(-n // 882)
+    assert peak <= mean_sq.nbytes + cpus * 8 * CHUNK + 64 * 1024
 
 
 @pytest.mark.parametrize(
