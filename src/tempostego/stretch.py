@@ -43,7 +43,16 @@ def stretch_core(
     aligned within +-seek samples of its nominal position and crossfaded
     over overlap samples. The first maximum of the correlation wins ties.
     The result is written into `out` (n_out float64 samples) when given,
-    else into a new array."""
+    else into a new array.
+
+    A candidate start scores corr / sqrt(te * en): its correlation with
+    the template over the template's energy te times its own window's
+    energy en. A window without energy scores -2, below any real score.
+    The nominal grid, the running sums of squares and the scores are
+    computed into buffers made once per call; where every window of a
+    search range has energy the scores are divided in place in the
+    correlation's own array. Either way the arithmetic is that of the
+    plain per-frame formula, so the output is too."""
     hop = seq - overlap
     n = x.shape[0]
     if n_out <= seq:
@@ -59,38 +68,47 @@ def stretch_core(
 
     first = min(seq, n_out)
     out[:first] = x[:first]
+    # nominal[k - 1] = floor(k * hop * ratio + 0.5), clamped to [0, n - seq]
+    nominal = np.floor(np.arange(1, n_frames) * hop * ratio + 0.5)
+    nominal = np.maximum(np.minimum(nominal, n - seq), 0).astype(np.int64)
+    los = np.maximum(nominal - seek, 0).tolist()
+    his = np.minimum(nominal + seek, n - seq).tolist()
+    # sq[0] stays 0 and sq[1 : i + 1] holds the sum of the first i squares
+    # of a search range, so en = sq[overlap:][:m] - sq[:m]
+    sq = np.zeros(2 * seek + overlap + 1)
+    en_buf = np.empty(2 * seek + 1)
+    mix = np.empty(overlap)
     prev = 0
-    for k in range(1, n_frames):
-        nominal = int(np.floor(k * hop * ratio + 0.5))
-        if nominal > n - seq:
-            nominal = n - seq
-        if nominal < 0:
-            nominal = 0
-        lo = nominal - seek
-        if lo < 0:
-            lo = 0
-        hi = nominal + seek
-        if hi > n - seq:
-            hi = n - seq
-
+    for k, nom, lo, hi in zip(range(1, n_frames), nominal.tolist(), los, his):
         tb = prev + hop
         tmpl = x[tb : tb + overlap]
         te = float(np.dot(tmpl, tmpl))
         if te <= 0.0:
             # nothing to align against: keep the nominal grid position
-            start = nominal
+            start = nom
         else:
             seg = x[lo : hi + overlap]
             corr = np.correlate(seg, tmpl, mode="valid")
-            sq = np.concatenate(([0.0], np.cumsum(seg * seg)))
-            en = sq[overlap : overlap + corr.shape[0]] - sq[: corr.shape[0]]
-            scores = np.full(corr.shape[0], -2.0)
-            ok = en > 0.0
-            scores[ok] = corr[ok] / np.sqrt(te * en[ok])
+            m = corr.shape[0]
+            run = sq[1 : seg.shape[0] + 1]
+            np.multiply(seg, seg, out=run)
+            np.cumsum(run, out=run)
+            en = np.subtract(sq[overlap : overlap + m], sq[:m], out=en_buf[:m])
+            if en.min() > 0.0:
+                np.multiply(en, te, out=en)
+                np.sqrt(en, out=en)
+                scores = np.divide(corr, en, out=corr)
+            else:
+                scores = np.full(m, -2.0)
+                ok = en > 0.0
+                scores[ok] = corr[ok] / np.sqrt(te * en[ok])
             start = lo + int(np.argmax(scores))
 
         o = k * hop
-        out[o : o + overlap] = out[o : o + overlap] * fade_out + x[start : start + overlap] * fade_in
+        head = out[o : o + overlap]
+        np.multiply(head, fade_out, out=head)
+        np.multiply(x[start : start + overlap], fade_in, out=mix)
+        np.add(head, mix, out=head)
         end = min(seq, n_out - o)
         out[o + overlap : o + end] = x[start + overlap : start + end]
         prev = start

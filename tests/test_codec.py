@@ -4,6 +4,7 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -672,6 +673,91 @@ def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
         monkeypatch.setattr(codec, "stretch_tempo", failing)
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
     assert len(forks) == (2 if failure.endswith("fork") else 0)
+
+
+def slices_stretched_by_the_caller(monkeypatch) -> list:
+    """The list of ratios the calling process stretches from here on."""
+    caller = os.getpid()
+    ratios = []
+
+    def counting(buf, ratio, *, out=None):
+        if os.getpid() == caller:
+            ratios.append(ratio)
+        return stretch_tempo(buf, ratio, out=out)
+
+    monkeypatch.setattr(codec, "stretch_tempo", counting)
+    return ratios
+
+
+@pytest.mark.parametrize("failure", ["denied", "short"])
+def test_a_run_the_caller_cannot_copy_comes_through_the_pipe(click, monkeypatch, failure):
+    # a kernel that forbids reading another process's memory, or a copy
+    # that stops early: each worker sends its samples instead, so the
+    # caller stretches only its own run of two slices
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    real_copy = codec._copy_from
+
+    def copy(pid, address, dst):
+        if failure == "denied":
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+        # the last sample is left as np.empty made it; the pipe must fill it
+        return real_copy(pid, address, dst[:-1])
+
+    monkeypatch.setattr(codec, "_copy_from", copy)
+    ratios = slices_stretched_by_the_caller(monkeypatch)
+    for workers in (2, 3):
+        ratios.clear()
+        assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch), want)
+        assert len(ratios) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_killed_before_its_copy_is_stretched_again(click, monkeypatch):
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    real_copy = codec._copy_from
+    killed = []
+
+    def copy(pid, address, dst):
+        # the first worker has sent its count; it dies before the copy
+        if not killed:
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            killed.append(pid)
+        return real_copy(pid, address, dst)
+
+    monkeypatch.setattr(codec, "_copy_from", copy)
+    ratios = slices_stretched_by_the_caller(monkeypatch)
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    # the caller's run of two slices and the dead worker's one
+    assert len(killed) == 1 and len(ratios) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+LIBC_PROBE = """
+import ctypes
+made = []
+class Spy(ctypes.CDLL):
+    def __init__(self, *args, **kwargs):
+        made.append(args)
+        super().__init__(*args, **kwargs)
+ctypes.CDLL = Spy
+import tempostego.cli
+from tempostego import codec
+assert made == [] and codec._vm_readv is None, made
+"""
+
+
+def test_importing_the_cli_binds_no_libc_call():
+    # numpy imports ctypes itself; the libc binding the workers' copy uses
+    # is made on the first fork, so the CLI's start-up never pays for it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    subprocess.run([sys.executable, "-c", LIBC_PROBE], env=env, timeout=120, check=True)
 
 
 def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):

@@ -655,6 +655,11 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     content=st.sampled_from(["noise", "gapped", "silent"]),
 )
 @example(sr=44100, frames=2.0, ratio=2.0, out_shift=0, seed=0, content="noise")
+# every search window has energy, so each frame divides its scores in place
+@example(sr=44100, frames=6.0, ratio=1.5, out_shift=0, seed=2, content="noise")
+# templates with energy meet ranges that hold windows of zeros: the masked
+# scores, where a window without energy scores -2
+@example(sr=8000, frames=3.0, ratio=0.5, out_shift=0, seed=0, content="gapped")
 def test_stretch_kernel_matches_zeros_then_copy(sr, frames, ratio, out_shift, seed, content):
     seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
     seek = int(round(stretch.SEEK_MS * sr / 1000.0))
