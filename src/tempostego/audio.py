@@ -508,8 +508,9 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     are. Float samples are rounded to the nearest 16-bit step; samples
     outside [-1, 1] are saturated and a ClippingWarning is issued.
     NaN or infinite samples raise NonFiniteSamples, and a sample rate whose
-    byte rate does not fit the header raises ValueError, before the file
-    is opened, so neither leaves a file behind or changes an existing one.
+    byte rate, or a length whose sizes, do not fit the header raise
+    ValueError, before the file is opened, so none of them leaves a file
+    behind or changes an existing one.
     An existing regular file is rewritten in place and cut to length, and
     its RIFF signature is written last: a write that fails part way
     leaves a file that read_wav rejects with MalformedHeader.
@@ -518,6 +519,8 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
         raise ValueError("refusing to write an empty buffer")
     if buf.sample_rate * 2 > 0xFFFFFFFF:
         raise ValueError(f"{buf.sample_rate} Hz overflows the header's 32-bit byte rate")
+    if 36 + 2 * len(buf) > 0xFFFFFFFF:
+        raise ValueError(f"{len(buf)} samples overflow the header's 32-bit RIFF sizes")
     d = buf._data
     # a 16-bit view may be strided; the writer needs its bytes in order
     q = np.ascontiguousarray(d) if d.dtype == _PCM16 else _to_pcm16(d, path)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import errno
+import functools
 import math
 import os
 import signal
@@ -274,11 +275,15 @@ def encode(
     slices beyond the end of the message. The payload slices are
     stretched in one process per usable CPU (forked workers, where the
     platform has an affinity call); the output does not depend on how
-    many. Raises MessageTooLong when the message exceeds the carrier's
-    capacity, ReferenceSilent when any 2 s of the first slice is silent
-    relative to the slice's own level (decoding would be anchored to a
-    bad tempo measurement), InvalidSymbol if the message carries
-    erasures, and NonFiniteSamples if the carrier holds NaN or infinity.
+    many. Each worker streams its run on a pipe; this process copies the
+    run out of the worker's memory and hangs up, or reads the stream
+    where it cannot copy. A worker ignores SIGPIPE, whatever this
+    process's setting. Raises MessageTooLong when the message exceeds
+    the carrier's capacity, ReferenceSilent when any 2 s of the first
+    slice is silent relative to the slice's own level (decoding would be
+    anchored to a bad tempo measurement), InvalidSymbol if the message
+    carries erasures, and NonFiniteSamples if the carrier holds NaN or
+    infinity.
     """
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
@@ -306,16 +311,11 @@ def encode(
     return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
-# libc's process_vm_readv, the iovec type it takes and ctypes.get_errno,
-# bound on the first fork rather than at import: None until then, False
-# where there is no such call
-_vm_readv = None
-
-
-def _bind_vm_readv() -> None:
-    global _vm_readv
-    if _vm_readv is not None:
-        return
+@functools.cache
+def _vm_readv():
+    """libc's process_vm_readv, the iovec type it takes and
+    ctypes.get_errno, bound on the first copy rather than at import; None
+    where there is no such call."""
     import ctypes
 
     class IoVec(ctypes.Structure):
@@ -324,21 +324,21 @@ def _bind_vm_readv() -> None:
     try:
         fn = ctypes.CDLL(None, use_errno=True).process_vm_readv
     except (AttributeError, OSError):
-        _vm_readv = False
-        return
+        return None
     vec = ctypes.POINTER(IoVec)
     fn.argtypes = [ctypes.c_int, vec, ctypes.c_ulong, vec, ctypes.c_ulong, ctypes.c_ulong]
     fn.restype = ctypes.c_ssize_t
-    _vm_readv = (fn, IoVec, ctypes.get_errno)
+    return fn, IoVec, ctypes.get_errno
 
 
 def _copy_from(pid: int, address: int, dst: np.ndarray) -> int:
     """Copy dst.nbytes bytes at address in process pid into dst with one
     process_vm_readv call; return how many it copied. Raises OSError when
     the call fails or there is no such call."""
-    if not _vm_readv:
+    bound = _vm_readv()
+    if bound is None:
         raise OSError(errno.ENOSYS, "no process_vm_readv")
-    fn, IoVec, get_errno = _vm_readv
+    fn, IoVec, get_errno = bound
     got = fn(pid, IoVec(dst.ctypes.data, dst.nbytes), 1, IoVec(address, dst.nbytes), 1, 0)
     if got < 0:
         code = get_errno()
@@ -356,14 +356,13 @@ def _stretch_into(
     The jobs are cut into k = min(usable CPUs, jobs) runs of consecutive
     jobs, the first of them the longest. This process stretches the first
     run. Each other run is stretched by a forked child into its
-    copy-on-write view of out, at the place the length law gives it. The
-    child writes its sample count on a pipe and waits. A fork keeps out at
-    the same address, so this process copies the child's run from there
-    straight into out at the running offset with one process_vm_readv,
-    then closes the child's ask pipe, and the child exits. Where that
-    call fails, is missing or copies short (a kernel that forbids reading
-    another process's memory), this process asks on the ask pipe and
-    the child sends its samples through the first pipe, read straight
+    copy-on-write view of out, at the place the length law gives it, and
+    streamed on one pipe: its sample count, then its samples. A fork
+    keeps out at the same address, so this process copies the run from
+    there into out at the running offset with one process_vm_readv and
+    hangs up, which ends the child's write (it ignores SIGPIPE). Where
+    the copy fails or comes back short (a kernel that forbids it, a child
+    already gone), this process reads the stream to its end, straight
     into out. A run whose fork fails, or whose child exits non-zero, dies
     by a signal or sends a short stream, is stretched here at the running
     offset, so an exception comes from this call. The result does not
@@ -385,21 +384,17 @@ def _stretch_into(
         return o
 
     forked = []  # (run, pid, at), pid None where the fork failed
-    pipes = {}  # pid: (read end of its count and samples, its ask pipe), until reaped
+    pipes = {}  # pid: read end of its count and samples, until reaped
     try:
         at = o + sum(n for *_, n in runs[0])
         for run in runs[1:]:
             import fcntl  # only reached where there is an affinity call (Unix)
 
-            _bind_vm_readv()
             r, w = os.pipe()
             # 1 MiB (Linux's default unprivileged limit) rather than 64 KiB
             # halves the time a transfer through the pipe takes
             with contextlib.suppress(AttributeError, OSError):
                 fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-            # the child waits on ask_r: a byte asks it for its samples, end
-            # of file lets it exit
-            ask_r, ask_w = os.pipe()
             # After a decode or a long WAV read has started the shared
             # pool this process has threads, and Python 3.12+ warns about
             # forking it. The child runs only numpy kernels and pipe
@@ -409,32 +404,32 @@ def _stretch_into(
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: stretch the run here
-                for fd in (r, w, ask_r, ask_w):
-                    os.close(fd)
+                os.close(r)
+                os.close(w)
                 pid = None
             if pid == 0:
                 code = 1
                 try:
-                    # with no other copy of an ask_w open, a caller that
-                    # dies leaves every waiting child reading end of file
+                    # the caller hangs up once it has copied the run; the
+                    # write below then ends in EPIPE, not death by SIGPIPE,
+                    # whatever the caller's setting
+                    signal.signal(signal.SIGPIPE, signal.SIG_IGN)
+                    # with no other copy of a read end open, a caller's
+                    # hang-up reaches every child
                     os.close(r)
-                    os.close(ask_w)
-                    for pipe, ask in pipes.values():
+                    for pipe in pipes.values():
                         pipe.close()
-                        ask.close()
                     end = stretch(run, at)
                     os.write(w, (end - at).to_bytes(8, "little"))
-                    if os.read(ask_r, 1):  # the copy failed: send the samples
-                        with open(w, "wb") as pipe:
-                            pipe.write(out[at:end])
+                    with contextlib.suppress(BrokenPipeError), open(w, "wb") as pipe:
+                        pipe.write(out[at:end])
                     code = 0
                 finally:
                     # no atexit handlers, no stdio flush: the parent owns those
                     os._exit(code)
             if pid is not None:
                 os.close(w)
-                os.close(ask_r)
-                pipes[pid] = (open(r, "rb"), open(ask_w, "wb", buffering=0))
+                pipes[pid] = open(r, "rb")
             forked.append((run, pid, at))
             at += sum(n for *_, n in run)
         o = stretch(runs[0], o)
@@ -442,8 +437,7 @@ def _stretch_into(
         for run, pid, at in forked:
             end = None
             if pid is not None:
-                pipe, ask = pipes[pid]
-                with pipe, ask:
+                with pipes[pid] as pipe:
                     if pipe.readinto(head) == 8:
                         count = int.from_bytes(head, "little")
                         dst = out[o : o + count]
@@ -451,25 +445,18 @@ def _stretch_into(
                             copied = _copy_from(pid, out.ctypes.data + 8 * at, dst)
                         except OSError:
                             copied = -1
-                        if copied == dst.nbytes == 8 * count:
+                        # a run not copied is read from the stream, to its end
+                        if copied == dst.nbytes == 8 * count or pipe.readinto(dst) == 8 * count:
                             end = o + count
-                        else:
-                            # ask for the samples; a child that has died
-                            # cannot send them, and its run is stretched here
-                            with contextlib.suppress(OSError):
-                                ask.write(b"s")
-                            if pipe.readinto(dst) == 8 * count:
-                                end = o + count
-                # both ends closed: the child has its end of file and exits
+                # closed: a child still writing gets its broken pipe and exits
                 if os.waitpid(pid, 0)[1] != 0:
                     end = None
                 del pipes[pid]
             o = stretch(run, o) if end is None else end
     finally:
         # only reached with children left when this process raised
-        for pid, (pipe, ask) in pipes.items():
+        for pid, pipe in pipes.items():
             pipe.close()
-            ask.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return o

@@ -195,9 +195,29 @@ def test_write_rejects_a_byte_rate_past_32_bits_without_leaving_a_file(tmp_path)
     assert not path.exists()
 
 
+# One sample past what the 32-bit RIFF sizes hold (36 + 2n <= 0xFFFFFFFF),
+# as stride-0 views: the refusal comes before any copy or conversion, so
+# no 4 GiB is ever allocated.
+TOO_LONG = 2_147_483_630
+
+
+def too_long(dtype):
+    return np.lib.stride_tricks.as_strided(np.zeros(1, dtype), (TOO_LONG,), (0,))
+
+
+@pytest.mark.parametrize("dtype", ["<i2", np.float64])
+def test_write_rejects_a_length_past_the_riff_sizes_without_leaving_a_file(tmp_path, dtype):
+    path = tmp_path / "long.wav"
+    with pytest.raises(ValueError, match="RIFF sizes"):
+        write_wav(PcmBuffer(samples=too_long(dtype), sample_rate=8000), str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("samples,rate", [
     (np.array([0.0, np.nan]), 8000),
     (np.zeros(1000), 3_000_000_000),
+    (too_long("<i2"), 8000),
+    (too_long(np.float64), 8000),
 ])
 def test_refused_write_leaves_an_existing_file_untouched(tmp_path, samples, rate):
     path = tmp_path / "old.wav"

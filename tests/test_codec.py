@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -692,8 +693,8 @@ def slices_stretched_by_the_caller(monkeypatch) -> list:
 @pytest.mark.parametrize("failure", ["denied", "short"])
 def test_a_run_the_caller_cannot_copy_comes_through_the_pipe(click, monkeypatch, failure):
     # a kernel that forbids reading another process's memory, or a copy
-    # that stops early: each worker sends its samples instead, so the
-    # caller stretches only its own run of two slices
+    # that stops early: the caller reads each worker's stream to its end
+    # instead, and stretches only its own run of two slices
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     real_copy = codec._copy_from
@@ -737,6 +738,50 @@ def test_a_worker_killed_before_its_copy_is_stretched_again(click, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_worker_hung_up_on_exits_cleanly_under_a_default_sigpipe(click, monkeypatch):
+    # a host that restores SIGPIPE's default (as command-line tools piped
+    # into head do) must not kill a worker when the caller hangs up after
+    # its copy, or every forked run would be stretched a second time
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    ratios = slices_stretched_by_the_caller(monkeypatch)
+    old = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        got = encode_with_workers(carrier, FOUR_BITS, 2, monkeypatch)
+    finally:
+        signal.signal(signal.SIGPIPE, old)
+    assert np.array_equal(got, want)
+    # only the caller's own run of two slices
+    assert len(ratios) == 2
+
+
+def test_a_run_that_fits_in_its_pipe_is_read_after_its_worker_exits(monkeypatch):
+    # 60 s at 500 Hz: each worker's one-slice run is 40 kB, under a pipe's
+    # 64 KiB, so a worker writes its whole stream and exits unread; the copy
+    # then finds no process, and the caller reads the stream
+    carrier = PcmBuffer(samples=np.random.default_rng(5).normal(0.0, 0.1, 30_000), sample_rate=500)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    real_copy = codec._copy_from
+    refused = []
+
+    def copy_after_exit(pid, address, dst):
+        deadline = time.monotonic() + 30.0
+        while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
+            assert time.monotonic() < deadline, "the worker did not exit on its own"
+            time.sleep(0.01)
+        try:
+            return real_copy(pid, address, dst)
+        except OSError as exc:
+            refused.append(exc)
+            raise
+
+    monkeypatch.setattr(codec, "_copy_from", copy_after_exit)
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    assert len(refused) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 LIBC_PROBE = """
 import ctypes
 made = []
@@ -747,13 +792,13 @@ class Spy(ctypes.CDLL):
 ctypes.CDLL = Spy
 import tempostego.cli
 from tempostego import codec
-assert made == [] and codec._vm_readv is None, made
+assert made == [] and codec._vm_readv.cache_info().currsize == 0, made
 """
 
 
 def test_importing_the_cli_binds_no_libc_call():
     # numpy imports ctypes itself; the libc binding the workers' copy uses
-    # is made on the first fork, so the CLI's start-up never pays for it
+    # is made on the first copy, so the CLI's start-up never pays for it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
