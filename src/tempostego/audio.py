@@ -10,18 +10,18 @@ one. Stereo input is mixed down to mono on read; output is always
 A buffer holds its samples in one of two forms, which its constructor
 picks from their dtype: float samples as they are, or little-endian
 int16 samples, the form read_wav gives a 16-bit mono file, the format
-this package writes. A 16-bit buffer makes the float64 `samples` (each
-int16 / 32768) only on first access, then drops the int16 array. Until
-then the splitter, the writer, encode and decode work from the int16
-array: they convert only the blocks, slices and windows they read
-(float_range), cut it into int16 views (view_range), write its bytes
-unchanged and skip the finiteness screen (screen_finite), since
-integers are always finite. Every float they see equals the one the
-float64 form holds, so results do not depend on the form. The
-splitter's frame scan (frame_mean_squares) reads the int16 array too:
-it sums each frame's squared integers exactly and scales the sum once,
-which gives the same mean square as the float64 form. No other module
-refers to the int16 form.
+this package writes. Library code reads samples only through
+float_range, which converts only the range it reads (each int16 / 32768,
+times a factor, in one multiply), so no library call widens a 16-bit
+buffer; only the public `samples` property does, for good. The splitter
+also cuts the int16 array into views (view_range), the writer writes its
+bytes unchanged, and screen_finite skips it, since integers are always
+finite. Every float a call sees equals the one the float64 form holds,
+so results do not depend on the form. The splitter's frame scan
+(frame_mean_squares) reads the int16 array too: it sums each frame's
+squared integers exactly and scales the sum once, which gives the same
+mean square as the float64 form. No other module refers to the int16
+form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
@@ -72,6 +72,9 @@ WAVE_FORMAT_IEEE_FLOAT = 3
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0..3 hold the tag.
 _SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
+# The RIFF and data sizes of a WAV stream whose writer could not seek
+# back to fill them in (ffmpeg's WAV muxer on a pipe)
+_SIZE_UNKNOWN = 0xFFFFFFFF
 
 # Samples per block of the chunked passes over long buffers (read_wav,
 # write_wav and frame_mean_squares). A block's float64 input
@@ -184,10 +187,12 @@ class PcmBuffer:
     is refused: its sums of squares overflow). A little-endian
     int16 array (what read_wav makes of a 16-bit mono file) is the 16-bit
     form: its `samples` are made on first access, each int16 / 32768 in
-    float64, and from then on the buffer holds only those. Either way
+    float64 through float_range, and from then on the buffer holds only
+    those, so edits to them are what write_wav writes. Either way
     `samples` is the same array of floats; the int16 form is audio's own
-    (see the module docstring). Any other dtype, and a sample rate that
-    is not a positive integer, raise ValueError.
+    (see the module docstring), and no library call reads `samples`.
+    Any other dtype, and a sample rate that is not a positive integer,
+    raise ValueError.
     """
 
     __slots__ = ("_data", "sample_rate")
@@ -213,7 +218,7 @@ class PcmBuffer:
                 d = self._data
                 if d.dtype == _PCM16:  # no other thread made them meanwhile
                     x = np.empty(len(d))
-                    run_ranges(len(d), lambda a, b: _widen(d[a:b], x[a:b], _I16_SCALE))
+                    run_ranges(len(d), lambda a, b: float_range(self, a, b, out=x[a:b]))
                     self._data = d = x
         return d
 
@@ -225,34 +230,22 @@ class PcmBuffer:
         return len(self) / self.sample_rate
 
 
-def _widen(q: np.ndarray, out: np.ndarray, scale: float) -> None:
-    """out[:] = q * scale in float64, in cache-sized blocks: each block is
-    cast, then scaled in place. A 16-bit sample is exact in float64, so
-    each element is rounded once, as (q / 32768) * f is for a scale of
-    f / 32768: the power-of-two factor is exact."""
-    for i in range(0, len(q), CHUNK_SAMPLES):
-        o = out[i : i + CHUNK_SAMPLES]
-        o[...] = q[i : i + CHUNK_SAMPLES]
-        o *= scale
-
-
 def float_range(
     buf: PcmBuffer, a: int, b: int, factor: float = 1.0, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """samples[a:b] * factor, for reading only, converting only that range
-    of a 16-bit buffer. Written into out (b - a float64 samples) when
-    given; else a view of a float buffer's samples when factor is 1, or a
-    new array. A 16-bit range is scaled by factor / 32768 in one step,
-    which gives the same floats."""
+    """samples[a:b] * factor, for reading only: the one way this package
+    reads a buffer's samples as floats. Written into out (b - a float64
+    samples) when given; else a view of a float buffer's samples when
+    factor is 1, or a new array. A 16-bit range is cast and scaled by
+    factor / 32768 in one multiply, converting only that range; a 16-bit
+    sample is exact in float64 and the power-of-two factor is exact, so
+    each float is rounded once, as (q / 32768) * factor is."""
     part = buf._data[a:b]
     if part.dtype == _PCM16:
-        out = np.empty(len(part)) if out is None else out
-        _widen(part, out, factor * _I16_SCALE)
-        return out
-    if out is None:
-        return part if factor == 1.0 else part * factor
-    np.multiply(part, factor, out=out)
-    return out
+        factor *= _I16_SCALE
+    elif out is None and factor == 1.0:
+        return part
+    return np.multiply(part, factor, out=out)
 
 
 def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
@@ -292,7 +285,8 @@ def read_wav(path: str) -> PcmBuffer:
     scratch that it converts, so no copy of the file is held. A
     pipe or device, or any file where os.preadv is missing, is read in
     sequence up to the size its RIFF header declares, and no further,
-    then parsed the same way.
+    then parsed the same way. A data size of 0xFFFFFFFF, which ffmpeg
+    writes where it cannot seek back, means the rest of the source.
 
     Raises IoError when the file cannot be read, MalformedHeader when the
     RIFF structure is broken, UnsupportedFormat for other encodings, and
@@ -353,9 +347,9 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
     x = np.empty(n)
 
     def read_range(a: int, b: int) -> None:
-        # each block's bytes are read into raw and widened into x by cast
-        # (a stereo block into pairs, then mixed down), then offset and
-        # scaled in place by a power of two, which is exact
+        # each block's bytes are read into raw, then cast and scaled by a
+        # power of two into x in one multiply (a stereo block into pairs,
+        # then mixed down), then offset in place; every step is exact
         m = min(b - a, CHUNK_SAMPLES)
         raw = np.empty(m * frame, dtype=np.uint8)
         pairs = np.empty(2 * m) if channels == 2 else None
@@ -372,11 +366,9 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
                 quads[:k, 1:] = block.reshape(k, 3)
                 src = quads[:k].view("<i4")[:, 0]
             t = x[i:j] if pairs is None else pairs[: 2 * (j - i)]
-            t[...] = src
+            np.multiply(src, scale, out=t)
             if offset_value:
-                t -= offset_value
-            if scale != 1.0:
-                t *= scale
+                t -= offset_value * scale
             if pairs is not None:
                 np.mean(t.reshape(j - i, 2), axis=1, out=x[i:j])
             # only float content can be non-finite; integer PCM skips this
@@ -437,7 +429,8 @@ def _parse_riff(
 ) -> tuple[tuple[int, int, int, int, int, int], int, int]:
     """The fmt fields of a RIFF/WAVE source of `size` bytes, and the
     offset and length of its data chunk, from its chunk headers. Where a
-    chunk occurs twice, the last one counts."""
+    chunk occurs twice, the last one counts. A data chunk of unknown size
+    (_SIZE_UNKNOWN) runs to the end of the source."""
     _signature(path, _read_at(pread, 0, 12))
     fmt = None
     data = None
@@ -448,6 +441,8 @@ def _parse_riff(
             raise MalformedHeader(f"{path}: chunk header extends past end of file")
         cid, csize = struct.unpack("<4sI", head)
         pos += 8
+        if cid == b"data" and csize == _SIZE_UNKNOWN:
+            csize = size - pos
         if csize > size - pos:
             raise MalformedHeader(f"{path}: chunk {cid!r} extends past end of file")
         if cid == b"fmt ":
@@ -658,13 +653,15 @@ def rms_dbfs(buf: PcmBuffer) -> float:
     """RMS level in dBFS; digital silence reads as -inf.
 
     A gate measure: callers only compare it with a level threshold. It
-    sums squares with energy, which makes no temporary; that sum runs in
-    another order than np.mean's, so the level may differ from
+    sums squares with energy, which makes no temporary of a float
+    buffer; a 16-bit buffer is read through float_range, so one float64
+    copy lives for the call and the buffer stays 16-bit. That sum runs
+    in another order than np.mean's, so the level may differ from
     10*log10(np.mean(x**2)) in the last bits.
     """
     if len(buf) == 0:
         raise ValueError("rms of an empty buffer is undefined")
-    mean_sq = energy(buf.samples) / len(buf)
+    mean_sq = energy(float_range(buf, 0, len(buf))) / len(buf)
     if mean_sq == 0.0:
         return float("-inf")
     return 10.0 * np.log10(mean_sq)

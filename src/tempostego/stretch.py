@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .audio import PcmBuffer, energy
+from .audio import PcmBuffer, energy, float_range
 from .errors import BufferTooShort, RatioOutOfRange
 
 RATIO_MIN = 0.5
@@ -147,14 +147,15 @@ def stretch_tempo(
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
         )
     n_out = stretched_length(len(buf), ratio)
+    src = float_range(buf, 0, len(buf))
     if out is not None and (
         not isinstance(out, np.ndarray)
         or out.shape != (n_out,)
         or out.dtype != np.float64
-        or np.may_share_memory(out, buf.samples)
+        or np.may_share_memory(out, src)
     ):
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
-    x = np.ascontiguousarray(buf.samples, dtype=np.float64)
+    x = np.ascontiguousarray(src, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         e = energy(x)
         # An alignment score divides by the square root of a product of two

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, rms_dbfs, shared_pool
+from .audio import PcmBuffer, float_range, rms_dbfs, shared_pool
 from .errors import LowEnergy, NoPeriodicity, TooShort
 
 # A candidate peak must stand this far above the median autocorrelation in
@@ -103,9 +103,9 @@ def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
     """
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
-    if rms_dbfs(buf) < SETTINGS.min_rms_dbfs:
+    x = float_range(buf, 0, len(buf))
+    if rms_dbfs(PcmBuffer(samples=x, sample_rate=buf.sample_rate)) < SETTINGS.min_rms_dbfs:
         raise LowEnergy(f"signal below {SETTINGS.min_rms_dbfs} dBFS gate")
-    x = buf.samples
     win = SETTINGS.stft_window
     hop = SETTINGS.stft_hop
     if len(x) < win + hop:

@@ -549,6 +549,48 @@ def test_truncated_data_chunk_rejected(tmp_path):
         read_wav(write_raw(tmp_path, "trunc.wav", blob[:-200]))
 
 
+def with_sizes(blob, riff_size, data_size):
+    """A wav_bytes blob with its RIFF and data size fields rewritten."""
+    head = blob[:4] + struct.pack("<I", riff_size) + blob[8:40]
+    return head + struct.pack("<I", data_size) + blob[44:]
+
+
+@pytest.mark.parametrize("source", ["file", "fifo"])
+@pytest.mark.parametrize("channels,bits", [(1, 16), (2, 24)], ids=["mono16", "stereo24"])
+def test_read_a_stream_whose_writer_left_its_sizes_unknown(tmp_path, source, channels, bits):
+    # ffmpeg's WAV muxer on a pipe leaves both sizes at 0xFFFFFFFF; the data
+    # runs to the end of the source, and a partial last frame is dropped
+    if source == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("needs named pipes")
+    frame = channels * bits // 8
+    payload = np.random.default_rng(3).integers(0, 256, 1001 * frame, dtype=np.uint8).tobytes()
+    want = read_wav(write_raw(tmp_path, "sized.wav", wav_bytes(1, channels, 8000, bits, payload)))
+    blob = with_sizes(wav_bytes(1, channels, 8000, bits, payload), 0xFFFFFFFF, 0xFFFFFFFF)
+    blob += payload[: frame - 1]
+    if source == "file":
+        got = read_wav(write_raw(tmp_path, "streamed.wav", blob))
+    else:
+        fifo = tmp_path / "pipe.wav"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(blob)
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            got = read_wav(str(fifo))
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+    assert len(got) == 1001
+    assert got.samples.tobytes() == want.samples.tobytes()
+    # a real size past the end is still a broken header
+    with pytest.raises(MalformedHeader, match="past end of file"):
+        read_wav(write_raw(tmp_path, "long.wav", with_sizes(blob, 0xFFFFFFFF, 0xFFFFFFFE)))
+
+
 def test_odd_sized_chunk_padding_skipped(tmp_path):
     payload = np.array([1000, -1000], dtype="<i2").tobytes()
     extra = b"LIST" + struct.pack("<I", 3) + b"abc" + b"\x00"  # odd chunk + pad byte

@@ -21,6 +21,7 @@ from tempostego import (
     InsufficientCapacity,
     InvalidSymbol,
     MessageTooLong,
+    NoPeriodicity,
     NonFiniteSamples,
     PcmBuffer,
     ReferenceSilent,
@@ -252,6 +253,21 @@ def test_every_carrier_encode_accepts_decodes(click, carrier_dbfs, quiet_dbfs):
     carrier = at_level(at_dbfs(click(120, 60.0), carrier_dbfs), quiet_db=carrier_dbfs - quiet_dbfs)
     stego = encode(carrier, parse_bitstring("1 0 1"))
     assert str(decode(stego, max_bits=3).bits) == "1 0 1"
+
+
+@pytest.mark.xfail(strict=True, raises=NoPeriodicity,
+                   reason="encode checks its reference only for silence (ROADMAP item 11)")
+def test_encode_refuses_a_reference_decode_cannot_measure(click):
+    # a loud but beatless first slice: 10 s of noise at the track's own RMS
+    x = click(120, 60.0, seed=1).samples.copy()
+    x[: 10 * SR] = np.random.default_rng(5).standard_normal(10 * SR) * np.sqrt(np.mean(x**2))
+    carrier = PcmBuffer(samples=x, sample_rate=SR)
+    message = parse_bitstring("1 0")
+    try:
+        stego = encode(carrier, message)
+    except NoPeriodicity:
+        return  # refused, as decode would refuse it
+    assert decode(stego, max_bits=2).bits == message
 
 
 def test_decode_ignores_audio_it_does_not_read(click):

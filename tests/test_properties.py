@@ -48,13 +48,17 @@ from tempostego import (
     BitString,
     ClippingWarning,
     LowEnergy,
+    Noise,
     NonFiniteSamples,
     PcmBuffer,
     StegoError,
     StegoParams,
     TooShort,
+    concat,
     decode,
     encode,
+    estimate_tempo,
+    evaluate,
     generate_click_track,
     onset_envelope,
     parse_bitstring,
@@ -1110,3 +1114,75 @@ def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path
         out, peak = traced_peak(lambda: encode(buf, BitString((1, 0, 1))))
         peak -= out.samples.nbytes  # encode's own output is exempt
     assert peak < whole / 4
+
+
+# Library calls that read a buffer's samples as floats, for the one-reader
+# tests below: each reads through audio.float_range, never `samples`
+READERS = {
+    "rms_dbfs": rms_dbfs,
+    "onset_envelope": onset_envelope,
+    "estimate_tempo": estimate_tempo,
+    "stretch_tempo": lambda b: stretch_tempo(b, 1.01),
+    "perturb": lambda b: perturb(b, Noise(snr_db=20.0, seed=1)),
+    "concat": lambda b: concat([b, b]),
+}
+
+
+def comparable(result):
+    """A reader's result in a form == compares exactly."""
+    if isinstance(result, PcmBuffer):
+        return result.samples.tobytes(), result.sample_rate
+    if isinstance(result, tuple):  # onset_envelope's (envelope, frame rate)
+        return result[0].tobytes(), result[1]
+    return result
+
+
+@pytest.fixture(scope="module")
+def pcm16_carrier_20s(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("pcm16") / "carrier20.wav")
+    write_wav(generate_click_track(120.0, 20.0, seed=4), path)
+    return path
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_reader_leaves_a_16bit_buffer_16bit_and_equals_its_float_twin(pcm16_carrier_20s, name):
+    buf = read_wav(pcm16_carrier_20s)
+    got = READERS[name](buf)
+    assert buf._data.dtype == np.dtype("<i2")
+    assert comparable(got) == comparable(READERS[name](float_twin(buf)))
+
+
+def float32_wav(path, x, sr=44100):
+    """x as a 32-bit float mono WAV, which read_wav reads into float
+    samples."""
+    data = x.astype("<f4").tobytes()
+    fmt = struct.pack("<HHIIHH", 3, 1, sr, 4 * sr, 4, 32)
+    path.write_bytes(riff([b"fmt " + struct.pack("<I", 16) + fmt,
+                           b"data" + struct.pack("<I", len(data)) + data]))
+    return str(path)
+
+
+@pytest.mark.parametrize("form", ["pcm16", "float"])
+def test_no_library_call_reads_samples(tmp_path, monkeypatch, form):
+    x = generate_click_track(120.0, 40.0, seed=2).samples
+    if form == "pcm16":
+        write_wav(PcmBuffer(samples=x, sample_rate=44100), str(tmp_path / "carrier.wav"))
+    else:
+        float32_wav(tmp_path / "carrier.wav", x)
+
+    def refuse(buf):
+        raise AssertionError("library code read PcmBuffer.samples")
+
+    monkeypatch.setattr(PcmBuffer, "samples", property(refuse))
+    carrier = read_wav(str(tmp_path / "carrier.wav"))
+    assert carrier._data.dtype == (np.dtype("<i2") if form == "pcm16" else np.float64)
+    message = BitString((1,))
+    stego = encode(carrier, message)
+    write_wav(stego, str(tmp_path / "stego.wav"))
+    for buf in (stego, read_wav(str(tmp_path / "stego.wav"))):
+        assert decode(buf, max_bits=1).bits == message
+        assert len(split_on_silence(buf)) == 1
+        perturb(buf, Noise(snr_db=20.0, seed=1))
+    assert evaluate([carrier], message).files[0].bits == message
+    for read in READERS.values():
+        read(carrier)
