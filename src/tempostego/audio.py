@@ -8,20 +8,20 @@ one. Stereo input is mixed down to mono on read; output is always
 16-bit mono PCM.
 
 A buffer holds its samples in one of two forms, which its constructor
-picks from their dtype: float samples as they are, or little-endian
-int16 samples, the form read_wav gives a 16-bit mono file, the format
-this package writes. Library code reads samples only through
+fixes from their dtype and which never changes: float64 samples, or
+little-endian int16 samples, the form read_wav gives a 16-bit mono file,
+the format this package writes. Library code reads samples only through
 float_range, which converts only the range it reads (each int16 / 32768,
-times a factor, in one multiply), so no library call widens a 16-bit
-buffer; only the public `samples` property does, for good. The splitter
-also cuts the int16 array into views (view_range), the writer writes its
-bytes unchanged, and screen_finite skips it, since integers are always
-finite. Every float a call sees equals the one the float64 form holds,
-so results do not depend on the form. The splitter's frame scan
-(frame_mean_squares) reads the int16 array too: it sums each frame's
-squared integers exactly and scales the sum once, which gives the same
-mean square as the float64 form. No other module refers to the int16
-form.
+times a factor, in one multiply); the public `samples` property of a
+16-bit buffer is one such read of the whole buffer, a new read-only
+array each time. The splitter also cuts the int16 array into views
+(view_range), the writer writes its bytes unchanged, and screen_finite
+skips it, since integers are always finite. Every float a call sees
+equals the one the float64 form holds, so results do not depend on the
+form. The splitter's frame scan (frame_mean_squares) reads the int16
+array too: it sums each frame's squared integers exactly and scales the
+sum once, which gives the same mean square as the float64 form. No other
+module refers to the int16 form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
@@ -102,8 +102,6 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 # marks the pool's own threads
 _pool_thread = threading.local()
-# held while a 16-bit buffer makes its float samples, so it makes them once
-_widen_lock = threading.Lock()
 
 # 1 / 32768: a 16-bit sample times this is exactly its float value
 _I16_SCALE = 2.0**-15
@@ -142,11 +140,10 @@ def shared_pool() -> ThreadPoolExecutor:
 
 def _forget_pool_after_fork() -> None:
     # a forked child inherits the pool object but none of its threads,
-    # and locks that a thread it does not have may hold
-    global _pool, _pool_lock, _widen_lock
+    # and a lock that a thread it does not have may hold
+    global _pool, _pool_lock
     _pool = None
     _pool_lock = threading.Lock()
-    _widen_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -182,17 +179,15 @@ def run_ranges(n: int, fn: Callable[[int, int], T]) -> list[T]:
 class PcmBuffer:
     """Mono audio: samples in [-1, 1] plus a sample rate in Hz.
 
-    The constructor keeps `samples` as given and picks the buffer's form
-    from its dtype. A 1-D float32 or wider array is the float form (float16
-    is refused: its sums of squares overflow). A little-endian
-    int16 array (what read_wav makes of a 16-bit mono file) is the 16-bit
-    form: its `samples` are made on first access, each int16 / 32768 in
-    float64 through float_range, and from then on the buffer holds only
-    those, so edits to them are what write_wav writes. Either way
-    `samples` is the same array of floats; the int16 form is audio's own
-    (see the module docstring), and no library call reads `samples`.
-    Any other dtype, and a sample rate that is not a positive integer,
-    raise ValueError.
+    The constructor fixes the buffer's form from the dtype of `samples`,
+    and no call changes it. A 1-D float64 array is the float form, kept
+    as given; other floats of 32 bits or more (float32, big-endian
+    float64, longdouble) are converted to float64 once, here (float16 is
+    refused: its sums of squares overflow). A little-endian int16 array
+    (what read_wav makes of a 16-bit mono file) is the 16-bit form, kept
+    as given. The int16 form is audio's own (see the module docstring),
+    and no library call reads `samples`. Any other dtype, and a sample
+    rate that is not a positive integer, raise ValueError.
     """
 
     __slots__ = ("_data", "sample_rate")
@@ -205,6 +200,8 @@ class PcmBuffer:
         rate_ok = isinstance(sample_rate, numbers.Integral) and not isinstance(sample_rate, bool)
         if not (rate_ok and sample_rate > 0):
             raise ValueError(f"sample rate must be a positive whole number of Hz, not {sample_rate!r}")
+        if samples.dtype.kind == "f" and samples.dtype != np.float64:
+            samples = samples.astype(np.float64)
         self._data, self.sample_rate = samples, int(sample_rate)
 
     def __repr__(self) -> str:
@@ -212,15 +209,15 @@ class PcmBuffer:
 
     @property
     def samples(self) -> np.ndarray:
-        d = self._data
-        if d.dtype == _PCM16:
-            with _widen_lock:
-                d = self._data
-                if d.dtype == _PCM16:  # no other thread made them meanwhile
-                    x = np.empty(len(d))
-                    run_ranges(len(d), lambda a, b: float_range(self, a, b, out=x[a:b]))
-                    self._data = d = x
-        return d
+        """The samples as float64: a float buffer's own array, edits to
+        which are what write_wav writes; for a 16-bit buffer, each int16 /
+        32768 in a new read-only array on each read (edit a float copy,
+        PcmBuffer(buf.samples.copy(), buf.sample_rate))."""
+        if self._data.dtype != _PCM16:
+            return self._data
+        x = float_range(self, 0, len(self))
+        x.flags.writeable = False
+        return x
 
     def __len__(self) -> int:
         return len(self._data)
@@ -234,12 +231,13 @@ def float_range(
     buf: PcmBuffer, a: int, b: int, factor: float = 1.0, out: np.ndarray | None = None
 ) -> np.ndarray:
     """samples[a:b] * factor, for reading only: the one way this package
-    reads a buffer's samples as floats. Written into out (b - a float64
-    samples) when given; else a view of a float buffer's samples when
-    factor is 1, or a new array. A 16-bit range is cast and scaled by
-    factor / 32768 in one multiply, converting only that range; a 16-bit
-    sample is exact in float64 and the power-of-two factor is exact, so
-    each float is rounded once, as (q / 32768) * factor is."""
+    reads a buffer's samples as floats, `samples` included. Written into
+    out (b - a float64 samples) when given; else a view of a float
+    buffer's samples when factor is 1, or a new float64 array. A 16-bit
+    range is cast and scaled by factor / 32768 in one multiply,
+    converting only that range; a 16-bit sample is exact in float64 and
+    the power-of-two factor is exact, so each float is rounded once, as
+    (q / 32768) * factor is."""
     part = buf._data[a:b]
     if part.dtype == _PCM16:
         factor *= _I16_SCALE
@@ -251,7 +249,7 @@ def float_range(
 def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
     """Samples [a, b) as a buffer sharing buf's memory, in buf's form: a
     view of a float buffer's samples, or of a 16-bit buffer's int16
-    samples, whose own `samples` will then be a new array."""
+    samples."""
     return PcmBuffer(samples=buf._data[a:b], sample_rate=buf.sample_rate)
 
 
@@ -276,8 +274,8 @@ def read_wav(path: str) -> PcmBuffer:
     under a plain format tag or WAVE_FORMAT_EXTENSIBLE with the PCM or
     IEEE-float subformat. Stereo is mixed down by channel mean. Integer
     samples are scaled by the full-scale value of their width (e.g.
-    16-bit by 1/32768). A 16-bit mono file gives a buffer that holds its
-    int16 samples and makes the floats on first access (see PcmBuffer).
+    16-bit by 1/32768). A 16-bit mono file gives a buffer in the 16-bit
+    form, holding its int16 samples (see PcmBuffer).
 
     A regular file is read by position: the chunk headers with small
     reads, then each sample range of the data chunk, 16-bit mono straight
@@ -313,9 +311,12 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
     else:
         blob = _read_declared(fd, path)
         size = len(blob)
+        # slices of a memoryview share the blob's bytes; slices of the
+        # bytearray itself would copy every range
+        view = memoryview(blob)
 
         def pread(buf, offset: int) -> int:
-            got = blob[offset : offset + len(buf)]
+            got = view[offset : offset + len(buf)]
             buf[: len(got)] = got
             return len(got)
 
@@ -499,8 +500,8 @@ def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
 def write_wav(buf: PcmBuffer, path: str) -> None:
     """Write a buffer as 16-bit mono PCM.
 
-    A buffer that still holds 16-bit samples writes their bytes as they
-    are. Float samples are rounded to the nearest 16-bit step; samples
+    A 16-bit buffer writes the bytes of its int16 samples as they are.
+    Float samples are rounded to the nearest 16-bit step; samples
     outside [-1, 1] are saturated and a ClippingWarning is issued.
     NaN or infinite samples raise NonFiniteSamples, and a sample rate whose
     byte rate, or a length whose sizes, do not fit the header raise

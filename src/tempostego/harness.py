@@ -316,10 +316,10 @@ def split_on_silence(
     Segments share the stream's memory, in its form: a float stream's
     segments are views of its samples (copy one before mutating it), and
     a 16-bit stream's (one read from a 16-bit file, or built from int16
-    samples) are views of its int16 samples, each of which makes its own
-    float `samples` on first access. A threshold of +inf makes every
-    frame silent and -inf none; a NaN threshold raises ValueError, as
-    does a min_silence_s that is not positive and finite.
+    samples) are 16-bit views of its int16 samples, whose `samples` are
+    read-only, so no edit reaches the stream. A threshold of +inf makes
+    every frame silent and -inf none; a NaN threshold raises ValueError,
+    as does a min_silence_s that is not positive and finite.
     """
     if not (0.0 < min_silence_s < math.inf):
         raise ValueError("min_silence_s must be positive and finite")

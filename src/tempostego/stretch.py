@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .audio import PcmBuffer, energy, float_range
-from .errors import BufferTooShort, RatioOutOfRange
+from .errors import BufferTooShort, NonFiniteSamples, RatioOutOfRange
 
 RATIO_MIN = 0.5
 RATIO_MAX = 2.0
@@ -131,8 +131,9 @@ def stretch_tempo(
     are written into it and the returned buffer holds `out` itself; it
     must be a float64 array of exactly that length that does not overlap
     the input, else ValueError.
-    Raises RatioOutOfRange outside [0.5, 2.0] and BufferTooShort for
-    inputs under two sequence frames.
+    Raises RatioOutOfRange outside [0.5, 2.0], BufferTooShort for
+    inputs under two sequence frames and NonFiniteSamples for input
+    holding NaN or infinity.
     """
     if not (RATIO_MIN <= ratio <= RATIO_MAX):
         raise RatioOutOfRange(f"ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
@@ -155,9 +156,13 @@ def stretch_tempo(
         or np.may_share_memory(out, src)
     ):
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
-    x = np.ascontiguousarray(src, dtype=np.float64)
+    x = np.ascontiguousarray(src)
     with np.errstate(over="ignore", invalid="ignore"):
         e = energy(x)
+        # the sum is also inf for huge finite samples: a second pass
+        # confirms before rejecting, as screen_finite does
+        if not math.isfinite(e) and not np.isfinite(x).all():
+            raise NonFiniteSamples("the stretch input holds NaN or infinite samples")
         # An alignment score divides by the square root of a product of two
         # window energies, each at most the input's. That product can
         # overflow when the input's energy passes 2**511 (samples from

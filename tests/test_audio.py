@@ -409,6 +409,42 @@ def test_read_holds_no_copy_of_the_file(tmp_path, monkeypatch):
     assert peak <= 8 * n + 2 * cpus * audio.CHUNK_SAMPLES * 8
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_from_a_fifo_holds_one_copy_of_the_data(tmp_path, monkeypatch):
+    # a pipe is read whole into one bytearray, and each range reads its
+    # part through a view of it: the bytes plus the int16 samples, and no
+    # copy of a range
+    monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
+    q = np.random.default_rng(5).integers(-32768, 32768, 120 * 44100).astype("<i2")
+    assert len(q) >= audio.PARALLEL_MIN_SAMPLES
+    blob = wav_bytes(1, 1, 44100, 16, q.tobytes())
+    fifo = tmp_path / "pipe.wav"
+    os.mkfifo(fifo)
+
+    def feed():
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            view = memoryview(blob)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+
+    audio.shared_pool()
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        buf = read_wav(str(fifo))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert buf._data.tobytes() == q.tobytes()
+    assert peak <= 2.2 * q.nbytes
+
+
 def test_ranges_start_at_the_parallel_size(monkeypatch):
     monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
     n = audio.PARALLEL_MIN_SAMPLES
@@ -434,46 +470,13 @@ def test_ranges_have_all_ended_when_one_raises(monkeypatch):
 
 def test_ranges_run_in_the_calling_thread_on_a_pool_thread(monkeypatch):
     # a pool thread that waited on ranges queued behind it could wait for
-    # ever, e.g. when it reads the samples of a 16-bit buffer
+    # ever, e.g. when work submitted to the pool reads or writes a long file
     monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
     monkeypatch.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
     n = 3 * audio.CHUNK_SAMPLES
     assert len(audio.run_ranges(n, lambda a, b: (a, b))) == 2
     nested = audio.shared_pool().submit(audio.run_ranges, n, lambda a, b: (a, b))
     assert nested.result(timeout=60) == [(0, n)]
-
-
-def test_16bit_samples_are_made_once_under_concurrent_first_reads(tmp_path, monkeypatch):
-    # more threads than cores read `samples` of one 16-bit buffer at once,
-    # with rapid thread switches: every one must get the same array, or an
-    # edit through one would be lost to the buffer
-    monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(audio, "PARALLEL_MIN_SAMPLES", 0)
-    q = np.random.default_rng(3).integers(-32768, 32768, 3 * audio.CHUNK_SAMPLES + 5)
-    path = tmp_path / "pcm16.wav"
-    path.write_bytes(wav_bytes(1, 1, 8000, 16, q.astype("<i2").tobytes()))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            buf = read_wav(str(path))
-            start = threading.Barrier(8)
-            got = []
-
-            def first_read():
-                start.wait(timeout=30)
-                got.append(buf.samples)
-
-            threads = [threading.Thread(target=first_read) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert len(got) == 8 and all(x is buf.samples for x in got)
-            assert np.array_equal(buf.samples, q / 32768.0)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_file_that_shrinks_after_fstat_is_malformed(tmp_path, monkeypatch):
@@ -644,6 +647,16 @@ def test_slice_sample_window():
 def test_buffer_refuses_samples_that_are_neither_float_nor_little_endian_int16(samples):
     with pytest.raises(ValueError, match=f"not {samples.dtype}"):
         PcmBuffer(samples=samples, sample_rate=44100)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, ">f8", np.longdouble])
+def test_buffer_holds_float_samples_as_native_float64(dtype):
+    x = np.array([0.25, -0.75, 1e-3]).astype(dtype)
+    buf = PcmBuffer(samples=x, sample_rate=44100)
+    assert buf.samples.dtype == np.float64 and buf.samples.dtype.isnative
+    assert buf.samples.tolist() == x.astype(np.float64).tolist()
+    # native float64 is kept as given; anything else is converted once
+    assert (buf.samples is x) == (x.dtype == np.float64 and x.dtype.isnative)
 
 
 @pytest.mark.parametrize("rate", [44100.0, 0, -1, True])

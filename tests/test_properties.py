@@ -969,25 +969,57 @@ def test_pcm16_encode_and_decode_equal_the_float_twin(tmp_path, bpm, duration_s,
     assert report.bits[: len(message)] == message
 
 
-def test_pcm16_samples_edited_in_place_are_what_write_writes(tmp_path):
+def test_pcm16_samples_are_a_new_read_only_array_and_write_writes_the_file(tmp_path):
     q = pcm16_values(CHUNK + 1, 7, [-32768, 32767, 0])
     path = pcm16_file(tmp_path / "in16.wav", q)
     buf = read_wav(path)
-    buf.samples[:3] = [0.5, -0.25, 1.5]
-    buf.samples[-1] = -1.0
+    x = buf.samples
+    assert x.tobytes() == (q / 32768.0).tobytes()
+    assert x is not buf.samples and not x.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x[:3] = [0.5, -0.25, 1.0]
+    assert buf._data.dtype == np.dtype("<i2")
+    write_wav(buf, str(tmp_path / "copy.wav"))
+    with open(path, "rb") as fh:
+        assert (tmp_path / "copy.wav").read_bytes() == fh.read()
+    # an edit goes to a float copy, which write_wav then writes
+    edited = PcmBuffer(samples=buf.samples.copy(), sample_rate=buf.sample_rate)
+    edited.samples[:3] = [0.5, -0.25, 1.5]
     with pytest.warns(ClippingWarning):  # 1.5 is past full scale
-        write_wav(buf, str(tmp_path / "edited.wav"))
+        write_wav(edited, str(tmp_path / "edited.wav"))
     back = read_wav(str(tmp_path / "edited.wav")).samples
     assert back[:3].tolist() == [0.5, -0.25, 32767 / 32768]
-    assert back[-1] == -1.0
-    assert np.array_equal(back[3:-1], q[3:-1] / 32768.0)
-    # a segment of a 16-bit stream is a view of its int16 samples; its own
-    # float samples are a new array, so editing them leaves the stream as read
-    seg = split_on_silence(read_wav(path), min_silence_s=0.02, threshold_dbfs=-math.inf)[0]
-    seg.samples[:] = 0.0
-    write_wav(seg, str(tmp_path / "zeros.wav"))
-    assert not read_wav(str(tmp_path / "zeros.wav")).samples.any()
-    assert np.array_equal(read_wav(path).samples, q / 32768.0)
+    assert np.array_equal(back[3:], q[3:] / 32768.0)
+    # a segment of a 16-bit stream is a view of its int16 samples, and its
+    # samples are read-only too, so the stream stays as read
+    seg = split_on_silence(buf, min_silence_s=0.02, threshold_dbfs=-math.inf)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        seg.samples[:] = 0.0
+    assert seg._data.dtype == np.dtype("<i2")
+    assert buf.samples.tobytes() == (q / 32768.0).tobytes()
+
+
+def test_a_samples_read_before_the_scan_leaves_the_split_that_of_the_float_twin(monkeypatch):
+    # a caller may read `samples` at any moment, e.g. from another thread
+    # between frame_mean_squares's form check and its scan; the buffer's
+    # form must not change under the scan
+    q = pcm16_values(5 * 44100, 11, [-32768, 32767, 0])
+    buf = PcmBuffer(samples=q, sample_rate=44100)
+    want = split_on_silence(PcmBuffer(samples=q / 32768.0, sample_rate=44100))
+    run_ranges = audio.run_ranges
+    reads = []
+
+    def read_samples_first(n, fn):
+        if not reads:
+            reads.append(None)  # set first: reading may itself run ranges
+            reads[0] = buf.samples
+        return run_ranges(n, fn)
+
+    monkeypatch.setattr(audio, "run_ranges", read_samples_first)
+    got = split_on_silence(buf)
+    assert reads and len(got) == len(want) == 1
+    assert [s.samples.tobytes() for s in got] == [s.samples.tobytes() for s in want]
+    assert buf._data.dtype == np.dtype("<i2")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1150,6 +1182,28 @@ def test_a_reader_leaves_a_16bit_buffer_16bit_and_equals_its_float_twin(pcm16_ca
     got = READERS[name](buf)
     assert buf._data.dtype == np.dtype("<i2")
     assert comparable(got) == comparable(READERS[name](float_twin(buf)))
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f8"])
+@pytest.mark.parametrize("name", READERS)
+def test_a_reader_of_float32_or_big_endian_samples_equals_their_float64_twin(
+        pcm16_carrier_20s, name, dtype):
+    # the constructor converts them to native float64 once, so every
+    # reader sees the floats of the float64 twin
+    x = read_wav(pcm16_carrier_20s).samples.astype(dtype)
+    buf = PcmBuffer(samples=x, sample_rate=44100)
+    twin = PcmBuffer(samples=x.astype(np.float64), sample_rate=44100)
+    assert comparable(READERS[name](buf)) == comparable(READERS[name](twin))
+    assert buf._data.dtype == np.float64 and buf._data.dtype.isnative
+
+
+@pytest.mark.parametrize("dtype", ["<f4", ">f8"])
+def test_decode_of_float32_or_big_endian_samples_equals_their_float64_twin(click, dtype):
+    stego = encode(click(120.0, 60.0), BitString((1, 0, 1, 1)))
+    x = stego.samples.astype(dtype)
+    got = decode(PcmBuffer(samples=x, sample_rate=44100), max_bits=4).to_dict()
+    twin = PcmBuffer(samples=x.astype(np.float64), sample_rate=44100)
+    assert got == decode(twin, max_bits=4).to_dict()
 
 
 def float32_wav(path, x, sr=44100):

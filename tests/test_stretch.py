@@ -3,6 +3,7 @@ import pytest
 
 from tempostego import (
     BufferTooShort,
+    NonFiniteSamples,
     PcmBuffer,
     RatioOutOfRange,
     estimate_tempo,
@@ -123,3 +124,12 @@ def test_huge_and_tiny_samples_stretch_as_scaled_plain_samples(click):
     for scale in (1e100, 1e160, 1e-100):
         scaled = stretch_tempo(PcmBuffer(samples=buf.samples * scale, sample_rate=SR), 1.01)
         np.testing.assert_allclose(scaled.samples / scale, plain, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["start", "middle"])
+def test_non_finite_samples_are_refused(click, bad, where):
+    x = click(120, 10.0).samples.copy()
+    x[0 if where == "start" else len(x) // 2] = bad
+    with pytest.raises(NonFiniteSamples):
+        stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01)
