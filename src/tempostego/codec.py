@@ -32,8 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import enum
-import errno
-import functools
 import math
 import os
 import signal
@@ -41,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, float_range, rms_dbfs, screen_finite, usable_cpus
+from .audio import PcmBuffer, _fill, float_range, rms_dbfs, screen_finite, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -77,6 +75,14 @@ _SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 # The reference slice is scaled to this RMS before it is judged: with the
 # gate above, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
+
+# A payload slice's attribute is about 100 * delta percent, and a discard
+# gate under it erases the slice. The estimate's error adds a part that
+# does not scale with delta: over 310 random click carriers a slice needed
+# at most 1.52 * 100 * delta, and at most 1.2 * 100 * delta + 0.17. At
+# MAX_DELTA this gate is 3.9, so the default 4.0 admits every delta.
+_DISCARD_MARGIN = 1.2
+_DISCARD_SLACK_PCT = 0.3
 
 
 class Direction(enum.Enum):
@@ -117,8 +123,9 @@ class StegoParams:
             raise ValueError(f"delta must be in (0, {MAX_DELTA:g}]")
         if not (0.0 <= self.trim_frac < 0.5):
             raise ValueError("trim_frac must be in [0, 0.5)")
-        if not (0.0 < self.discard_pct < math.inf):
-            raise ValueError("discard_pct must be positive and finite")
+        gate = _DISCARD_MARGIN * 100.0 * self.delta + _DISCARD_SLACK_PCT
+        if not (gate <= self.discard_pct < math.inf):
+            raise ValueError(f"discard_pct must be finite and at least {gate:g} at this delta")
         if self.phi_s * (1.0 - 2.0 * self.trim_frac) < MIN_MEASURE_S:
             raise ValueError(f"trimmed window would be under {MIN_MEASURE_S:g} s")
 
@@ -228,6 +235,15 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     return factor
 
 
+def _reference_tempo(buf: PcmBuffer, factor: float, params: StegoParams) -> TempoCandidates:
+    """The tempo candidates of the reference slice's trimmed window in
+    buf, scaled by factor, which decode compares every slice against.
+    Raises what estimate_tempo raises."""
+    phi_n, trim_n, _ = _geometry(buf.sample_rate, params)
+    window = float_range(buf, trim_n, phi_n - trim_n, factor)
+    return estimate_tempo(PcmBuffer(samples=window, sample_rate=buf.sample_rate))
+
+
 def _surviving_attributes(
     reference: TempoCandidates, sample: TempoCandidates, discard_pct: float
 ) -> list[float]:
@@ -281,7 +297,9 @@ def encode(
     process's setting. Raises MessageTooLong when the message exceeds
     the carrier's capacity, ReferenceSilent when any 2 s of the first
     slice is silent relative to the slice's own level (decoding would be
-    anchored to a bad tempo measurement), InvalidSymbol if the message
+    anchored to a bad tempo measurement), the error decode would raise
+    (NoPeriodicity, LowEnergy) when a message is given and the first
+    slice's tempo cannot be measured, InvalidSymbol if the message
     carries erasures, and NonFiniteSamples if the carrier holds NaN or
     infinity.
     """
@@ -302,7 +320,9 @@ def encode(
               for bit in message]
     jobs = [((s0, s1), r, stretched_length(s1 - s0, r)) for (s0, s1), r in zip(plan.data, ratios)]
     out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs))
-    _reference_factor(float_range(carrier, 0, ref_end, out=out[:ref_end]), sr)
+    factor = _reference_factor(float_range(carrier, 0, ref_end, out=out[:ref_end]), sr)
+    if message:  # decode reads a message against the measured reference
+        _reference_tempo(carrier, factor, params)
     o = _stretch_into(carrier, jobs, out, ref_end)
     # the tail is what follows the last stretched slice's input
     rest = jobs[-1][0][1] if jobs else ref_end
@@ -311,39 +331,15 @@ def encode(
     return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
-@functools.cache
-def _vm_readv():
-    """libc's process_vm_readv, the iovec type it takes and
-    ctypes.get_errno, bound on the first copy rather than at import; None
-    where there is no such call."""
-    import ctypes
-
-    class IoVec(ctypes.Structure):
-        _fields_ = [("base", ctypes.c_void_p), ("len", ctypes.c_size_t)]
-
-    try:
-        fn = ctypes.CDLL(None, use_errno=True).process_vm_readv
-    except (AttributeError, OSError):
-        return None
-    vec = ctypes.POINTER(IoVec)
-    fn.argtypes = [ctypes.c_int, vec, ctypes.c_ulong, vec, ctypes.c_ulong, ctypes.c_ulong]
-    fn.restype = ctypes.c_ssize_t
-    return fn, IoVec, ctypes.get_errno
-
-
 def _copy_from(pid: int, address: int, dst: np.ndarray) -> int:
-    """Copy dst.nbytes bytes at address in process pid into dst with one
-    process_vm_readv call; return how many it copied. Raises OSError when
-    the call fails or there is no such call."""
-    bound = _vm_readv()
-    if bound is None:
-        raise OSError(errno.ENOSYS, "no process_vm_readv")
-    fn, IoVec, get_errno = bound
-    got = fn(pid, IoVec(dst.ctypes.data, dst.nbytes), 1, IoVec(address, dst.nbytes), 1, 0)
-    if got < 0:
-        code = get_errno()
-        raise OSError(code, os.strerror(code))
-    return got
+    """Copy dst.nbytes bytes at address in process pid into dst by a
+    positioned read of its /proc/<pid>/mem; return how many it copied.
+    Raises OSError where that file cannot be opened or read."""
+    fd = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
+    try:
+        return _fill(lambda buf, offset: os.preadv(fd, [buf], offset), dst, address)
+    finally:
+        os.close(fd)
 
 
 def _stretch_into(
@@ -359,11 +355,11 @@ def _stretch_into(
     copy-on-write view of out, at the place the length law gives it, and
     streamed on one pipe: its sample count, then its samples. A fork
     keeps out at the same address, so this process copies the run from
-    there into out at the running offset with one process_vm_readv and
-    hangs up, which ends the child's write (it ignores SIGPIPE). Where
-    the copy fails or comes back short (a kernel that forbids it, a child
-    already gone), this process reads the stream to its end, straight
-    into out. A run whose fork fails, or whose child exits non-zero, dies
+    there into out at the running offset with one positioned read of the
+    child's /proc/<pid>/mem and hangs up, which ends the child's write
+    (it ignores SIGPIPE). Where the copy fails or comes back short (a
+    kernel that forbids it, a child already gone), this process reads
+    the stream to its end, straight into out. A run whose fork fails, or whose child exits non-zero, dies
     by a signal or sends a short stream, is stretched here at the running
     offset, so an exception comes from this call. The result does not
     depend on k, and a stretch that returns fewer than n samples gives
@@ -434,6 +430,7 @@ def _stretch_into(
             at += sum(n for *_, n in run)
         o = stretch(runs[0], o)
         head = bytearray(8)
+        base = out.__array_interface__["data"][0]  # out's address, the same in a child
         for run, pid, at in forked:
             end = None
             if pid is not None:
@@ -442,7 +439,7 @@ def _stretch_into(
                         count = int.from_bytes(head, "little")
                         dst = out[o : o + count]
                         try:
-                            copied = _copy_from(pid, out.ctypes.data + 8 * at, dst)
+                            copied = _copy_from(pid, base + 8 * at, dst)
                         except OSError:
                             copied = -1
                         # a run not copied is read from the stream, to its end
@@ -514,9 +511,7 @@ def decode(
         # it (the net drift never exceeds one slice length).
         n_read = min(max_bits, plan.capacity + 1)
 
-    ref_cands = reference_override or estimate_tempo(
-        PcmBuffer(samples=float_range(stego, trim_n, phi_n - trim_n, factor), sample_rate=sr)
-    )
+    ref_cands = reference_override or _reference_tempo(stego, factor, params)
 
     decisions: list[SliceDecision] = []
     boundary = phi_n

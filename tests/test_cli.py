@@ -110,6 +110,20 @@ def test_message_too_long_exits_nonzero(tmp_path, capsys, carrier_wav):
     assert "error: MessageTooLong" in capsys.readouterr().err
 
 
+def test_a_beatless_reference_exits_nonzero(tmp_path, capsys, carrier_wav):
+    # the first 10 s are noise at the track's own level: decode could not
+    # measure the reference, so encode refuses and writes nothing
+    buf = read_wav(carrier_wav)
+    x = buf.samples.copy()
+    x[: 10 * SR] = np.random.default_rng(5).standard_normal(10 * SR) * np.sqrt(np.mean(x**2))
+    write_wav(PcmBuffer(samples=x / np.max(np.abs(x)), sample_rate=SR), str(tmp_path / "in.wav"))
+    out = tmp_path / "out.wav"
+    rc = main(["encode", "--in", str(tmp_path / "in.wav"), "--out", str(out), "--bits", "10"])
+    assert rc == 1
+    assert "error: NoPeriodicity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_reports_io_error(tmp_path, capsys):
     rc = main(["capacity", "--in", str(tmp_path / "nope.wav")])
     assert rc == 1
@@ -127,6 +141,7 @@ def test_bad_bpm_reports_value_error(tmp_path, capsys):
     ["capacity", "--phi", "inf"],
     ["capacity", "--phi", "1e305"],
     ["decode", "--max-bits", "1", "--discard", "nan"],
+    ["decode", "--max-bits", "1", "--discard", "0.9"],
     ["decode", "--max-bits", "-2"],
     ["split", "--out-dir", "segments", "--min-silence", "inf"],
 ])

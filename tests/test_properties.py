@@ -48,9 +48,12 @@ from tempostego import (
     BitString,
     ClippingWarning,
     LowEnergy,
+    MessageTooLong,
     Noise,
+    NoPeriodicity,
     NonFiniteSamples,
     PcmBuffer,
+    ReferenceSilent,
     StegoError,
     StegoParams,
     TooShort,
@@ -766,6 +769,40 @@ def test_round_trip_over_click_tracks(bpm, duration_s, subdivision, seed, bits):
     message = BitString(tuple(bits[:capacity]))
     report = decode(encode(carrier, message, params), params, max_bits=len(message))
     assert report.bits == message
+
+
+# What encode accepts, decode reads: params that cannot carry a bit are
+# refused by StegoParams, a carrier too short for one bit or with a
+# reference decode cannot measure by encode; everything else round-trips.
+@settings(max_examples=20, deadline=None, report_multiple_bugs=False)
+@given(
+    bpm=st.floats(60.0, 200.0),
+    duration_s=st.floats(35.0, 90.0),
+    subdivision=st.booleans(),
+    seed=st.integers(0, 2**16),
+    phi_s=st.floats(10.0, 16.0),
+    delta=st.floats(0.002, 0.03),
+    trim_frac=st.floats(0.0, 0.05),
+    discard_pct=st.floats(1.0, 8.0),
+    bits=st.lists(st.integers(0, 1), min_size=1, max_size=7),
+)
+def test_params_and_carrier_are_refused_by_name_or_round_trip(
+    bpm, duration_s, subdivision, seed, phi_s, delta, trim_frac, discard_pct, bits
+):
+    try:
+        params = StegoParams(phi_s=phi_s, delta=delta, trim_frac=trim_frac,
+                             discard_pct=discard_pct)
+    except ValueError:
+        return
+    carrier = generate_click_track(bpm, duration_s, seed=seed, subdivision=subdivision)
+    # at least one bit, so a carrier with no capacity is refused too
+    capacity = plan_slices(len(carrier), carrier.sample_rate, params).capacity
+    message = BitString(tuple(bits[: max(1, capacity)]))
+    try:
+        stego = encode(carrier, message, params)
+    except (MessageTooLong, LowEnergy, NoPeriodicity, ReferenceSilent, TooShort):
+        return
+    assert decode(stego, params, max_bits=len(message)).bits == message
 
 
 # 16-bit mono path: a buffer read from such a file keeps its int16
