@@ -19,9 +19,10 @@ array each time. The splitter also cuts the int16 array into views
 skips it, since integers are always finite. Every float a call sees
 equals the one the float64 form holds, so results do not depend on the
 form. The splitter's frame scan (frame_mean_squares) reads the int16
-array too: it sums each frame's squared integers exactly and scales the
-sum once, which gives the same mean square as the float64 form. No other
-module refers to the int16 form.
+array too, on the path a float64 array takes: it sums each frame's
+squares of the stored values and scales the sum once by a power of two,
+so both forms give the same mean squares. No other module refers to the
+int16 form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
@@ -575,17 +576,15 @@ def _to_pcm16(x: np.ndarray, path: str) -> np.ndarray:
             # max and min propagate NaN, so they double as the finiteness
             # test; only a finite sample past ~5e303 can scale to infinity
             hi, lo = t.max(), t.min()
-            if -32768.0 <= lo and hi <= 32767.0:
-                # every sample rounds into range: round straight into q
-                np.rint(t, out=q[i : i + len(src)], casting="unsafe")
-                continue
-            if not (np.isfinite(hi) and np.isfinite(lo)) and not np.isfinite(src).all():
-                raise NonFiniteSamples(f"cannot write NaN or infinite samples to {path}")
-            # the scale is a power of two, so this is exactly |x| > 1
-            clipped = clipped or hi > 32768.0 or lo < -32768.0
-            np.rint(t, out=t)
-            np.clip(t, -32768, 32767, out=t)
-            q[i : i + len(src)] = t
+            if not (-32768.0 <= lo and hi <= 32767.0):
+                if not (np.isfinite(hi) and np.isfinite(lo)) and not np.isfinite(src).all():
+                    raise NonFiniteSamples(f"cannot write NaN or infinite samples to {path}")
+                # the scale is a power of two, so this is exactly |x| > 1
+                clipped = clipped or hi > 32768.0 or lo < -32768.0
+                # the bounds are whole numbers, so clipping before rounding
+                # gives what rounding before clipping would
+                np.clip(t, -32768.0, 32767.0, out=t)
+            np.rint(t, out=q[i : i + len(src)], casting="unsafe")
         return clipped
 
     if any(run_ranges(len(x), write_range)):
@@ -668,44 +667,35 @@ def rms_dbfs(buf: PcmBuffer) -> float:
     return 10.0 * np.log10(mean_sq)
 
 
-# A 16-bit frame shorter than this sums its squares exactly in float64:
-# each q*q is an integer of at most 2**30, so every partial sum of fewer
-# than 2**23 of them stays below 2**53
-_EXACT_FRAME_N = 1 << 23
-
-
 def frame_mean_squares(buf: PcmBuffer, frame_n: int) -> np.ndarray:
     """The mean square of each frame_n-sample frame of buf's samples, in
     order, the last frame ragged when frame_n does not divide len(buf).
 
     Whole frames are scanned a block at a time, in sample ranges on the
     shared pool (run_ranges), so the float64 scratch stays one block per
-    range. A 16-bit frame is cast into the scratch unscaled and its
-    squares summed by np.einsum, then the sum is scaled by 2**-30 and
-    divided by frame_n. Every partial sum of squared integers is exact
-    below _EXACT_FRAME_N, so this is the double np.mean(x**2) gives for
-    the frame's floats x, in any summation order. Longer 16-bit frames
-    and float frames are read through float_range, squared in the
-    scratch and averaged by np.mean.
+    range. Both forms take one path: a block is cast into the scratch as
+    stored (a 16-bit one unscaled), each frame's squares are summed by
+    np.einsum, and the sum is scaled (by 2**-30 for 16-bit samples, so
+    that it is the sum of the floats' squares) and divided by frame_n.
+    A 16-bit square is an exact integer and the scale is a power of two,
+    so every partial sum is the float twin's times 2**30 exactly: the two
+    forms give the same levels at any frame length. Below 2**23 samples
+    a 16-bit frame's sums are exact, so its level is also the double
+    np.mean(x**2) gives for its floats x. A float frame's level is
+    einsum's sum, which may differ from np.mean's in the last bits.
     """
     n = len(buf)
     n_full = n // frame_n
     mean_sq = np.empty(-(-n // frame_n))
-    exact = buf._data.dtype == _PCM16 and frame_n < _EXACT_FRAME_N
+    scale = _I16_SCALE * _I16_SCALE if buf._data.dtype == _PCM16 else 1.0
     block = max(1, CHUNK_SAMPLES // frame_n)
 
     def frames(a: int, sq: np.ndarray, out: np.ndarray) -> None:
         # the mean square of each row of samples[a:] laid out as sq
-        b = a + sq.size
-        if exact:
-            sq[...] = buf._data[a:b].reshape(sq.shape)
-            np.einsum("ij,ij->i", sq, sq, out=out)
-            out *= _I16_SCALE * _I16_SCALE
-            out /= sq.shape[1]
-        else:
-            float_range(buf, a, b, out=sq.reshape(-1))
-            np.multiply(sq, sq, out=sq)
-            np.mean(sq, axis=1, out=out)
+        sq.reshape(-1)[...] = buf._data[a : a + sq.size]
+        np.einsum("ij,ij->i", sq, sq, out=out)
+        out *= scale
+        out /= sq.shape[1]
 
     def scan_range(a: int, b: int) -> None:
         # the whole frames that start in [a, b)

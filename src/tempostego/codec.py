@@ -185,8 +185,11 @@ def capacity(duration_s: float, params: StegoParams = StegoParams()) -> int:
     tail, so floor(duration / phi_s) - 2, floored at zero. This works in
     seconds; for a buffer in hand, plan_slices(...).capacity is the
     figure encode enforces, which can be one lower when phi_s * rate is
-    not a whole number of samples.
+    not a whole number of samples. A NaN or infinite duration raises
+    ValueError.
     """
+    if not math.isfinite(duration_s):
+        raise ValueError(f"capacity needs a finite duration, not {duration_s} s")
     n_slices = int(math.floor(duration_s / params.phi_s + 1e-9))
     return max(0, n_slices - 2)
 

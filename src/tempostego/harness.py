@@ -310,9 +310,12 @@ def split_on_silence(
     and trailing silent frames removed. All-silent input yields [].
     Each frame's mean square comes from audio.frame_mean_squares, which
     scans a block of frames at a time, so a 16-bit stream is never
-    widened whole. It sums a 16-bit frame's squared samples exactly, so
-    the levels, and with them the segments, are those of a float stream
-    holding the same samples, at any threshold.
+    widened whole. Both forms take its one path, and a 16-bit frame's
+    sum differs from its float twin's by an exact power of two, so the
+    levels, and with them the segments, are those of a float stream
+    holding the same samples, at any threshold. A float frame's level
+    is np.einsum's sum of squares over frame_n, which may differ from
+    np.mean's in the last bits.
     Segments share the stream's memory, in its form: a float stream's
     segments are views of its samples (copy one before mutating it), and
     a 16-bit stream's (one read from a 16-bit file, or built from int16

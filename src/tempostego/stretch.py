@@ -49,10 +49,11 @@ def stretch_core(
     the template over the template's energy te times its own window's
     energy en. A window without energy scores -2, below any real score.
     The nominal grid, the running sums of squares and the scores are
-    computed into buffers made once per call; where every window of a
-    search range has energy the scores are divided in place in the
-    correlation's own array. Either way the arithmetic is that of the
-    plain per-frame formula, so the output is too."""
+    computed into buffers made once per call. Every search range's
+    scores are divided in place in the correlation's own array, and the
+    windows without energy, marked before the division, are then set to
+    -2. A window with energy gets the arithmetic of the plain per-frame
+    formula, so the output does too."""
     hop = seq - overlap
     n = x.shape[0]
     if n_out <= seq:
@@ -77,41 +78,41 @@ def stretch_core(
     # of a search range, so en = sq[overlap:][:m] - sq[:m]
     sq = np.zeros(2 * seek + overlap + 1)
     en_buf = np.empty(2 * seek + 1)
+    dead_buf = np.empty(2 * seek + 1, dtype=bool)
     mix = np.empty(overlap)
     prev = 0
-    for k, nom, lo, hi in zip(range(1, n_frames), nominal.tolist(), los, his):
-        tb = prev + hop
-        tmpl = x[tb : tb + overlap]
-        te = float(np.dot(tmpl, tmpl))
-        if te <= 0.0:
-            # nothing to align against: keep the nominal grid position
-            start = nom
-        else:
-            seg = x[lo : hi + overlap]
-            corr = np.correlate(seg, tmpl, mode="valid")
-            m = corr.shape[0]
-            run = sq[1 : seg.shape[0] + 1]
-            np.multiply(seg, seg, out=run)
-            np.cumsum(run, out=run)
-            en = np.subtract(sq[overlap : overlap + m], sq[:m], out=en_buf[:m])
-            if en.min() > 0.0:
+    # a window without energy divides by zero; its score is then replaced
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, nom, lo, hi in zip(range(1, n_frames), nominal.tolist(), los, his):
+            tb = prev + hop
+            tmpl = x[tb : tb + overlap]
+            te = float(np.dot(tmpl, tmpl))
+            if te <= 0.0:
+                # nothing to align against: keep the nominal grid position
+                start = nom
+            else:
+                seg = x[lo : hi + overlap]
+                corr = np.correlate(seg, tmpl, mode="valid")
+                m = corr.shape[0]
+                run = sq[1 : seg.shape[0] + 1]
+                np.multiply(seg, seg, out=run)
+                np.cumsum(run, out=run)
+                en = np.subtract(sq[overlap : overlap + m], sq[:m], out=en_buf[:m])
+                dead = np.less_equal(en, 0.0, out=dead_buf[:m])
                 np.multiply(en, te, out=en)
                 np.sqrt(en, out=en)
                 scores = np.divide(corr, en, out=corr)
-            else:
-                scores = np.full(m, -2.0)
-                ok = en > 0.0
-                scores[ok] = corr[ok] / np.sqrt(te * en[ok])
-            start = lo + int(np.argmax(scores))
+                np.copyto(scores, -2.0, where=dead)
+                start = lo + int(np.argmax(scores))
 
-        o = k * hop
-        head = out[o : o + overlap]
-        np.multiply(head, fade_out, out=head)
-        np.multiply(x[start : start + overlap], fade_in, out=mix)
-        np.add(head, mix, out=head)
-        end = min(seq, n_out - o)
-        out[o + overlap : o + end] = x[start + overlap : start + end]
-        prev = start
+            o = k * hop
+            head = out[o : o + overlap]
+            np.multiply(head, fade_out, out=head)
+            np.multiply(x[start : start + overlap], fade_in, out=mix)
+            np.add(head, mix, out=head)
+            end = min(seq, n_out - o)
+            out[o + overlap : o + end] = x[start + overlap : start + end]
+            prev = start
     return out
 
 

@@ -136,10 +136,17 @@ def test_params_reject_non_finite(field):
 
 @pytest.mark.parametrize(
     "duration_s,expected",
-    [(194.0, 17), (222.0, 20), (171.0, 15), (143.0, 12), (357.0, 33), (25.0, 0), (10.0, 0)],
+    [(194.0, 17), (222.0, 20), (171.0, 15), (143.0, 12), (357.0, 33), (25.0, 0), (10.0, 0),
+     (-10.0, 0), (-1e308, 0)],
 )
 def test_capacity_values(duration_s, expected):
     assert capacity(duration_s) == expected
+
+
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, -math.inf])
+def test_capacity_refuses_a_non_finite_duration(duration_s):
+    with pytest.raises(ValueError, match=f"not {duration_s} s$"):
+        capacity(duration_s)
 
 
 def test_capacity_monotonic_and_scales_with_phi():

@@ -22,10 +22,12 @@ byte of the file in one buffer and converts the data chunk in one piece.
 A 16-bit mono file is read into its int16 samples: written again it must
 give the same bytes, and its split, encode and decode must equal those
 of a float buffer holding the same samples, without a whole-length
-float64 of the buffer. The 16-bit frame scan sums squared integers;
-its mean squares must equal np.mean of the float twin's squares byte
-for byte, past its exactness bound too, and its split the oracle's at
-a threshold on one frame's level or the next double above or below it.
+float64 of the buffer. The frame scan takes one path for both forms
+and sums squared integers for a 16-bit stream; its mean squares must
+equal np.mean of the float twin's squares byte for byte, the float
+twin's own scan at 2**23 + 1 samples a frame too, and its split the
+oracle's at a threshold on one frame's level or the next double above
+or below it.
 audio.float_range, the one range reader of both forms, must give
 samples[a:b] * factor byte for byte. perturb must give
 the perturbation's formula, written out per kind, byte for byte from a
@@ -662,10 +664,10 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     content=st.sampled_from(["noise", "gapped", "silent"]),
 )
 @example(sr=44100, frames=2.0, ratio=2.0, out_shift=0, seed=0, content="noise")
-# every search window has energy, so each frame divides its scores in place
+# every search window has energy, so no frame replaces a score
 @example(sr=44100, frames=6.0, ratio=1.5, out_shift=0, seed=2, content="noise")
-# templates with energy meet ranges that hold windows of zeros: the masked
-# scores, where a window without energy scores -2
+# templates with energy meet ranges that hold windows of zeros, whose
+# scores are replaced by -2
 @example(sr=8000, frames=3.0, ratio=0.5, out_shift=0, seed=0, content="gapped")
 def test_stretch_kernel_matches_zeros_then_copy(sr, frames, ratio, out_shift, seed, content):
     seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
@@ -949,41 +951,36 @@ def test_pcm16_split_equals_float_split_at_a_frame_level(stream, at, ulps, min_s
         assert g.samples.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_16bit_frames_past_the_exact_bound_take_the_float_path(monkeypatch, exact):
-    # 16-bit frames sum their squares exactly only below audio._EXACT_FRAME_N
-    # samples; from there on the scan reads them as floats. The bound is
-    # moved to this frame length rather than making a 2**23-sample frame.
-    frame_n = 160
-    q = pcm16_values(3 * CHUNK + 77, 5, [-32768, 32767, 0])
-    q[:frame_n] = -32768
-    q[frame_n : 2 * frame_n] = 0
-    reads = []
-    float_range = audio.float_range
-
-    def counted(buf, a, *args, **kwargs):
-        reads.append(a)
-        return float_range(buf, a, *args, **kwargs)
-
-    monkeypatch.setattr(audio, "float_range", counted)
-    monkeypatch.setattr(audio, "_EXACT_FRAME_N", frame_n + 1 if exact else frame_n)
-    got = audio.frame_mean_squares(PcmBuffer(samples=q, sample_rate=8000), frame_n)
-    assert got.tobytes() == oracle_mean_squares(q / 32768.0, frame_n).tobytes()
-    assert got[:2].tolist() == [1.0, 0.0]
-    assert (reads == []) == exact
+def test_16bit_frame_levels_equal_the_float_twin_past_exact_sums():
+    # a full-scale frame of -32768 but for an odd count of 32767: the sum
+    # of its squares is odd and above 2**53, so no double holds it. The
+    # 16-bit sums round as the float twin's do, times 2**30 exactly, so
+    # the levels still agree
+    frame_n = 2**23 + 1
+    q = np.full(frame_n + 7, -32768, dtype="<i2")
+    q[np.random.default_rng(3).choice(len(q), 99, replace=False)] = 32767
+    exact = int(np.sum(q[:frame_n].astype(np.int64) ** 2))
+    assert exact > 2**53 and exact % 2 == 1
+    got = audio.frame_mean_squares(PcmBuffer(samples=q, sample_rate=44100), frame_n)
+    want = audio.frame_mean_squares(PcmBuffer(samples=q / 32768.0, sample_rate=44100), frame_n)
+    assert len(got) == 2
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_16bit_frame_scan_holds_one_block_scratch_per_range(cpus):
-    # 240 s of 16-bit samples: the scan makes the frame array and one block
-    # of float64 scratch per range, never a float64 of the stream
+    # 240 s of 16-bit samples, then their float twin: the scan makes the
+    # frame array and one block of float64 scratch per range, never a
+    # float64 of the stream, and casts either form with no temporary
     n = 240 * 44100 + 123
-    buf = PcmBuffer(samples=pcm16_values(n, 2, [-32768]), sample_rate=44100)
-    with ranges_on(cpus):
-        audio.shared_pool()
-        mean_sq, peak = traced_peak(lambda: audio.frame_mean_squares(buf, 882))
-    assert len(mean_sq) == -(-n // 882)
-    assert peak <= mean_sq.nbytes + cpus * 8 * CHUNK + 64 * 1024
+    q = pcm16_values(n, 2, [-32768])
+    for samples in (q, q / 32768.0):
+        buf = PcmBuffer(samples=samples, sample_rate=44100)
+        with ranges_on(cpus):
+            audio.shared_pool()
+            mean_sq, peak = traced_peak(lambda: audio.frame_mean_squares(buf, 882))
+        assert len(mean_sq) == -(-n // 882)
+        assert peak <= mean_sq.nbytes + cpus * 8 * CHUNK + 64 * 1024
 
 
 @pytest.mark.parametrize(
