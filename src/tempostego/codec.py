@@ -30,7 +30,6 @@ tolerates the drift.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 import os
@@ -39,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, _fill, float_range, rms_dbfs, screen_finite, usable_cpus
+from .audio import PcmBuffer, _fill, _write_all, float_range, rms_dbfs, screen_finite, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -294,10 +293,9 @@ def encode(
     slices beyond the end of the message. The payload slices are
     stretched in one process per usable CPU (forked workers, where the
     platform has an affinity call); the output does not depend on how
-    many. Each worker streams its run on a pipe; this process copies the
-    run out of the worker's memory and hangs up, or reads the stream
-    where it cannot copy. A worker ignores SIGPIPE, whatever this
-    process's setting. Raises MessageTooLong when the message exceeds
+    many. Each worker writes its run to an anonymous memory file, which
+    this process reads once the worker has exited; a run no worker hands
+    back is stretched here. Raises MessageTooLong when the message exceeds
     the carrier's capacity, ReferenceSilent when any 2 s of the first
     slice is silent relative to the slice's own level (decoding would be
     anchored to a bad tempo measurement), the error decode would raise
@@ -334,17 +332,6 @@ def encode(
     return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
-def _copy_from(pid: int, address: int, dst: np.ndarray) -> int:
-    """Copy dst.nbytes bytes at address in process pid into dst by a
-    positioned read of its /proc/<pid>/mem; return how many it copied.
-    Raises OSError where that file cannot be opened or read."""
-    fd = os.open(f"/proc/{pid}/mem", os.O_RDONLY)
-    try:
-        return _fill(lambda buf, offset: os.preadv(fd, [buf], offset), dst, address)
-    finally:
-        os.close(fd)
-
-
 def _stretch_into(
     carrier: PcmBuffer, jobs: list[tuple[tuple[int, int], float, int]], out: np.ndarray, o: int
 ) -> int:
@@ -354,19 +341,17 @@ def _stretch_into(
 
     The jobs are cut into k = min(usable CPUs, jobs) runs of consecutive
     jobs, the first of them the longest. This process stretches the first
-    run. Each other run is stretched by a forked child into its
-    copy-on-write view of out, at the place the length law gives it, and
-    streamed on one pipe: its sample count, then its samples. A fork
-    keeps out at the same address, so this process copies the run from
-    there into out at the running offset with one positioned read of the
-    child's /proc/<pid>/mem and hangs up, which ends the child's write
-    (it ignores SIGPIPE). Where the copy fails or comes back short (a
-    kernel that forbids it, a child already gone), this process reads
-    the stream to its end, straight into out. A run whose fork fails, or whose child exits non-zero, dies
-    by a signal or sends a short stream, is stretched here at the running
-    offset, so an exception comes from this call. The result does not
-    depend on k, and a stretch that returns fewer than n samples gives
-    the file a serial loop writes.
+    run. Each other run gets an anonymous memory file, made before a
+    forked child stretches the run into its copy-on-write view of out and
+    writes the samples it stretched to that file. Once its own run is
+    done, this process reaps the children in order and reads each run
+    from its file into out at the running offset; the file's size gives
+    the run's sample count. A run with no memory file (no descriptor or
+    memory to spare, no memfd_create) or no fork, or whose child exits
+    non-zero, dies by a signal or leaves a short file, is stretched here
+    at the running offset, so an exception comes from this call. The
+    result does not depend on k, and a stretch that returns fewer than n
+    samples gives the file a serial loop writes.
     """
     sr = carrier.sample_rate
     k = max(1, min(usable_cpus(), len(jobs)))
@@ -382,81 +367,51 @@ def _stretch_into(
             o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
         return o
 
-    forked = []  # (run, pid, at), pid None where the fork failed
-    pipes = {}  # pid: read end of its count and samples, until reaped
+    forked = []  # (run, pid), pid None where no child took the run
+    files = {}  # pid: the memory file its run comes back in, until reaped
     try:
         at = o + sum(n for *_, n in runs[0])
         for run in runs[1:]:
-            import fcntl  # only reached where there is an affinity call (Unix)
-
-            r, w = os.pipe()
-            # 1 MiB (Linux's default unprivileged limit) rather than 64 KiB
-            # halves the time a transfer through the pipe takes
-            with contextlib.suppress(AttributeError, OSError):
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-            # After a decode or a long WAV read has started the shared
-            # pool this process has threads, and Python 3.12+ warns about
-            # forking it. The child runs only numpy kernels and pipe
-            # writes, and the at-fork hook in audio drops the pool it
-            # inherits, so the warning is harmless; the 3.12 CI leg runs
-            # these forks.
+            fd = pid = None
+            # Python 3.12+ warns about a fork once the shared pool has
+            # started threads; the child runs only numpy kernels and a file
+            # write, and audio's at-fork hook drops the pool it inherits,
+            # so the warning is harmless (the 3.12 CI leg runs these forks)
             try:
+                fd = os.memfd_create("tempostego-run", os.MFD_CLOEXEC)
                 pid = os.fork()
-            except OSError:  # no process to spare: stretch the run here
-                os.close(r)
-                os.close(w)
-                pid = None
+            except (AttributeError, OSError):  # no memory file or no fork: stretched here
+                if fd is not None:
+                    os.close(fd)
             if pid == 0:
-                code = 1
+                # no atexit handlers, no stdio flush: the parent owns those
                 try:
-                    # the caller hangs up once it has copied the run; the
-                    # write below then ends in EPIPE, not death by SIGPIPE,
-                    # whatever the caller's setting
-                    signal.signal(signal.SIGPIPE, signal.SIG_IGN)
-                    # with no other copy of a read end open, a caller's
-                    # hang-up reaches every child
-                    os.close(r)
-                    for pipe in pipes.values():
-                        pipe.close()
-                    end = stretch(run, at)
-                    os.write(w, (end - at).to_bytes(8, "little"))
-                    with contextlib.suppress(BrokenPipeError), open(w, "wb") as pipe:
-                        pipe.write(out[at:end])
-                    code = 0
-                finally:
-                    # no atexit handlers, no stdio flush: the parent owns those
-                    os._exit(code)
+                    _write_all(fd, out[at : stretch(run, at)])
+                    os._exit(0)
+                finally:  # reached only when the stretch or the write raised
+                    os._exit(1)
             if pid is not None:
-                os.close(w)
-                pipes[pid] = open(r, "rb")
-            forked.append((run, pid, at))
+                files[pid] = fd
+            forked.append((run, pid))
             at += sum(n for *_, n in run)
         o = stretch(runs[0], o)
-        head = bytearray(8)
-        base = out.__array_interface__["data"][0]  # out's address, the same in a child
-        for run, pid, at in forked:
-            end = None
+        for run, pid in forked:
             if pid is not None:
-                with pipes[pid] as pipe:
-                    if pipe.readinto(head) == 8:
-                        count = int.from_bytes(head, "little")
-                        dst = out[o : o + count]
-                        try:
-                            copied = _copy_from(pid, base + 8 * at, dst)
-                        except OSError:
-                            copied = -1
-                        # a run not copied is read from the stream, to its end
-                        if copied == dst.nbytes == 8 * count or pipe.readinto(dst) == 8 * count:
-                            end = o + count
-                # closed: a child still writing gets its broken pipe and exits
-                if os.waitpid(pid, 0)[1] != 0:
-                    end = None
-                del pipes[pid]
-            o = stretch(run, o) if end is None else end
+                ok = os.waitpid(pid, 0)[1] == 0
+                fd = files.pop(pid)
+                try:
+                    count = os.fstat(fd).st_size // 8
+                    dst = out[o : o + count]
+                    if ok and _fill(lambda b, pos: os.preadv(fd, [b], pos), dst, 0) == 8 * count:
+                        o += count
+                        continue
+                finally:
+                    os.close(fd)
+            o = stretch(run, o)
     finally:
         # only reached with children left when this process raised
-        for pid, pipe in pipes.items():
-            pipe.close()
+        for pid, fd in files.items():
+            os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return o

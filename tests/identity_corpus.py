@@ -56,8 +56,8 @@ MESSAGE_10 = BitString(MESSAGE_21.symbols[:10])
 BEDS_DB = (0.0, -5.0)
 # encode's worker count in each variant; every variant must write the
 # 1-worker samples
-WORKERS = {"workers-1": 1, "workers-2": 2, "workers-3": 3, "copy-refused": 3}
-VARIANTS = ("workers-2", "workers-3", "copy-refused")
+WORKERS = {"workers-1": 1, "workers-2": 2, "workers-3": 3, "fork-refused": 3}
+VARIANTS = ("workers-2", "workers-3", "fork-refused")
 
 
 def sha256(data) -> str:
@@ -80,21 +80,21 @@ def sixteen_bit(buf: PcmBuffer, path: str) -> PcmBuffer:
     return read_wav(path)
 
 
-def refuse_copy(pid, address, dst):
-    raise PermissionError(errno.EPERM, "Operation not permitted")
+def refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, "no process to spare")
 
 
 def encode_with(carrier: PcmBuffer, message: BitString, variant: str) -> PcmBuffer:
-    """encode at 1, 2 or 3 workers, or at 3 with every copy out of a
-    worker's memory refused, so that each run comes through its pipe."""
-    saved = codec.usable_cpus, codec._copy_from
+    """encode at 1, 2 or 3 workers, or at 3 with every fork refused, so
+    that the calling process stretches every run itself."""
+    saved = codec.usable_cpus, os.fork
     codec.usable_cpus = lambda: WORKERS[variant]
-    if variant == "copy-refused":
-        codec._copy_from = refuse_copy
+    if variant == "fork-refused":
+        os.fork = refuse_fork
     try:
         return encode(carrier, message)
     finally:
-        codec.usable_cpus, codec._copy_from = saved
+        codec.usable_cpus, os.fork = saved
 
 
 def build() -> dict:

@@ -4,8 +4,8 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 
@@ -695,6 +695,15 @@ def test_decode_of_huge_samples_holds_no_full_length_temporary(click):
 FOUR_BITS = parse_bitstring("1 0 0 1")
 
 
+def open_fds():
+    """How many descriptors this process has open, or None where there is
+    no /proc/self/fd to count them in."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
 def encode_with_workers(carrier, message, workers, monkeypatch):
     monkeypatch.setattr(codec, "usable_cpus", lambda: workers)
     return encode(carrier, message).samples
@@ -728,8 +737,12 @@ def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
         monkeypatch.setattr(os, "fork", fork_failing)
     else:
         monkeypatch.setattr(codec, "stretch_tempo", failing)
+    fds = open_fds()
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
     assert len(forks) == (2 if failure.endswith("fork") else 0)
+    assert open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def slices_stretched_by_the_caller(monkeypatch) -> list:
@@ -746,140 +759,80 @@ def slices_stretched_by_the_caller(monkeypatch) -> list:
     return ratios
 
 
-@pytest.mark.parametrize("failure", ["denied", "short"])
-def test_a_run_the_caller_cannot_copy_comes_through_the_pipe(click, monkeypatch, failure):
-    # a kernel that forbids reading another process's memory, or a copy
-    # that stops early: the caller reads each worker's stream to its end
-    # instead, and stretches only its own run of two slices
-    carrier = click(120, 62.0)
-    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
-    real_copy = codec._copy_from
-
-    def copy(pid, address, dst):
-        if failure == "denied":
-            raise PermissionError(errno.EPERM, "Operation not permitted")
-        # the last sample is left as np.empty made it; the pipe must fill it
-        return real_copy(pid, address, dst[:-1])
-
-    monkeypatch.setattr(codec, "_copy_from", copy)
-    ratios = slices_stretched_by_the_caller(monkeypatch)
-    for workers in (2, 3):
-        ratios.clear()
-        assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch), want)
-        assert len(ratios) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_worker_killed_before_its_copy_is_stretched_again(click, monkeypatch):
-    carrier = click(120, 62.0)
-    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
-    real_copy = codec._copy_from
-    killed = []
-
-    def copy(pid, address, dst):
-        # the first worker has sent its count; it dies before the copy
-        if not killed:
-            os.kill(pid, signal.SIGKILL)
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            killed.append(pid)
-        return real_copy(pid, address, dst)
-
-    monkeypatch.setattr(codec, "_copy_from", copy)
-    ratios = slices_stretched_by_the_caller(monkeypatch)
-    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
-    # the caller's run of two slices and the dead worker's one
-    assert len(killed) == 1 and len(ratios) == 3
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_worker_hung_up_on_exits_cleanly_under_a_default_sigpipe(click, monkeypatch):
-    # a host that restores SIGPIPE's default (as command-line tools piped
-    # into head do) must not kill a worker when the caller hangs up after
-    # its copy, or every forked run would be stretched a second time
+@pytest.mark.parametrize("workers", [2, 3])
+def test_every_worker_hands_back_its_run(click, monkeypatch, workers):
+    # the caller stretches only its own run of two slices; each other run
+    # comes back from its worker's memory file, and no descriptor is left
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     ratios = slices_stretched_by_the_caller(monkeypatch)
-    old = signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    try:
-        got = encode_with_workers(carrier, FOUR_BITS, 2, monkeypatch)
-    finally:
-        signal.signal(signal.SIGPIPE, old)
-    assert np.array_equal(got, want)
-    # only the caller's own run of two slices
+    fds = open_fds()
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch), want)
     assert len(ratios) == 2
-
-
-def test_every_worker_run_is_copied_out_of_its_memory(click, monkeypatch):
-    # a run that falls back to its stream is still right, only slower (a
-    # dense encode by about 9%), so the copy itself is checked: on a kernel
-    # that lets a process read its child's memory, every copy is whole
-    if not os.access("/proc/self/mem", os.R_OK):
-        pytest.skip("no /proc/<pid>/mem to read")
-    real_copy = codec._copy_from
-    copies = []
-
-    def copy(pid, address, dst):
-        copies.append((real_copy(pid, address, dst), dst.nbytes))
-        return copies[-1][0]
-
-    monkeypatch.setattr(codec, "_copy_from", copy)
-    ratios = slices_stretched_by_the_caller(monkeypatch)
-    for workers in (2, 3):
-        copies.clear()
-        ratios.clear()
-        encode_with_workers(click(120, 62.0), FOUR_BITS, workers, monkeypatch)
-        assert len(copies) == workers - 1
-        assert all(got == nbytes > 0 for got, nbytes in copies), copies
-        assert len(ratios) == 2
-
-
-def test_a_run_that_fits_in_its_pipe_is_read_after_its_worker_exits(monkeypatch):
-    # 60 s at 500 Hz: each worker's one-slice run is 40 kB, under a pipe's
-    # 64 KiB, so a worker writes its whole stream and exits unread; the copy
-    # then finds no process to read (an error, or 0 bytes on kernels that
-    # open a zombie's memory), and the caller reads the stream. No 500 Hz
-    # carrier has a reference encode can measure, so the stretch is driven
-    # directly.
-    carrier = PcmBuffer(samples=np.random.default_rng(5).normal(0.0, 0.1, 30_000), sample_rate=500)
-    plan = plan_slices(len(carrier), carrier.sample_rate, StegoParams())
-    jobs = []
-    for span, bit in zip(plan.data, FOUR_BITS):
-        ratio = 1.01 if bit == 1 else 0.99
-        jobs.append((span, ratio, stretched_length(span[1] - span[0], ratio)))
-
-    def stretched(workers):
-        monkeypatch.setattr(codec, "usable_cpus", lambda: workers)
-        out = np.zeros(sum(n for *_, n in jobs))
-        assert codec._stretch_into(carrier, jobs, out, 0) == len(out)
-        return out
-
-    want = stretched(1)
-    real_copy = codec._copy_from
-    fallbacks = []
-
-    def copy_after_exit(pid, address, dst):
-        deadline = time.monotonic() + 30.0
-        while os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT | os.WNOHANG) is None:
-            assert time.monotonic() < deadline, "the worker did not exit on its own"
-            time.sleep(0.01)
-        try:
-            copied = real_copy(pid, address, dst)
-        except OSError:
-            fallbacks.append(pid)
-            raise
-        if copied != dst.nbytes:
-            fallbacks.append(pid)
-        return copied
-
-    monkeypatch.setattr(codec, "_copy_from", copy_after_exit)
-    ratios = slices_stretched_by_the_caller(monkeypatch)
-    assert np.array_equal(stretched(3), want)
-    assert len(fallbacks) == 2
-    assert len(ratios) == 2  # only the caller's own run
+    assert open_fds() == fds
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", ["missing", "ENOMEM"])
+def test_a_run_with_no_memory_file_is_stretched_here(click, monkeypatch, failure):
+    # a platform without memfd_create, or a kernel with no memory to spare
+    # for the file: no worker is forked, and the caller stretches every run
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+
+    def no_memory(name, flags=0):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    if failure == "missing":
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    else:
+        monkeypatch.setattr(os, "memfd_create", no_memory)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a memory file"))
+    ratios = slices_stretched_by_the_caller(monkeypatch)
+    fds = open_fds()
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    assert len(ratios) == 4
+    assert open_fds() == fds
+
+
+DESCRIPTOR_LIMIT_PROBE = """
+import os, resource
+import numpy as np
+from tempostego import codec, encode, generate_click_track, parse_bitstring
+carrier = generate_click_track(120, 62.0, seed=0)
+bits = parse_bitstring("1 0 0 1")
+codec.usable_cpus = lambda: 1
+want = encode(carrier, bits).samples
+codec.usable_cpus = lambda: 3
+encode(carrier, bits)  # anything encode imports lazily is imported by now
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+highest = max(int(fd) for fd in os.listdir("/proc/self/fd"))
+resource.setrlimit(resource.RLIMIT_NOFILE, (highest + 1, hard))
+held = []
+try:
+    while True:  # take any free descriptor under the limit
+        held.append(os.dup(1))
+except OSError:
+    pass
+got = encode(carrier, bits).samples
+for fd in held:
+    os.close(fd)
+print(np.array_equal(got, want))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_an_encode_at_its_descriptor_limit_stretches_every_run_itself():
+    # setrlimit acts on the whole process, so a fresh interpreter runs it
+    pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run([sys.executable, "-c", DESCRIPTOR_LIMIT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
@@ -891,10 +844,12 @@ def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
         return stretch_tempo(buf, ratio, out=out)
 
     monkeypatch.setattr(codec, "stretch_tempo", failing)
+    fds = open_fds()
     with pytest.raises(RuntimeError, match="in the caller"):
         encode_with_workers(click(120, 62.0), FOUR_BITS, 3, monkeypatch)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
 
 
 def test_a_short_stretch_shortens_the_file_by_one_sample_per_slice(click, monkeypatch):
