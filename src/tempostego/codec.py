@@ -33,12 +33,14 @@ from __future__ import annotations
 import enum
 import math
 import os
+import select
 import signal
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, _fill, _write_all, float_range, rms_dbfs, screen_finite, usable_cpus
+from .audio import PcmBuffer, _write_all, float_range, rms_dbfs, screen_finite, usable_cpus
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -49,7 +51,7 @@ from .errors import (
     TooShort,
     Undecidable,
 )
-from .stretch import stretch_tempo, stretched_length
+from .stretch import frame_starts, starts_fit, stretch_tempo, stretched_length
 from .tempo import (
     MAX_DELTA,
     MIN_MEASURE_S,
@@ -82,6 +84,11 @@ _NORM_TARGET_DBFS = -20.0
 # MAX_DELTA this gate is 3.9, so the default 4.0 admits every delta.
 _DISCARD_MARGIN = 1.2
 _DISCARD_SLACK_PCT = 0.3
+
+# Bytes of a slice index (uint32) in encode's queue pipe. A worker's
+# record is the index and the frame count (uint32 each), then the frame
+# starts (int64).
+_INDEX = 4
 
 
 class Direction(enum.Enum):
@@ -290,12 +297,13 @@ def encode(
     """Embed a message, returning the modulated carrier.
 
     The reference slice and tail pass through untouched, as do payload
-    slices beyond the end of the message. The payload slices are
-    stretched in one process per usable CPU (forked workers, where the
-    platform has an affinity call); the output does not depend on how
-    many. Each worker writes its run to an anonymous memory file, which
-    this process reads once the worker has exited; a run no worker hands
-    back is stretched here. Raises MessageTooLong when the message exceeds
+    slices beyond the end of the message. The search half of each payload
+    slice's stretch runs in one process per usable CPU (forked workers,
+    where the platform has an affinity call), which claim slices from one
+    queue; the workers send back only each slice's frame starts, and this
+    process renders every slice in order. A slice no worker hands back is
+    searched here, and the output does not depend on how many processes
+    searched. Raises MessageTooLong when the message exceeds
     the carrier's capacity, ReferenceSilent when any 2 s of the first
     slice is silent relative to the slice's own level (decoding would be
     anchored to a bad tempo measurement), the error decode would raise
@@ -339,82 +347,156 @@ def _stretch_into(
     order, each where the previous one ended, from o on; return where the
     last ended.
 
-    The jobs are cut into k = min(usable CPUs, jobs) runs of consecutive
-    jobs, the first of them the longest. This process stretches the first
-    run. Each other run gets an anonymous memory file, made before a
-    forked child stretches the run into its copy-on-write view of out and
-    writes the samples it stretched to that file. Once its own run is
-    done, this process reaps the children in order and reads each run
-    from its file into out at the running offset; the file's size gives
-    the run's sample count. A run with no memory file (no descriptor or
-    memory to spare, no memfd_create) or no fork, or whose child exits
-    non-zero, dies by a signal or leaves a short file, is stretched here
-    at the running offset, so an exception comes from this call. The
-    result does not depend on k, and a stretch that returns fewer than n
-    samples gives the file a serial loop writes.
+    A stretch is a search for its frame starts (frame_starts), which
+    takes most of its time, and a render that places the frames there
+    (stretch_tempo with starts). Up to min(usable CPUs, jobs) - 1 forked
+    workers share the searches with this process. Every slice's index is
+    put in one queue pipe before the fork, and each process claims the
+    next index when it is free. A worker streams an (index, starts)
+    record per slice back on its own result pipe. This process renders
+    every slice, in order, at the running offset of the lengths
+    stretch_tempo returns, so a short return shortens the file as a
+    serial loop does and an exception comes from this call.
+
+    A record is kept only when its index was queued and has no starts
+    yet, and its starts fit the slice (stretch.starts_fit). A worker
+    whose stream ends mid-record or carries a record that is not kept is
+    read no further. This process searches every slice no worker hands
+    back: one whose worker failed, one past the indices the queue pipe
+    could hold, or all of them when no pipe or fork can be made. The
+    result does not depend on how many processes searched.
     """
     sr = carrier.sample_rate
-    k = max(1, min(usable_cpus(), len(jobs)))
-    q, r = divmod(len(jobs), k)
-    cuts = [i * q + min(i, r) for i in range(k + 1)]
-    runs = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def stretch(run: list, o: int) -> int:
-        for (s0, s1), ratio, n in run:
-            # a 16-bit carrier's slice is converted here, in the process
-            # that stretches it
-            piece = PcmBuffer(samples=float_range(carrier, s0, s1), sample_rate=sr)
-            o += len(stretch_tempo(piece, ratio, out=out[o : o + n]))
-        return o
+    def piece(i: int) -> PcmBuffer:
+        (s0, s1), _, _ = jobs[i]
+        return PcmBuffer(samples=float_range(carrier, s0, s1), sample_rate=sr)
 
-    forked = []  # (run, pid), pid None where no child took the run
-    files = {}  # pid: the memory file its run comes back in, until reaped
+    def search(i: int) -> np.ndarray:
+        return frame_starts(piece(i), jobs[i][1])
+
+    def fits(i: int, starts: np.ndarray) -> bool:
+        (s0, s1), ratio, _ = jobs[i]
+        return starts_fit(starts, s1 - s0, ratio, sr)
+
+    found: list[np.ndarray | None] = [None] * len(jobs)
+    queue = None  # the queue pipe's read end, until it runs dry
+    queued = 0  # slices 0 .. queued - 1 went into the queue
+    streams: dict[int, bytearray] = {}  # result read end: its unread bytes
+    pids = []
     try:
-        at = o + sum(n for *_, n in runs[0])
-        for run in runs[1:]:
-            fd = pid = None
-            # Python 3.12+ warns about a fork once the shared pool has
-            # started threads; the child runs only numpy kernels and a file
-            # write, and audio's at-fork hook drops the pool it inherits,
-            # so the warning is harmless (the 3.12 CI leg runs these forks)
+        workers = min(usable_cpus(), len(jobs)) - 1
+        if workers > 0:
             try:
-                fd = os.memfd_create("tempostego-run", os.MFD_CLOEXEC)
+                queue, w = os.pipe()
+            except OSError:  # no descriptor to spare: every slice is searched here
+                workers = 0
+            else:
+                queued = _enqueue(w, len(jobs))
+        for _ in range(workers):
+            r = w = None
+            # Python 3.12+ warns about a fork once the shared pool has
+            # started threads; the child runs only numpy kernels and pipe
+            # I/O, and audio's at-fork hook drops the pool it inherits, so
+            # the warning is harmless (the 3.12 CI leg runs these forks)
+            try:
+                r, w = os.pipe()
                 pid = os.fork()
-            except (AttributeError, OSError):  # no memory file or no fork: stretched here
-                if fd is not None:
-                    os.close(fd)
+            except OSError:  # no descriptor, memory or process to spare
+                for fd in (r, w):
+                    if fd is not None:
+                        os.close(fd)
+                continue
             if pid == 0:
                 # no atexit handlers, no stdio flush: the parent owns those
                 try:
-                    _write_all(fd, out[at : stretch(run, at)])
+                    while len(token := os.read(queue, _INDEX)) == _INDEX:
+                        i = int.from_bytes(token, sys.byteorder)
+                        starts = search(i)
+                        head = np.array([i, len(starts)], dtype=np.uint32)
+                        _write_all(w, head.tobytes() + starts.tobytes())
                     os._exit(0)
-                finally:  # reached only when the stretch or the write raised
+                finally:  # reached only when a search or a write raised
                     os._exit(1)
-            if pid is not None:
-                files[pid] = fd
-            forked.append((run, pid))
-            at += sum(n for *_, n in run)
-        o = stretch(runs[0], o)
-        for run, pid in forked:
-            if pid is not None:
-                ok = os.waitpid(pid, 0)[1] == 0
-                fd = files.pop(pid)
-                try:
-                    count = os.fstat(fd).st_size // 8
-                    dst = out[o : o + count]
-                    if ok and _fill(lambda b, pos: os.preadv(fd, [b], pos), dst, 0) == 8 * count:
-                        o += count
-                        continue
-                finally:
+            os.close(w)
+            streams[r] = bytearray()
+            pids.append(pid)
+
+        poll = select.poll() if streams else None
+        for fd in streams:
+            poll.register(fd, select.POLLIN)
+
+        def take(timeout: int | None) -> None:
+            # read what has come in; keep every record that fits its slice
+            for fd, _ in poll.poll(timeout):
+                data = os.read(fd, 1 << 16)
+                buf = streams[fd]
+                buf += data
+                ok = bool(data)
+                while ok and len(buf) >= 2 * _INDEX:
+                    i, count = np.frombuffer(bytes(buf[: 2 * _INDEX]), dtype=np.uint32).tolist()
+                    end = 2 * _INDEX + 8 * count
+                    if len(buf) < end:
+                        break
+                    starts = np.frombuffer(bytes(buf[2 * _INDEX : end]), dtype=np.int64)
+                    del buf[:end]
+                    ok = i < queued and found[i] is None and fits(i, starts)
+                    if ok:
+                        found[i] = starts
+                if not ok:  # the stream ended, or its record is not kept
+                    poll.unregister(fd)
                     os.close(fd)
-            o = stretch(run, o)
+                    del streams[fd]
+
+        at = 0  # the next slice to render
+        while at < len(jobs):
+            if streams:
+                take(0)
+            if found[at] is not None:
+                _, ratio, n = jobs[at]
+                o += len(stretch_tempo(piece(at), ratio, out=out[o : o + n], starts=found[at]))
+                at += 1
+                continue
+            token = os.read(queue, _INDEX) if queue is not None else b""
+            if len(token) == _INDEX:
+                i = int.from_bytes(token, sys.byteorder)
+                found[i] = search(i)
+                continue
+            if queue is not None:  # the queue ran dry
+                os.close(queue)
+                queue = None
+            if streams and at < queued:
+                take(None)  # a worker may still hand it back
+            else:
+                found[at] = search(at)
     finally:
-        # only reached with children left when this process raised
-        for pid, fd in files.items():
+        if queue is not None:
+            os.close(queue)
+        for fd in streams:
             os.close(fd)
+        # a worker still running has nothing left that this process reads
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return o
+
+
+def _enqueue(w: int, n: int) -> int:
+    """Write the indices 0, 1, ... of n slices to the queue pipe's write
+    end w, as many as it holds, and close w; the count written."""
+    per = select.PIPE_BUF // _INDEX  # a write of PIPE_BUF bytes is all or nothing
+    held = 0
+    try:
+        os.set_blocking(w, False)
+        while held < n:
+            batch = np.arange(held, min(n, held + per), dtype=np.uint32)
+            os.write(w, batch.tobytes())
+            held += len(batch)
+    except BlockingIOError:  # the pipe is full: the caller searches the rest
+        pass
+    finally:
+        os.close(w)
+    return held
 
 
 def decode(

@@ -9,6 +9,11 @@ samples are never resampled, only re-spaced.
 
 A ratio above 1 raises the tempo, so the output is shorter: the output
 length is exactly round(len(input) / ratio) samples.
+
+The stretch has two halves. The search (frame_starts) finds every
+frame's start and takes most of the time; the render (stretch_tempo with
+starts) crossfades the frames at those starts, which fully determine the
+output, so the two may run in different processes.
 """
 
 from __future__ import annotations
@@ -29,46 +34,32 @@ SEEK_MS = 16.0
 OVERLAP_MS = 10.0
 
 
-def stretch_core(
-    x: np.ndarray,
-    ratio: float,
-    seq: int,
-    seek: int,
-    overlap: int,
-    n_out: int,
-    *,
-    out: np.ndarray | None = None,
+def _frame_count(n_out: int, seq: int, overlap: int) -> int:
+    """Frames of seq samples, hop seq - overlap apart, that cover n_out."""
+    hop = seq - overlap
+    return 1 if n_out <= seq else (n_out - seq + hop - 1) // hop + 1
+
+
+def _search(
+    x: np.ndarray, ratio: float, seq: int, seek: int, overlap: int, n_out: int
 ) -> np.ndarray:
-    """Stretch x to exactly n_out samples with seq-sample frames, each
-    aligned within +-seek samples of its nominal position and crossfaded
-    over overlap samples. The first maximum of the correlation wins ties.
-    The result is written into `out` (n_out float64 samples) when given,
-    else into a new array.
+    """The start in x of each frame of an n_out-sample stretch: the first
+    at 0, every later one the first maximum of its alignment score within
+    +-seek samples of its nominal position.
 
     A candidate start scores corr / sqrt(te * en): its correlation with
-    the template over the template's energy te times its own window's
-    energy en. A window without energy scores -2, below any real score.
-    The nominal grid, the running sums of squares and the scores are
-    computed into buffers made once per call. Every search range's
-    scores are divided in place in the correlation's own array, and the
-    windows without energy, marked before the division, are then set to
-    -2. A window with energy gets the arithmetic of the plain per-frame
-    formula, so the output does too."""
+    the template (the overlap samples that follow the previous frame's
+    hop) over the template's energy te times its own window's energy en.
+    A window without energy scores -2, below any real score, and a
+    template without energy keeps the nominal position. The nominal grid,
+    the running sums of squares and the scores are computed into buffers
+    made once per call. Every search range's scores are divided in place
+    in the correlation's own array, and the windows without energy,
+    marked before the division, are then set to -2. A window with energy
+    gets the arithmetic of the plain per-frame formula."""
     hop = seq - overlap
     n = x.shape[0]
-    if n_out <= seq:
-        n_frames = 1
-    else:
-        n_frames = (n_out - seq + hop - 1) // hop + 1
-    # every frame's crossfade lies inside n_out; only the last frame's
-    # copy is cut short, so each output sample is written exactly once
-    if out is None:
-        out = np.empty(n_out)
-    fade_in = np.arange(overlap) / overlap
-    fade_out = 1.0 - fade_in
-
-    first = min(seq, n_out)
-    out[:first] = x[:first]
+    n_frames = _frame_count(n_out, seq, overlap)
     # nominal[k - 1] = floor(k * hop * ratio + 0.5), clamped to [0, n - seq]
     nominal = np.floor(np.arange(1, n_frames) * hop * ratio + 0.5)
     nominal = np.maximum(np.minimum(nominal, n - seq), 0).astype(np.int64)
@@ -79,17 +70,16 @@ def stretch_core(
     sq = np.zeros(2 * seek + overlap + 1)
     en_buf = np.empty(2 * seek + 1)
     dead_buf = np.empty(2 * seek + 1, dtype=bool)
-    mix = np.empty(overlap)
+    starts = [0]
     prev = 0
     # a window without energy divides by zero; its score is then replaced
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k, nom, lo, hi in zip(range(1, n_frames), nominal.tolist(), los, his):
+        for nom, lo, hi in zip(nominal.tolist(), los, his):
             tb = prev + hop
             tmpl = x[tb : tb + overlap]
             te = float(np.dot(tmpl, tmpl))
             if te <= 0.0:
-                # nothing to align against: keep the nominal grid position
-                start = nom
+                prev = nom
             else:
                 seg = x[lo : hi + overlap]
                 corr = np.correlate(seg, tmpl, mode="valid")
@@ -103,16 +93,51 @@ def stretch_core(
                 np.sqrt(en, out=en)
                 scores = np.divide(corr, en, out=corr)
                 np.copyto(scores, -2.0, where=dead)
-                start = lo + int(np.argmax(scores))
+                prev = lo + int(np.argmax(scores))
+            starts.append(prev)
+    return np.array(starts, dtype=np.int64)
 
-            o = k * hop
-            head = out[o : o + overlap]
-            np.multiply(head, fade_out, out=head)
-            np.multiply(x[start : start + overlap], fade_in, out=mix)
-            np.add(head, mix, out=head)
-            end = min(seq, n_out - o)
-            out[o + overlap : o + end] = x[start + overlap : start + end]
-            prev = start
+
+def stretch_core(
+    x: np.ndarray,
+    ratio: float,
+    seq: int,
+    seek: int,
+    overlap: int,
+    n_out: int,
+    *,
+    out: np.ndarray | None = None,
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Stretch x to exactly n_out samples with seq-sample frames, each
+    aligned within +-seek samples of its nominal position and crossfaded
+    over overlap samples. The frames start at `starts` when given (one
+    per frame, each in [0, len(x) - seq]; not checked here), else where
+    _search puts them. The result is written into `out` (n_out float64
+    samples) when given, else into a new array."""
+    if starts is None:
+        starts = _search(x, ratio, seq, seek, overlap, n_out)
+    hop = seq - overlap
+    # every frame's crossfade lies inside n_out; only the last frame's
+    # copy is cut short, so each output sample is written exactly once
+    if out is None:
+        out = np.empty(n_out)
+    fade_in = np.arange(overlap) / overlap
+    fade_out = 1.0 - fade_in
+    mix = np.empty(overlap)
+
+    at = starts.tolist()
+    first = min(seq, n_out)
+    out[:first] = x[at[0] : at[0] + first]
+    for k in range(1, len(at)):
+        start = at[k]
+        o = k * hop
+        head = out[o : o + overlap]
+        np.multiply(head, fade_out, out=head)
+        np.multiply(x[start : start + overlap], fade_in, out=mix)
+        np.add(head, mix, out=head)
+        end = min(seq, n_out - o)
+        out[o + overlap : o + end] = x[start + overlap : start + end]
     return out
 
 
@@ -122,28 +147,36 @@ def stretched_length(n: int, ratio: float) -> int:
     return int(np.floor(n / ratio + 0.5))
 
 
-def stretch_tempo(
-    buf: PcmBuffer, ratio: float, *, out: np.ndarray | None = None
-) -> PcmBuffer:
-    """Change tempo by `ratio` without changing pitch.
+def _geometry(sample_rate: int) -> tuple[int, int, int]:
+    """Sequence, seek and overlap lengths in samples at this rate."""
+    seq = int(round(SEQUENCE_MS * sample_rate / 1000.0))
+    seek = int(round(SEEK_MS * sample_rate / 1000.0))
+    overlap = int(round(OVERLAP_MS * sample_rate / 1000.0))
+    if overlap < 2 or seq <= overlap or seek < 1:
+        raise ValueError(f"stretch frame geometry degenerates at {sample_rate} Hz")
+    return seq, seek, overlap
 
-    ratio = 1.01 plays 1% faster (output shorter by 1%). The output length
-    is exactly round(len(buf) / ratio). When `out` is given, the samples
-    are written into it and the returned buffer holds `out` itself; it
-    must be a float64 array of exactly that length that does not overlap
-    the input, else ValueError.
-    Raises RatioOutOfRange outside [0.5, 2.0], BufferTooShort for
-    inputs under two sequence frames and NonFiniteSamples for input
-    holding NaN or infinity.
-    """
+
+def starts_fit(starts: np.ndarray, n: int, ratio: float, sample_rate: int) -> bool:
+    """Whether `starts` can place the frames of a stretch of n samples at
+    `ratio`: a 1-D integer array with one start per frame, each in
+    [0, n - seq]. frame_starts gives such an array."""
+    seq, _, overlap = _geometry(sample_rate)
+    return (
+        isinstance(starts, np.ndarray)
+        and starts.ndim == 1
+        and starts.dtype.kind in "iu"
+        and len(starts) == _frame_count(stretched_length(n, ratio), seq, overlap)
+        and 0 <= int(starts.min()) and int(starts.max()) <= n - seq
+    )
+
+
+def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
+    """stretch_tempo's checks; then the input as the kernel takes it, the
+    power of two it was scaled down by, the frame geometry and n_out."""
     if not (RATIO_MIN <= ratio <= RATIO_MAX):
         raise RatioOutOfRange(f"ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
-    sr = buf.sample_rate
-    seq = int(round(SEQUENCE_MS * sr / 1000.0))
-    seek = int(round(SEEK_MS * sr / 1000.0))
-    overlap = int(round(OVERLAP_MS * sr / 1000.0))
-    if overlap < 2 or seq <= overlap or seek < 1:
-        raise ValueError(f"stretch frame geometry degenerates at {sr} Hz")
+    seq, seek, overlap = _geometry(buf.sample_rate)
     if len(buf) < 2 * seq:
         raise BufferTooShort(
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
@@ -174,8 +207,43 @@ def stretch_tempo(
         # without overflow or underflow. Silence keeps k = 0.
         in_range = 2.0**-511 < e < 2.0**511
         k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
-        xs = np.ldexp(x, -k) if k else x
-        y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out)
+        return (np.ldexp(x, -k) if k else x), k, (seq, seek, overlap), n_out
+
+
+def frame_starts(buf: PcmBuffer, ratio: float) -> np.ndarray:
+    """Where stretch_tempo(buf, ratio) starts each of its frames in buf:
+    the search half of the stretch, with its checks and its errors. The
+    render half, stretch_tempo(buf, ratio, starts=...), then gives the
+    same samples as stretch_tempo(buf, ratio)."""
+    xs, _, (seq, seek, overlap), n_out = _prepared(buf, ratio, None)
+    return _search(xs, float(ratio), seq, seek, overlap, n_out)
+
+
+def stretch_tempo(
+    buf: PcmBuffer,
+    ratio: float,
+    *,
+    out: np.ndarray | None = None,
+    starts: np.ndarray | None = None,
+) -> PcmBuffer:
+    """Change tempo by `ratio` without changing pitch.
+
+    ratio = 1.01 plays 1% faster (output shorter by 1%). The output length
+    is exactly round(len(buf) / ratio). When `out` is given, the samples
+    are written into it and the returned buffer holds `out` itself; it
+    must be a float64 array of exactly that length that does not overlap
+    the input, else ValueError. When `starts` is given (as frame_starts
+    returns it), the frames are placed there and not searched for; starts
+    that do not fit the stretch (starts_fit) raise ValueError.
+    Raises RatioOutOfRange outside [0.5, 2.0], BufferTooShort for
+    inputs under two sequence frames and NonFiniteSamples for input
+    holding NaN or infinity.
+    """
+    xs, k, (seq, seek, overlap), n_out = _prepared(buf, ratio, out)
+    if starts is not None and not starts_fit(starts, len(buf), ratio, buf.sample_rate):
+        raise ValueError(f"starts do not place the frames of {len(buf)} samples at ratio {ratio}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out, starts=starts)
         if k:
             np.ldexp(y, k, out=y)
-    return PcmBuffer(samples=y, sample_rate=sr)
+    return PcmBuffer(samples=y, sample_rate=buf.sample_rate)

@@ -86,7 +86,7 @@ def refuse_fork():
 
 def encode_with(carrier: PcmBuffer, message: BitString, variant: str) -> PcmBuffer:
     """encode at 1, 2 or 3 workers, or at 3 with every fork refused, so
-    that the calling process stretches every run itself."""
+    that the calling process searches every slice itself."""
     saved = codec.usable_cpus, os.fork
     codec.usable_cpus = lambda: WORKERS[variant]
     if variant == "fork-refused":

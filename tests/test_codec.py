@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -42,8 +44,9 @@ from tempostego import (
     stretch_tempo,
 )
 from tempostego import codec
+from tempostego.audio import _write_all
 from tempostego.codec import _geometry
-from tempostego.stretch import stretched_length
+from tempostego.stretch import SEQUENCE_MS, frame_starts, stretched_length
 from tempostego.tempo import MAX_DELTA
 
 SR = 44100
@@ -690,8 +693,8 @@ def test_decode_of_huge_samples_holds_no_full_length_temporary(click):
     assert report.to_dict() == want
 
 
-# A 62 s carrier holds four payload slices, so three workers get runs of
-# two, one and one slices.
+# A 62 s carrier holds four payload slices, shared among the processes
+# that search them.
 FOUR_BITS = parse_bitstring("1 0 0 1")
 
 
@@ -709,8 +712,22 @@ def encode_with_workers(carrier, message, workers, monkeypatch):
     return encode(carrier, message).samples
 
 
+def payload_slice(carrier, buf) -> int:
+    """Which payload slice of a carrier encoded with FOUR_BITS buf is."""
+    slices = [carrier.samples[i * PHI_N : (i + 1) * PHI_N] for i in range(1, 5)]
+    return next(i for i, x in enumerate(slices) if np.shares_memory(buf.samples, x))
+
+
+def assert_nothing_left(fds):
+    assert open_fds() == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("failure", ["exit", "raise", "signal", "fork", "second-fork"])
 def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
+    # a worker that fails in its search hands nothing back, so the caller
+    # searches the slice it had claimed, and every later one it would have
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     caller = os.getpid()
@@ -718,83 +735,273 @@ def test_a_failed_worker_share_is_stretched_again(click, monkeypatch, failure):
     real_fork = os.fork
 
     def fork_failing():
-        # "second-fork": the first worker runs, the last run falls back here
+        # "second-fork": the first worker runs, the second is never made
         forks.append(None)
         if failure == "second-fork" and len(forks) == 1:
             return real_fork()
         raise BlockingIOError(errno.EAGAIN, "no process to spare")
 
-    def failing(buf, ratio, *, out=None):
+    def failing(buf, ratio):
         if os.getpid() != caller:
             if failure == "exit":
                 os._exit(3)
             if failure == "signal":
                 os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("stretch failed in a worker")
-        return stretch_tempo(buf, ratio, out=out)
+            raise RuntimeError("search failed in a worker")
+        return frame_starts(buf, ratio)
 
     if failure.endswith("fork"):
         monkeypatch.setattr(os, "fork", fork_failing)
     else:
-        monkeypatch.setattr(codec, "stretch_tempo", failing)
+        monkeypatch.setattr(codec, "frame_starts", failing)
     fds = open_fds()
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
     assert len(forks) == (2 if failure.endswith("fork") else 0)
-    assert open_fds() == fds
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_nothing_left(fds)
 
 
-def slices_stretched_by_the_caller(monkeypatch) -> list:
-    """The list of ratios the calling process stretches from here on."""
+def log_searches(carrier, monkeypatch, log) -> None:
+    """From here on every process that searches a payload slice of
+    carrier appends its pid and the slice to the file log."""
+
+    def logged(buf, ratio):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()} {payload_slice(carrier, buf)}\n".encode())
+        finally:
+            os.close(fd)
+        return frame_starts(buf, ratio)
+
+    monkeypatch.setattr(codec, "frame_starts", logged)
+
+
+def searches(log) -> list[tuple[int, int]]:
+    if not os.path.exists(log):
+        return []
+    with open(log) as fh:
+        return [tuple(map(int, line.split())) for line in fh]
+
+
+def slices_rendered_by_the_caller(carrier, monkeypatch, log) -> list:
+    """The list of payload slices of carrier the calling process renders
+    from here on; a render in any other process is appended to log."""
     caller = os.getpid()
-    ratios = []
+    rendered = []
 
-    def counting(buf, ratio, *, out=None):
+    def rendering(buf, ratio, *, out=None, starts=None):
         if os.getpid() == caller:
-            ratios.append(ratio)
-        return stretch_tempo(buf, ratio, out=out)
+            rendered.append(payload_slice(carrier, buf))
+        else:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        return stretch_tempo(buf, ratio, out=out, starts=starts)
 
-    monkeypatch.setattr(codec, "stretch_tempo", counting)
-    return ratios
+    monkeypatch.setattr(codec, "stretch_tempo", rendering)
+    return rendered
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-def test_every_worker_hands_back_its_run(click, monkeypatch, workers):
-    # the caller stretches only its own run of two slices; each other run
-    # comes back from its worker's memory file, and no descriptor is left
+def test_every_worker_hands_back_its_run(click, monkeypatch, tmp_path, workers):
+    # each slice is searched once, by whichever process claimed it, and
+    # the caller renders every slice from the starts it was handed
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
-    ratios = slices_stretched_by_the_caller(monkeypatch)
+    log = str(tmp_path / "searches")
+    log_searches(carrier, monkeypatch, log)
+    rendered = slices_rendered_by_the_caller(carrier, monkeypatch, str(tmp_path / "renders"))
     fds = open_fds()
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch), want)
-    assert len(ratios) == 2
-    assert open_fds() == fds
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert sorted(i for _, i in searches(log)) == [0, 1, 2, 3]
+    assert rendered == [0, 1, 2, 3]
+    assert_nothing_left(fds)
 
 
-@pytest.mark.parametrize("failure", ["missing", "ENOMEM"])
-def test_a_run_with_no_memory_file_is_stretched_here(click, monkeypatch, failure):
-    # a platform without memfd_create, or a kernel with no memory to spare
-    # for the file: no worker is forked, and the caller stretches every run
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_caller_renders_each_payload_slice_once_in_order(click, monkeypatch, tmp_path,
+                                                             workers):
+    # codec.stretch_tempo runs once per payload slice, in slice order, in
+    # the calling process, so the stretch layer's counts do not depend on
+    # how many processes searched
+    carrier = click(120, 62.0)
+    elsewhere = str(tmp_path / "renders")
+    rendered = slices_rendered_by_the_caller(carrier, monkeypatch, elsewhere)
+    encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch)
+    assert rendered == [0, 1, 2, 3]
+    assert not os.path.exists(elsewhere)
+
+
+@pytest.mark.parametrize("failure", ["queue", "result"])
+def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tmp_path, failure):
+    # at its descriptor limit: "queue", no queue pipe can be made;
+    # "result", the queue is made but no worker's result pipe. No worker
+    # is forked, and the caller searches and renders all four slices
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    real_pipe = os.pipe
+    pipes = []
 
-    def no_memory(name, flags=0):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    def no_pipe():
+        pipes.append(None)
+        if failure == "result" and len(pipes) == 1:
+            return real_pipe()
+        raise OSError(errno.EMFILE, "Too many open files")
 
-    if failure == "missing":
-        monkeypatch.delattr(os, "memfd_create", raising=False)
-    else:
-        monkeypatch.setattr(os, "memfd_create", no_memory)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a memory file"))
-    ratios = slices_stretched_by_the_caller(monkeypatch)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a pipe"))
+    log = str(tmp_path / "searches")
+    log_searches(carrier, monkeypatch, log)
+    rendered = slices_rendered_by_the_caller(carrier, monkeypatch, str(tmp_path / "renders"))
     fds = open_fds()
     assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
-    assert len(ratios) == 4
-    assert open_fds() == fds
+    assert searches(log) == [(os.getpid(), i) for i in range(4)]
+    assert rendered == [0, 1, 2, 3]
+    assert_nothing_left(fds)
 
+
+@pytest.mark.parametrize(
+    "bad", ["unissued", "duplicate", "count", "below", "above", "mid-record"]
+)
+def test_a_bad_record_is_searched_again_here(click, monkeypatch, bad):
+    # every record a worker sends is bad in one way: an index never
+    # queued, a second record for a slice already kept, one start too
+    # few, a start under 0 or past len(slice) - seq, or a stream that
+    # ends inside a record. The caller keeps none of them, reads that
+    # worker no further and searches the slice itself
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
+    caller = os.getpid()
+
+    def slow_caller(buf, ratio):
+        # the caller's first search waits, so the workers claim slices
+        if os.getpid() == caller and not waited:
+            waited.append(None)
+            time.sleep(0.2)
+        return frame_starts(buf, ratio)
+
+    def write_bad(fd, data):
+        i, count = np.frombuffer(data[:8], dtype=np.uint32).tolist()
+        starts = np.frombuffer(data[8:], dtype=np.int64).copy()
+        if bad == "mid-record":
+            _write_all(fd, data[: len(data) // 2])
+            os._exit(0)
+        if bad == "unissued":
+            i = 1000
+        elif bad == "count":
+            count, starts = count - 1, starts[:-1]
+        elif bad == "below":
+            starts[-1] = -1
+        elif bad == "above":
+            starts[-1] = PHI_N - int(round(SEQUENCE_MS * SR / 1000.0)) + 1
+        head = np.array([i, count], dtype=np.uint32).tobytes()
+        _write_all(fd, head + starts.tobytes())
+        if bad == "duplicate":  # starts that fit the slice, but not its own
+            starts[1:] = 0
+            _write_all(fd, head + starts.tobytes())
+
+    waited = []
+    monkeypatch.setattr(codec, "frame_starts", slow_caller)
+    monkeypatch.setattr(codec, "_write_all", write_bad)
+    fds = open_fds()
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    assert_nothing_left(fds)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+
+def short_slices(count, seed):
+    """A carrier of count short 8 kHz noise slices, and one stretch job
+    per slice at a ratio drawn from [0.5, 2]."""
+    sr = 8000
+    n = 2 * int(round(SEQUENCE_MS * sr / 1000.0)) + 37
+    rng = np.random.default_rng(seed)
+    carrier = PcmBuffer(samples=rng.standard_normal(count * n) * 0.3, sample_rate=sr)
+    ratios = rng.uniform(0.5, 2.0, count).tolist()
+    jobs = [((i * n, (i + 1) * n), r, stretched_length(n, r)) for i, r in enumerate(ratios)]
+    want = np.concatenate([
+        stretch_tempo(PcmBuffer(samples=carrier.samples[s0:s1], sample_rate=sr), r).samples
+        for (s0, s1), r, _ in jobs
+    ])
+    return carrier, jobs, want
+
+
+def test_slices_past_the_queue_pipe_capacity_are_searched_by_the_caller(monkeypatch):
+    # a queue pipe of one page holds 1024 slice indices; encode then
+    # writes what fits without blocking, and the caller searches the rest.
+    # Short slices at 8 kHz keep the many slices cheap
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ to shrink a pipe")
+    real_pipe = os.pipe
+
+    def one_page_pipe():
+        r, w = real_pipe()
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+        return r, w
+
+    r, w = one_page_pipe()
+    held = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) // codec._INDEX
+    os.close(r)
+    os.close(w)
+    carrier, jobs, want = short_slices(held + 50, 5)
+    queued = []
+    real_enqueue = codec._enqueue
+
+    def enqueue(w, count):
+        queued.append(real_enqueue(w, count))
+        return queued[-1]
+
+    monkeypatch.setattr(codec, "_enqueue", enqueue)
+    monkeypatch.setattr(os, "pipe", one_page_pipe)
+    monkeypatch.setattr(codec, "usable_cpus", lambda: 3)
+    fds = open_fds()
+    out = np.empty(len(want))
+    with time_limit(120):  # a queue write that blocks fails here
+        assert codec._stretch_into(carrier, jobs, out, 0) == len(want)
+    assert queued == [held] and held < len(jobs)
+    assert np.array_equal(out, want)
+    assert_nothing_left(fds)
+
+
+def test_many_workers_claim_each_slice_once(monkeypatch, tmp_path):
+    # seven workers and the caller on fewer cores race for 300 slices; a
+    # claim lost or taken twice would leave a slice unsearched or
+    # searched twice
+    carrier, jobs, want = short_slices(300, 9)
+    n = jobs[0][0][1]
+    log = str(tmp_path / "searches")
+
+    def logged(buf, ratio):
+        # buf is a view of the carrier's samples
+        at = buf.samples.ctypes.data - carrier.samples.ctypes.data
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{os.getpid()} {at // 8 // n}\n".encode())
+        finally:
+            os.close(fd)
+        return frame_starts(buf, ratio)
+
+    monkeypatch.setattr(codec, "frame_starts", logged)
+    monkeypatch.setattr(codec, "usable_cpus", lambda: 8)
+    fds = open_fds()
+    out = np.empty(len(want))
+    with time_limit(120):
+        assert codec._stretch_into(carrier, jobs, out, 0) == len(want)
+    assert sorted(i for _, i in searches(log)) == list(range(300))
+    assert np.array_equal(out, want)
+    assert_nothing_left(fds)
 
 DESCRIPTOR_LIMIT_PROBE = """
 import os, resource
@@ -836,42 +1043,46 @@ def test_an_encode_at_its_descriptor_limit_stretches_every_run_itself():
 
 
 def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
-    caller = os.getpid()
+    # every search raises, so the caller searches a slice no worker hands
+    # back and raises there, whoever claims what; then the caller's render
+    def failing_search(buf, ratio):
+        raise RuntimeError("stretch failed in the caller")
 
-    def failing(buf, ratio, *, out=None):
-        if os.getpid() == caller:
-            raise RuntimeError("stretch failed in the caller")
-        return stretch_tempo(buf, ratio, out=out)
+    def failing_render(buf, ratio, *, out=None, starts=None):
+        raise RuntimeError("stretch failed in the caller")
 
-    monkeypatch.setattr(codec, "stretch_tempo", failing)
-    fds = open_fds()
-    with pytest.raises(RuntimeError, match="in the caller"):
-        encode_with_workers(click(120, 62.0), FOUR_BITS, 3, monkeypatch)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert open_fds() == fds
+    for name, failing in (("frame_starts", failing_search), ("stretch_tempo", failing_render)):
+        fds = open_fds()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(codec, name, failing)
+            with pytest.raises(RuntimeError, match="in the caller"):
+                encode_with_workers(click(120, 62.0), FOUR_BITS, 3, monkeypatch)
+        assert_nothing_left(fds)
 
 
 def test_a_short_stretch_shortens_the_file_by_one_sample_per_slice(click, monkeypatch):
     # the serial loop advances by the returned length, so each slice's
-    # last sample is overwritten by the next slice; runs sent back by
-    # workers, and a failed worker's run stretched again in the caller,
-    # must land at the same running offset
+    # last sample is overwritten by the next slice; slices searched by
+    # workers, and a failed worker's slice searched again in the caller,
+    # must be rendered at the same running offset
     carrier = click(120, 62.0)
     full = encode(carrier, FOUR_BITS).samples
     lost = PHI_N + np.cumsum(slice_lengths(FOUR_BITS)) - 1
     caller = os.getpid()
     third = carrier.samples[3 * PHI_N : 4 * PHI_N]
 
-    def short(buf, ratio, *, out=None):
+    def search(buf, ratio):
         if failing and os.getpid() != caller and np.shares_memory(buf.samples, third):
             os._exit(3)
-        got = stretch_tempo(buf, ratio, out=out)
+        return frame_starts(buf, ratio)
+
+    def short(buf, ratio, *, out=None, starts=None):
+        got = stretch_tempo(buf, ratio, out=out, starts=starts)
         return PcmBuffer(samples=got.samples[:-1], sample_rate=got.sample_rate)
 
+    monkeypatch.setattr(codec, "frame_starts", search)
     monkeypatch.setattr(codec, "stretch_tempo", short)
-    # failing: the worker given payload slice 3 exits non-zero (at three
-    # workers, the middle run, between the caller's and the last worker's)
+    # failing: a worker that claims payload slice 3 exits non-zero
     for failing in (False, True):
         for workers in (1, 2, 3):
             got = encode_with_workers(carrier, FOUR_BITS, workers, monkeypatch)

@@ -699,6 +699,41 @@ def test_stretch_kernel_matches_at_whole_frame_lengths(sr):
         assert np.array_equal(stretch.stretch_core(x, 1.1, seq, seek, overlap, n_out), want)
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    frames=st.floats(2.0, 6.0),
+    ratio=st.floats(0.5, 2.0),
+    scale=st.sampled_from([1.0, 1e-100, 1e76]),
+    content=st.sampled_from(["noise", "gapped", "silent", "pcm16"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# samples near 1e76 and 1e-100 are stretched at a power-of-two scale
+@example(sr=44100, frames=2.0, ratio=2.0, scale=1e76, content="noise", seed=0)
+@example(sr=8000, frames=3.0, ratio=0.5, scale=1e-100, content="gapped", seed=0)
+@example(sr=44100, frames=2.5, ratio=1.0, scale=1.0, content="silent", seed=0)
+@example(sr=44100, frames=4.0, ratio=1.01, scale=1.0, content="pcm16", seed=0)
+def test_a_stretch_rendered_at_its_found_starts_is_the_stretch(sr, frames, ratio, scale, content,
+                                                                seed):
+    # the search and the render split the stretch without changing a byte
+    seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
+    n = int(frames * seq)
+    if content == "pcm16":  # int16 samples; the scale does not apply
+        buf = PcmBuffer(samples=pcm16_values(n, seed, [-32768, 32767, 0]), sample_rate=sr)
+    else:
+        x = np.random.default_rng(seed).standard_normal(n) * scale
+        if content == "gapped":
+            x[seq // 2 : 2 * seq] = 0.0
+        elif content == "silent":
+            x[:] = 0.0
+        buf = PcmBuffer(samples=x, sample_rate=sr)
+    starts = stretch.frame_starts(buf, ratio)
+    assert stretch.starts_fit(starts, n, ratio, sr)
+    want = stretch.stretch_tempo(buf, ratio).samples
+    got = stretch.stretch_tempo(buf, ratio, starts=starts).samples
+    assert got.tobytes() == want.tobytes()
+
 def oracle_encode(carrier, message, params):
     """Encode as parts: each payload slice stretched into its own array,
     then one concatenate."""

@@ -9,6 +9,7 @@ from tempostego import (
     estimate_tempo,
     stretch_tempo,
 )
+from tempostego import stretch
 
 SR = 44100
 
@@ -133,3 +134,30 @@ def test_non_finite_samples_are_refused(click, bad, where):
     x[0 if where == "start" else len(x) // 2] = bad
     with pytest.raises(NonFiniteSamples):
         stretch_tempo(PcmBuffer(samples=x, sample_rate=SR), 1.01)
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "below", "above", "float", "list"])
+def test_starts_that_do_not_fit_the_stretch_raise(click, bad):
+    buf = click(120, 10.0)
+    good = stretch.frame_starts(buf, 1.01)
+    seq = int(round(stretch.SEQUENCE_MS * SR / 1000.0))
+    starts = {
+        "short": good[:-1],
+        "long": np.append(good, 0),
+        "below": np.where(np.arange(len(good)) == 3, -1, good),
+        "above": np.where(np.arange(len(good)) == 3, len(buf) - seq + 1, good),
+        "float": good.astype(float),
+        "list": good.tolist(),
+    }[bad]
+    assert not stretch.starts_fit(starts, len(buf), 1.01, SR)
+    with pytest.raises(ValueError, match="starts"):
+        stretch_tempo(buf, 1.01, starts=starts)
+
+
+def test_the_last_start_may_reach_len_minus_seq(click):
+    buf = click(120, 10.0)
+    seq = int(round(stretch.SEQUENCE_MS * SR / 1000.0))
+    starts = stretch.frame_starts(buf, 1.01)
+    starts[-1] = len(buf) - seq
+    assert stretch.starts_fit(starts, len(buf), 1.01, SR)
+    assert len(stretch_tempo(buf, 1.01, starts=starts)) == stretch.stretched_length(len(buf), 1.01)
