@@ -12,67 +12,36 @@ pitch-preserving time stretching (stretch), tempo candidate estimation
 (tempo), the encoder/decoder (codec), and an evaluation harness with
 deterministic click-track carriers (harness). The tempostego CLI wraps
 all of it.
+
+Each exported name is loaded from its module on first access (PEP 562),
+so `import tempostego` loads neither numpy nor any module a caller does
+not use: StegoParams and plan_slices come from the numpy-free plan module.
 """
 
-from .audio import PcmBuffer, concat, read_wav, rms_dbfs, slice_buffer, write_wav
-from .bits import (
-    ERASURE,
-    BitString,
-    bits_to_text,
-    parse_bitstring,
-    plan_spanning,
-    text_to_bits,
-)
-from .codec import (
-    BoundaryMode,
-    DecodeReport,
-    Direction,
-    SliceDecision,
-    SlicePlan,
-    StegoParams,
-    capacity,
-    classify_slice,
-    decode,
-    encode,
-    encode_playlist,
-    plan_slices,
-)
-from .errors import (
-    BufferTooShort,
-    ClippingWarning,
-    InsufficientCapacity,
-    InvalidSymbol,
-    IoError,
-    LowEnergy,
-    MalformedHeader,
-    MessageTooLong,
-    NonFiniteSamples,
-    NoPeriodicity,
-    OutOfRange,
-    RatioOutOfRange,
-    ReferenceSilent,
-    SampleRateMismatch,
-    StegoError,
-    TooShort,
-    Undecidable,
-    UnsupportedFormat,
-)
-from .harness import (
-    EvalResult,
-    FileResult,
-    Gain,
-    Noise,
-    ResampleRoundTrip,
-    compare_bits,
-    evaluate,
-    generate_click_track,
-    perturb,
-    split_on_silence,
-)
-from .stretch import stretch_tempo
-from .tempo import TempoCandidates, estimate_tempo, onset_envelope
+import importlib
 
 __version__ = "0.1.0"
+
+# each exported name by the module it is defined in
+_EXPORTS = {
+    "audio": ("PcmBuffer", "concat", "read_wav", "rms_dbfs", "slice_buffer", "write_wav"),
+    "bits": ("ERASURE", "BitString", "bits_to_text", "parse_bitstring", "plan_spanning",
+             "text_to_bits"),
+    "plan": ("BoundaryMode", "SlicePlan", "StegoParams", "capacity", "plan_slices"),
+    "codec": ("DecodeReport", "Direction", "SliceDecision", "classify_slice", "decode",
+              "encode", "encode_playlist"),
+    "errors": ("BufferTooShort", "ClippingWarning", "InsufficientCapacity", "InvalidSymbol",
+               "IoError", "LowEnergy", "MalformedHeader", "MessageTooLong",
+               "NonFiniteSamples", "NoPeriodicity", "OutOfRange", "RatioOutOfRange",
+               "ReferenceSilent", "SampleRateMismatch", "StegoError", "TooShort",
+               "Undecidable", "UnsupportedFormat"),
+    "harness": ("EvalResult", "FileResult", "Gain", "Noise", "ResampleRoundTrip",
+                "compare_bits", "evaluate", "generate_click_track", "perturb",
+                "split_on_silence"),
+    "stretch": ("stretch_tempo",),
+    "tempo": ("TempoCandidates", "estimate_tempo", "onset_envelope"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "PcmBuffer",
@@ -133,3 +102,20 @@ __all__ = [
     "onset_envelope",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # a module named in _EXPORTS is an attribute too, imported on first
+    # access (importing it binds it here), so `import tempostego` then
+    # `tempostego.audio` works
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups do not reach here
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

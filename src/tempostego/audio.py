@@ -30,7 +30,8 @@ output element comes from the same elementwise operation at any CPU
 count, so results do not depend on it.
 
 Samples move straight between the file and the buffer. The reader
-parses the chunk headers with small positioned reads, then each range
+parses the chunk headers with small positioned reads (wavheader, which
+holds the one header parser and needs no numpy), then each range
 reads its own part of the data chunk by position: 16-bit mono straight
 into the int16 array, other formats one block at a time into a scratch
 that it converts. A pipe or device is read in sequence, never past the
@@ -60,22 +61,20 @@ from .errors import (
     NonFiniteSamples,
     OutOfRange,
     SampleRateMismatch,
-    UnsupportedFormat,
+)
+from .wavheader import (
+    O_BINARY,
+    WAVE_FORMAT_IEEE_FLOAT,
+    WAVE_FORMAT_PCM,
+    _fill,
+    open_read,
+    read_header,
 )
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
 T = TypeVar("T")
-
-WAVE_FORMAT_PCM = 1
-WAVE_FORMAT_IEEE_FLOAT = 3
-WAVE_FORMAT_EXTENSIBLE = 0xFFFE
-# Bytes 4..15 of the KSDATAFORMAT_SUBTYPE GUIDs; bytes 0..3 hold the tag.
-_SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
-# The RIFF and data sizes of a WAV stream whose writer could not seek
-# back to fill them in (ffmpeg's WAV muxer on a pipe)
-_SIZE_UNKNOWN = 0xFFFFFFFF
 
 # Samples per block of the chunked passes over long buffers (read_wav,
 # write_wav and frame_mean_squares). A block's float64 input
@@ -95,9 +94,6 @@ CHUNK_SAMPLES = 1 << 16
 # in two ranges on a running pool; medians of 15 on a 2-vCPU VM). So a
 # CLI call on a 30 s file runs serial code only.
 PARALLEL_MIN_SAMPLES = 1 << 21
-
-# keeps Windows from translating line endings in WAV bytes; 0 elsewhere
-_O_BINARY = getattr(os, "O_BINARY", 0)
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -278,63 +274,26 @@ def read_wav(path: str) -> PcmBuffer:
     16-bit by 1/32768). A 16-bit mono file gives a buffer in the 16-bit
     form, holding its int16 samples (see PcmBuffer).
 
-    A regular file is read by position: the chunk headers with small
-    reads, then each sample range of the data chunk, 16-bit mono straight
-    into the int16 array, other formats one block at a time into a
-    scratch that it converts, so no copy of the file is held. A
-    pipe or device, or any file where os.preadv is missing, is read in
-    sequence up to the size its RIFF header declares, and no further,
-    then parsed the same way. A data size of 0xFFFFFFFF, which ffmpeg
-    writes where it cannot seek back, means the rest of the source.
+    The header is parsed by wavheader.read_header, which wav_frames
+    shares. A regular file is then read by position, each sample range of
+    the data chunk, 16-bit mono straight into the int16 array, other
+    formats one block at a time into a scratch that it converts, so no
+    copy of the file is held. A pipe or device, or any file where
+    os.preadv is missing, is read in sequence up to the size its RIFF
+    header declares, and no further. A data size of 0xFFFFFFFF, which
+    ffmpeg writes where it cannot seek back, means the rest of the source.
 
     Raises IoError when the file cannot be read, MalformedHeader when the
     RIFF structure is broken, UnsupportedFormat for other encodings, and
     NonFiniteSamples when float content holds NaN or infinity.
     """
-    try:
-        fd = os.open(path, os.O_RDONLY | _O_BINARY)
-        try:
-            return _read_fd(fd, path)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return open_read(path, lambda fd: _read_fd(fd, path))
 
 
 def _read_fd(fd: int, path: str) -> PcmBuffer:
-    info = os.fstat(fd)
-    if stat.S_ISREG(info.st_mode) and hasattr(os, "preadv"):
-        size = info.st_size
-
-        def pread(buf, offset: int) -> int:
-            return os.preadv(fd, [buf], offset)
-
-    else:
-        blob = _read_declared(fd, path)
-        size = len(blob)
-        # slices of a memoryview share the blob's bytes; slices of the
-        # bytearray itself would copy every range
-        view = memoryview(blob)
-
-        def pread(buf, offset: int) -> int:
-            got = view[offset : offset + len(buf)]
-            buf[: len(got)] = got
-            return len(got)
-
-    fmt, offset, length = _parse_riff(path, pread, size)
-    fmt_tag, channels, sample_rate, _, _, bits = fmt
-    if fmt_tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
-        raise UnsupportedFormat(f"{path}: format tag {fmt_tag} not supported")
-    if channels not in (1, 2):
-        raise UnsupportedFormat(f"{path}: {channels} channels not supported")
-    if sample_rate == 0:
-        raise MalformedHeader(f"{path}: zero sample rate")
-    if (fmt_tag, bits) not in _CONVERTERS:
-        raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
-
+    pread, (fmt_tag, channels, sample_rate, bits), offset, n = read_header(fd, path)
     dtype, offset_value, scale = _CONVERTERS[fmt_tag, bits]
     frame = dtype.itemsize * channels
-    n = length // frame  # whole frames
 
     def fill(buf, at: int) -> None:
         if _fill(pread, buf, offset + at * frame) < buf.nbytes:
@@ -382,120 +341,17 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
     return PcmBuffer(samples=x, sample_rate=int(sample_rate))
 
 
-def _fill(pread: Callable[[memoryview, int], int], buf, offset: int) -> int:
-    """Read into buf from offset until it is full or the source ends;
-    the byte count read."""
-    view = memoryview(buf).cast("B")
-    got = 0
-    while got < len(view):
-        k = pread(view[got:], offset + got)
-        if not k:
-            break
-        got += k
-    return got
-
-
-def _signature(path: str, head: bytes) -> int:
-    """The size a RIFF/WAVE file's first 12 bytes declare for what
-    follows its first 8."""
-    if len(head) < 12:
-        raise MalformedHeader(f"{path}: too small to be a WAV file")
-    riff, size, wave_id = struct.unpack_from("<4sI4s", head, 0)
-    if riff != b"RIFF" or wave_id != b"WAVE":
-        raise MalformedHeader(f"{path}: missing RIFF/WAVE signature")
-    return size
-
-
-def _read_declared(fd: int, path: str) -> bytearray:
-    """A source read in sequence: its first 12 bytes, which must be a
-    RIFF/WAVE signature, then at most the rest that the RIFF size
-    declares."""
-    blob = bytearray()
-    _read_until(fd, blob, 12)
-    _read_until(fd, blob, 8 + _signature(path, blob))
-    return blob
-
-
-def _read_until(fd: int, blob: bytearray, end: int) -> None:
-    # os.read never returns more than it is asked for, so nothing past
-    # `end` leaves the source
-    while len(blob) < end:
-        part = os.read(fd, min(end - len(blob), 1 << 20))
-        if not part:
-            return
-        blob += part
-
-
-def _parse_riff(
-    path: str, pread: Callable[[memoryview, int], int], size: int
-) -> tuple[tuple[int, int, int, int, int, int], int, int]:
-    """The fmt fields of a RIFF/WAVE source of `size` bytes, and the
-    offset and length of its data chunk, from its chunk headers. Where a
-    chunk occurs twice, the last one counts. A data chunk of unknown size
-    (_SIZE_UNKNOWN) runs to the end of the source."""
-    _signature(path, _read_at(pread, 0, 12))
-    fmt = None
-    data = None
-    pos = 12
-    while pos + 8 <= size:
-        head = _read_at(pread, pos, 8)
-        if len(head) < 8:  # the file shrank after it was sized
-            raise MalformedHeader(f"{path}: chunk header extends past end of file")
-        cid, csize = struct.unpack("<4sI", head)
-        pos += 8
-        if cid == b"data" and csize == _SIZE_UNKNOWN:
-            csize = size - pos
-        if csize > size - pos:
-            raise MalformedHeader(f"{path}: chunk {cid!r} extends past end of file")
-        if cid == b"fmt ":
-            # _parse_fmt needs at most the first 40 bytes of the body
-            fmt = _parse_fmt(path, _read_at(pread, pos, min(csize, 40)))
-        elif cid == b"data":
-            data = (pos, csize)
-        # chunks are word-aligned; odd sizes carry a pad byte
-        pos += csize + (csize & 1)
-
-    if fmt is None:
-        raise MalformedHeader(f"{path}: no fmt chunk")
-    if data is None:
-        raise MalformedHeader(f"{path}: no data chunk")
-    return fmt, data[0], data[1]
-
-
-def _read_at(pread: Callable[[memoryview, int], int], offset: int, k: int) -> bytes:
-    """Up to k bytes from offset; fewer where the source ends first."""
-    buf = bytearray(k)
-    return bytes(buf[: _fill(pread, buf, offset)])
-
-
-# (format tag, bits): (dtype of one sample as stored, then the offset
-# subtracted from it and the power of two it is scaled by to give float64
-# samples in [-1, 1]); 24-bit samples are stored as byte triplets, read
-# as int32 with the sample in the top three bytes
+# (format tag, bits), the keys of wavheader.SAMPLE_BYTES: (dtype of one
+# sample as stored, then the offset subtracted from it and the power of
+# two it is scaled by to give float64 samples in [-1, 1]); 24-bit samples
+# are stored as byte triplets, read as int32 with the sample in the top
+# three bytes
 _CONVERTERS = {
     (WAVE_FORMAT_PCM, 8): (np.dtype(np.uint8), 128.0, 2.0**-7),
     (WAVE_FORMAT_PCM, 16): (_PCM16, 0.0, _I16_SCALE),
     (WAVE_FORMAT_PCM, 24): (np.dtype("V3"), 0.0, 2.0**-31),
     (WAVE_FORMAT_IEEE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
 }
-
-
-def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
-    """(format tag, channels, rate, byte rate, block align, bits) of a fmt
-    chunk body. An EXTENSIBLE chunk reports the tag of its subformat."""
-    if len(body) < 16:
-        raise MalformedHeader(f"{path}: fmt chunk too small")
-    fmt = struct.unpack_from("<HHIIHH", body, 0)
-    if fmt[0] != WAVE_FORMAT_EXTENSIBLE:
-        return fmt
-    if len(body) < 40:
-        raise MalformedHeader(f"{path}: extensible fmt chunk too small")
-    guid = bytes(body[24:40])
-    tag = int.from_bytes(guid[:4], "little")
-    known = tag in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT)
-    if not known or guid[4:] != _SUBFORMAT_GUID_SUFFIX:
-        raise UnsupportedFormat(f"{path}: extensible subformat {guid.hex()} not supported")
-    return (tag,) + fmt[1:]
 
 
 def write_wav(buf: PcmBuffer, path: str) -> None:
@@ -544,7 +400,7 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     # written last, after the file is cut to length, so a write that
     # fails part way leaves a file that read_wav rejects.
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | _O_BINARY, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | O_BINARY, 0o666)
         try:
             regular = stat.S_ISREG(os.fstat(fd).st_mode)
             _write_all(fd, bytes(4) + header[4:] if regular else header)

@@ -5,32 +5,23 @@ tempo, evaluate, make-carrier, split. Channel flags default to the
 StegoParams defaults. On failure the process exits nonzero and
 prints "error: <ErrorName>: detail" on stderr so scripts can match on
 the error name.
+
+Each subcommand imports the modules it uses when it runs, so the parser,
+`--help`, an argument error and `capacity` (a WAV header and the slice
+plan) never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
-import shutil
 import sys
 
-from .audio import read_wav, slice_buffer, write_wav
 from .bits import BitString, parse_bitstring, text_to_bits
-from .codec import BoundaryMode, StegoParams, decode, encode, plan_slices
 from .errors import StegoError
-from .harness import (
-    Gain,
-    Noise,
-    ResampleRoundTrip,
-    evaluate,
-    generate_click_track,
-)
-from .harness import (
-    split_on_silence as split_stream,
-)
-from .tempo import estimate_tempo
+from .plan import BoundaryMode, StegoParams, plan_slices
+from .wavheader import wav_frames
 
 
 # Channel flags by StegoParams field: (flag, type, help). A subcommand
@@ -73,17 +64,20 @@ def _payload_from(args: argparse.Namespace) -> BitString:
     return text_to_bits(bytes.fromhex(args.hex).decode("latin-1"))
 
 
-# --perturb NAME:VALUE by NAME: the perturbation class, and the type VALUE is read as
-_PERTURBATIONS = {"noise": (Noise, float), "gain": (Gain, float),
-                  "resample": (ResampleRoundTrip, int)}
+# --perturb NAME:VALUE by NAME: the perturbation class in harness, and
+# the type VALUE is read as
+_PERTURBATIONS = {"noise": ("Noise", float), "gain": ("Gain", float),
+                  "resample": ("ResampleRoundTrip", int)}
 
 
 def _parse_perturb(spec: str):
+    from . import harness
+
     name, _, value = spec.partition(":")
     if name not in _PERTURBATIONS:
         raise ValueError(f"unknown perturbation {spec!r}; use noise:SNR, gain:F, or resample:RATE")
     kind, value_type = _PERTURBATIONS[name]
-    return kind(value_type(value))
+    return getattr(harness, kind)(value_type(value))
 
 
 def _parse_generate(spec: str) -> list[tuple[float, float]]:
@@ -97,6 +91,9 @@ def _parse_generate(spec: str) -> list[tuple[float, float]]:
 
 
 def _cmd_encode(args) -> int:
+    from .audio import read_wav, write_wav
+    from .codec import encode
+
     params = _params_from(args)
     message = _payload_from(args)
     carrier = read_wav(getattr(args, "in"))
@@ -108,6 +105,9 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from .audio import read_wav
+    from .codec import decode
+
     params = _params_from(args)
     stego = read_wav(getattr(args, "in"))
     report = decode(
@@ -117,6 +117,8 @@ def _cmd_decode(args) -> int:
     for note in report.warnings:
         print(f"warning: {note}", file=sys.stderr)
     if args.report:
+        import json
+
         with open(args.report, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
         print(f"report written to {args.report}", file=sys.stderr)
@@ -124,13 +126,17 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    # the header alone gives the length and rate; no sample is read
     params = _params_from(args)
-    carrier = read_wav(getattr(args, "in"))
-    print(plan_slices(len(carrier), carrier.sample_rate, params).capacity)
+    n, sample_rate = wav_frames(getattr(args, "in"))
+    print(plan_slices(n, sample_rate, params).capacity)
     return 0
 
 
 def _cmd_tempo(args) -> int:
+    from .audio import read_wav, slice_buffer
+    from .tempo import estimate_tempo
+
     buf = read_wav(getattr(args, "in"))
     if args.from_s is not None or args.to_s is not None:
         start = args.from_s if args.from_s is not None else 0.0
@@ -143,6 +149,9 @@ def _cmd_tempo(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .audio import read_wav
+    from .harness import evaluate, generate_click_track
+
     params = _params_from(args)
     message = _payload_from(args)
     if args.carriers:
@@ -169,6 +178,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_make_carrier(args) -> int:
+    from .audio import write_wav
+    from .harness import generate_click_track
+
     buf = generate_click_track(
         args.bpm,
         args.duration,
@@ -182,8 +194,13 @@ def _cmd_make_carrier(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    import shutil
+
+    from .audio import read_wav, write_wav
+    from .harness import split_on_silence
+
     stream = read_wav(getattr(args, "in"))
-    segments = split_stream(
+    segments = split_on_silence(
         stream, min_silence_s=args.min_silence, threshold_dbfs=args.threshold
     )
     if segments:

@@ -51,14 +51,16 @@ from .errors import (
     TooShort,
     Undecidable,
 )
-from .stretch import frame_starts, starts_fit, stretch_tempo, stretched_length
-from .tempo import (
-    MAX_DELTA,
-    MIN_MEASURE_S,
-    SETTINGS,
-    TempoCandidates,
-    estimate_tempo,
+from .plan import (  # noqa: F401  (capacity and SlicePlan: codec's public names)
+    BoundaryMode,
+    SlicePlan,
+    StegoParams,
+    _geometry,
+    capacity,
+    plan_slices,
 )
+from .stretch import KeptInput, frame_starts, starts_fit, stretch_tempo, stretched_length
+from .tempo import SETTINGS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings.
 LOW_CONFIDENCE = 0.5
@@ -77,14 +79,6 @@ _SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 # gate above, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
 
-# A payload slice's attribute is about 100 * delta percent, and a discard
-# gate under it erases the slice. The estimate's error adds a part that
-# does not scale with delta: over 310 random click carriers a slice needed
-# at most 1.52 * 100 * delta, and at most 1.2 * 100 * delta + 0.17. At
-# MAX_DELTA this gate is 3.9, so the default 4.0 admits every delta.
-_DISCARD_MARGIN = 1.2
-_DISCARD_SLACK_PCT = 0.3
-
 # Bytes of a slice index (uint32) in encode's queue pipe. A worker's
 # record is the index and the frame count (uint32 each), then the frame
 # starts (int64).
@@ -94,46 +88,6 @@ _INDEX = 4
 class Direction(enum.Enum):
     UP = "up"
     DOWN = "down"
-
-
-class BoundaryMode(enum.Enum):
-    STATIC = "static"
-    TRACKED = "tracked"
-
-
-@dataclass(frozen=True)
-class StegoParams:
-    """Channel geometry shared by encoder and decoder.
-
-    phi_s: slice length in seconds (one hidden bit per payload slice).
-    delta: tempo offset fraction; 0.01 means payload slices play 1%
-        faster or slower than the reference.
-    trim_frac: fraction trimmed from each end of a slice before measuring
-        tempo, so boundary artifacts and drift stay out of the window.
-    discard_pct: attribute gate; candidate-pair differences larger than
-        this (in percent) compare different harmonics and are ignored.
-    boundary_mode: how the decoder advances slice boundaries.
-    """
-
-    phi_s: float = 10.0
-    delta: float = 0.01
-    trim_frac: float = 0.05
-    discard_pct: float = 4.0
-    boundary_mode: BoundaryMode = BoundaryMode.TRACKED
-
-    def __post_init__(self):
-        # each range is written so that NaN and infinity fall outside it
-        if not (10.0 <= self.phi_s < math.inf):
-            raise ValueError("phi_s must be finite and at least 10 s")
-        if not (0.0 < self.delta <= MAX_DELTA):
-            raise ValueError(f"delta must be in (0, {MAX_DELTA:g}]")
-        if not (0.0 <= self.trim_frac < 0.5):
-            raise ValueError("trim_frac must be in [0, 0.5)")
-        gate = _DISCARD_MARGIN * 100.0 * self.delta + _DISCARD_SLACK_PCT
-        if not (gate <= self.discard_pct < math.inf):
-            raise ValueError(f"discard_pct must be finite and at least {gate:g} at this delta")
-        if self.phi_s * (1.0 - 2.0 * self.trim_frac) < MIN_MEASURE_S:
-            raise ValueError(f"trimmed window would be under {MIN_MEASURE_S:g} s")
 
 
 @dataclass(frozen=True)
@@ -168,55 +122,6 @@ def _json_fields(obj) -> dict:
     return {
         k: v.value if isinstance(v, enum.Enum) else v for k, v in asdict(obj).items()
     }
-
-
-@dataclass(frozen=True)
-class SlicePlan:
-    """Sample intervals covering the whole carrier: reference, payload
-    slices, untouched tail. Intervals are contiguous and non-overlapping."""
-
-    reference: tuple[int, int]
-    data: tuple[tuple[int, int], ...]
-    tail: tuple[int, int]
-
-    @property
-    def capacity(self) -> int:
-        return len(self.data)
-
-
-def capacity(duration_s: float, params: StegoParams = StegoParams()) -> int:
-    """Payload bits a carrier of this duration can hold.
-
-    One whole slice anchors the reference and one is reserved for the
-    tail, so floor(duration / phi_s) - 2, floored at zero. This works in
-    seconds; for a buffer in hand, plan_slices(...).capacity is the
-    figure encode enforces, which can be one lower when phi_s * rate is
-    not a whole number of samples. A NaN or infinite duration raises
-    ValueError.
-    """
-    if not math.isfinite(duration_s):
-        raise ValueError(f"capacity needs a finite duration, not {duration_s} s")
-    n_slices = int(math.floor(duration_s / params.phi_s + 1e-9))
-    return max(0, n_slices - 2)
-
-
-def _geometry(sample_rate: int, params: StegoParams) -> tuple[int, int, int]:
-    """Slice length, per-edge trim and measurement window, in samples."""
-    if not math.isfinite(params.phi_s * sample_rate):
-        raise ValueError(f"phi_s {params.phi_s:g} s is too long at {sample_rate} Hz")
-    phi_n = int(round(params.phi_s * sample_rate))
-    trim_n = int(round(params.trim_frac * params.phi_s * sample_rate))
-    return phi_n, trim_n, phi_n - 2 * trim_n
-
-
-def plan_slices(n_samples: int, sample_rate: int, params: StegoParams) -> SlicePlan:
-    phi_n, _, _ = _geometry(sample_rate, params)
-    n_slices = n_samples // phi_n
-    if n_slices == 0:
-        return SlicePlan((0, n_samples), (), (n_samples, n_samples))
-    data = tuple((i * phi_n, (i + 1) * phi_n) for i in range(1, n_slices - 1))
-    tail_start = max(1, n_slices - 1) * phi_n
-    return SlicePlan((0, phi_n), data, (tail_start, n_samples))
 
 
 def _ratio_for(direction: Direction, delta: float) -> float:
@@ -356,7 +261,10 @@ def _stretch_into(
     record per slice back on its own result pipe. This process renders
     every slice, in order, at the running offset of the lengths
     stretch_tempo returns, so a short return shortens the file as a
-    serial loop does and an exception comes from this call.
+    serial loop does and an exception comes from this call. When this
+    process searches the slice it renders next, the render reuses the
+    input the search read, checked and scaled (stretch.KeptInput); no
+    other slice's input is held.
 
     A record is kept only when its index was queued and has no starts
     yet, and its starts fit the slice (stretch.starts_fit). A worker
@@ -368,18 +276,27 @@ def _stretch_into(
     """
     sr = carrier.sample_rate
 
-    def piece(i: int) -> PcmBuffer:
+    def piece(i: int) -> KeptInput:
         (s0, s1), _, _ = jobs[i]
-        return PcmBuffer(samples=float_range(carrier, s0, s1), sample_rate=sr)
+        return KeptInput(samples=float_range(carrier, s0, s1), sample_rate=sr)
 
     def search(i: int) -> np.ndarray:
         return frame_starts(piece(i), jobs[i][1])
+
+    def search_here(i: int) -> None:
+        # the slice rendered next keeps its prepared input for its render
+        nonlocal ready
+        buf = piece(i)
+        found[i] = frame_starts(buf, jobs[i][1])
+        ready = buf if i == at else None
 
     def fits(i: int, starts: np.ndarray) -> bool:
         (s0, s1), ratio, _ = jobs[i]
         return starts_fit(starts, s1 - s0, ratio, sr)
 
     found: list[np.ndarray | None] = [None] * len(jobs)
+    at = 0  # the next slice to render
+    ready = None  # slice at's buffer, when this process searched it
     queue = None  # the queue pipe's read end, until it runs dry
     queued = 0  # slices 0 .. queued - 1 went into the queue
     streams: dict[int, bytearray] = {}  # result read end: its unread bytes
@@ -448,19 +365,19 @@ def _stretch_into(
                     os.close(fd)
                     del streams[fd]
 
-        at = 0  # the next slice to render
         while at < len(jobs):
             if streams:
                 take(0)
             if found[at] is not None:
                 _, ratio, n = jobs[at]
-                o += len(stretch_tempo(piece(at), ratio, out=out[o : o + n], starts=found[at]))
+                buf = ready if ready is not None else piece(at)
+                ready = None
+                o += len(stretch_tempo(buf, ratio, out=out[o : o + n], starts=found[at]))
                 at += 1
                 continue
             token = os.read(queue, _INDEX) if queue is not None else b""
             if len(token) == _INDEX:
-                i = int.from_bytes(token, sys.byteorder)
-                found[i] = search(i)
+                search_here(int.from_bytes(token, sys.byteorder))
                 continue
             if queue is not None:  # the queue ran dry
                 os.close(queue)
@@ -468,7 +385,7 @@ def _stretch_into(
             if streams and at < queued:
                 take(None)  # a worker may still hand it back
             else:
-                found[at] = search(at)
+                search_here(at)
     finally:
         if queue is not None:
             os.close(queue)

@@ -171,6 +171,20 @@ def starts_fit(starts: np.ndarray, n: int, ratio: float, sample_rate: int) -> bo
     )
 
 
+class KeptInput(PcmBuffer):
+    """A buffer that keeps the input the kernel takes, from its first
+    frame_starts or stretch_tempo call for the later ones: its range is
+    read as floats, checked and scaled once. encode passes one to the
+    search and then the render of a slice it does both for. Its samples
+    must not change between the calls."""
+
+    __slots__ = ("_kernel_input",)
+
+    def __init__(self, samples: np.ndarray, sample_rate: int):
+        super().__init__(samples, sample_rate)
+        self._kernel_input = None
+
+
 def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
     """stretch_tempo's checks; then the input as the kernel takes it, the
     power of two it was scaled down by, the frame geometry and n_out."""
@@ -182,7 +196,8 @@ def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
         )
     n_out = stretched_length(len(buf), ratio)
-    src = float_range(buf, 0, len(buf))
+    kept = getattr(buf, "_kernel_input", None)
+    src = float_range(buf, 0, len(buf)) if kept is None else kept[0]
     if out is not None and (
         not isinstance(out, np.ndarray)
         or out.shape != (n_out,)
@@ -190,6 +205,17 @@ def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
         or np.may_share_memory(out, src)
     ):
         raise ValueError(f"out must be {n_out} float64 samples apart from the input")
+    if kept is None:
+        kept = (src, *_kernel_input(src))
+        if isinstance(buf, KeptInput):
+            buf._kernel_input = kept
+    _, xs, k = kept
+    return xs, k, (seq, seek, overlap), n_out
+
+
+def _kernel_input(src: np.ndarray) -> tuple[np.ndarray, int]:
+    """src as the kernel takes it, and the power of two it was scaled
+    down by; NonFiniteSamples if src holds NaN or infinity."""
     x = np.ascontiguousarray(src)
     with np.errstate(over="ignore", invalid="ignore"):
         e = energy(x)
@@ -207,7 +233,7 @@ def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
         # without overflow or underflow. Silence keeps k = 0.
         in_range = 2.0**-511 < e < 2.0**511
         k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
-        return (np.ldexp(x, -k) if k else x), k, (seq, seek, overlap), n_out
+        return (np.ldexp(x, -k) if k else x), k
 
 
 def frame_starts(buf: PcmBuffer, ratio: float) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .audio import PcmBuffer, float_range, rms_dbfs, shared_pool
 from .errors import LowEnergy, NoPeriodicity, TooShort
+from .plan import MAX_DELTA, MIN_MEASURE_S
 
 # A candidate peak must stand this far above the median autocorrelation in
 # the search band. White noise stays below ~0.09; real pulses reach 0.8+.
@@ -39,13 +40,6 @@ PEAK_MARGIN = 0.12
 # score edge per octave, clearing that while staying well below the ~50%
 # edge that would wrongly promote half-beat subdivision peaks.
 OCTAVE_EXP = 0.3
-
-MIN_MEASURE_S = 9.0
-
-# The largest tempo offset fraction a payload slice may carry. The
-# estimator's band covers every tempo encode can write from a 60-200 BPM
-# carrier, so a slice lowered from 60 BPM still measures inside it.
-MAX_DELTA = 0.03
 
 # STFT frames per block of the onset envelope. A block's frames, spectra
 # and flux stay in cache, and blocks run concurrently because the FFT

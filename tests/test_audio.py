@@ -501,28 +501,32 @@ from tempostego.cli import main
 audio.usable_cpus = lambda: 2  # as on any machine with two CPUs or more
 assert main(["capacity", "--in", sys.argv[1]]) == 0
 print(audio._pool is not None, "concurrent.futures.thread" in sys.modules)
+audio.read_wav(sys.argv[1])
+print(audio._pool is not None, "concurrent.futures.thread" in sys.modules)
 """
 
 
 def pool_started_by_capacity(path):
     """Whether a fresh interpreter's `capacity` call created the pool, and
-    whether it imported the thread pool module."""
+    whether it imported the thread pool module; then the same after a
+    read_wav of the file."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     proc = subprocess.run([sys.executable, "-c", POOL_PROBE, str(path)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    return proc.stdout.split()[-2:]
+    return proc.stdout.split()[-4:]
 
 
 def test_capacity_on_a_30s_file_never_creates_the_pool(tmp_path):
     path = tmp_path / "carrier.wav"
     write_wav(make_buffer(30.0), str(path))
     assert len(read_wav(str(path))) < audio.PARALLEL_MIN_SAMPLES
-    assert pool_started_by_capacity(path) == ["False", "False"]
-    # past the serial size the read is cut into ranges on the pool
+    assert pool_started_by_capacity(path) == ["False", "False"] * 2
+    # capacity reads only the header; past the serial size the read is
+    # cut into ranges on the pool
     write_wav(make_buffer(60.0), str(path))
-    assert pool_started_by_capacity(path) == ["True", "True"]
+    assert pool_started_by_capacity(path) == ["False", "False", "True", "True"]
 
 
 @pytest.mark.parametrize(

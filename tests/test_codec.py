@@ -830,6 +830,29 @@ def test_the_caller_renders_each_payload_slice_once_in_order(click, monkeypatch,
     assert not os.path.exists(elsewhere)
 
 
+def test_a_slice_searched_and_rendered_here_is_prepared_once(click, monkeypatch):
+    # at one CPU the caller searches each slice and then renders it: the
+    # render reuses the input the search read and checked, so each payload
+    # slice is converted and screened once, and the samples do not change
+    from tempostego import stretch
+
+    carrier = click(120, 62.0)
+    q = PcmBuffer(samples=np.rint(carrier.samples * 32767.0).astype("<i2"), sample_rate=SR)
+    want = [encode(c, FOUR_BITS).samples for c in (carrier, q)]
+    prepared = []
+    real = stretch._kernel_input
+
+    def counted(src):
+        prepared.append(len(src))
+        return real(src)
+
+    monkeypatch.setattr(stretch, "_kernel_input", counted)
+    for c, w in zip((carrier, q), want):
+        prepared.clear()
+        assert np.array_equal(encode_with_workers(c, FOUR_BITS, 1, monkeypatch), w)
+        assert prepared == [PHI_N] * 4
+
+
 @pytest.mark.parametrize("failure", ["queue", "result"])
 def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tmp_path, failure):
     # at its descriptor limit: "queue", no queue pipe can be made;

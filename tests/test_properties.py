@@ -32,6 +32,9 @@ audio.float_range, the one range reader of both forms, must give
 samples[a:b] * factor byte for byte. perturb must give
 the perturbation's formula, written out per kind, byte for byte from a
 16-bit buffer and its float twin, and leave the source as it was.
+wavheader.wav_frames, which reads only the header, must give the length
+and rate of read_wav's buffer for arbitrary bytes, or raise read_wav's
+error; only NaN or infinite samples, which it does not read, may differ.
 """
 
 import contextlib
@@ -76,7 +79,7 @@ from tempostego import (
     stretch_tempo,
     write_wav,
 )
-from tempostego import audio, codec, harness, stretch, tempo
+from tempostego import audio, codec, harness, stretch, tempo, wavheader
 
 RATES = (8000, 44100)
 
@@ -522,6 +525,54 @@ def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path_factory, blob):
         return
     assert buf.samples.dtype == np.float64
     assert np.isfinite(buf.samples).all()
+
+
+@st.composite
+def wav_files(draw):
+    """Well-formed WAV files of every supported encoding, mono or stereo,
+    under a plain or EXTENSIBLE fmt chunk, whose data may end mid-frame
+    and, as float, may hold NaN or infinity."""
+    tag, bits = draw(st.sampled_from(sorted(wavheader.SAMPLE_BYTES)))
+    channels = draw(st.integers(1, 2))
+    payload = draw(st.binary(max_size=64))
+    return wav_file(tag, channels, bits, payload, extensible=draw(st.booleans()))
+
+
+NAN_FLOAT_WAV = wav_file(3, 1, 32, np.array([0.5, np.nan, -0.25], dtype="<f4").tobytes())
+
+
+@settings(max_examples=500, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=120), riff_blobs(), wav_files()))
+@example(blob=NAN_FLOAT_WAV)
+def test_the_header_reader_agrees_with_read_wav(tmp_path_factory, blob):
+    # wav_frames gives the length and rate of read_wav's buffer, or raises
+    # what read_wav raises; it reads no sample, so a file read_wav refuses
+    # for NaN or infinity has a length and rate here. riff_blobs seldom
+    # makes a file read_wav accepts, so wav_files makes them
+    path = str(tmp_path_factory.getbasetemp() / "header.wav")
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+    def outcome(read):
+        try:
+            return read(path)
+        except StegoError as exc:
+            return type(exc)
+
+    buf = outcome(read_wav)
+    got = outcome(wavheader.wav_frames)
+    if buf is NonFiniteSamples:
+        assert isinstance(got, tuple)
+    elif isinstance(buf, PcmBuffer):
+        assert got == (len(buf), buf.sample_rate)
+    else:
+        assert got is buf
+
+
+def test_every_supported_encoding_has_one_converter():
+    assert audio._CONVERTERS.keys() == wavheader.SAMPLE_BYTES.keys()
+    for key, (dtype, _, _) in audio._CONVERTERS.items():
+        assert dtype.itemsize == wavheader.SAMPLE_BYTES[key]
 
 
 @settings(max_examples=100, deadline=None)

@@ -161,3 +161,35 @@ def test_the_last_start_may_reach_len_minus_seq(click):
     starts[-1] = len(buf) - seq
     assert stretch.starts_fit(starts, len(buf), 1.01, SR)
     assert len(stretch_tempo(buf, 1.01, starts=starts)) == stretch.stretched_length(len(buf), 1.01)
+
+
+@pytest.mark.parametrize("form", ["float", "int16", "tiny"])
+def test_a_kept_input_is_prepared_once_and_stretches_alike(click, monkeypatch, form):
+    # a KeptInput's search and render read, check and scale its samples
+    # once, and give what a plain buffer's do; "tiny" is stretched at a
+    # power-of-two scale
+    x = click(120, 10.0).samples
+    if form == "int16":
+        samples = np.rint(x * 32767.0).astype("<i2")
+    else:
+        samples = x * (1e-100 if form == "tiny" else 1.0)
+    plain = PcmBuffer(samples=samples, sample_rate=SR)
+    want = stretch_tempo(plain, 0.99).samples
+    prepared = []
+    real = stretch._kernel_input
+
+    def counted(src):
+        prepared.append(None)
+        return real(src)
+
+    monkeypatch.setattr(stretch, "_kernel_input", counted)
+    kept = stretch.KeptInput(samples=samples, sample_rate=SR)
+    starts = stretch.frame_starts(kept, 0.99)
+    out = np.empty(len(want))
+    got = stretch_tempo(kept, 0.99, out=out, starts=starts)
+    assert len(prepared) == 1
+    assert got.samples is out
+    assert np.array_equal(out, want)
+    if form != "int16":  # a float input's own samples are no place for its output
+        with pytest.raises(ValueError, match="apart from the input"):
+            stretch_tempo(kept, 1.0, out=kept.samples)
