@@ -3,9 +3,11 @@ tempo modulation.
 
 The carrier is divided into fixed slices; each payload slice plays a
 fraction of a percent faster or slower than the untouched reference
-slice at the start. The offset is inaudible and too small for absolute
-tempo measurement, but comparing each slice's tempo candidates against
-the reference recovers the direction, and with it the hidden bit.
+slice at the start. The offset is too small for absolute tempo
+measurement, but comparing each slice's tempo candidates against the
+reference recovers the direction, and with it the hidden bit. Whether
+a listener hears the offset is not measured here, and a warden who
+knows the scheme tells stego files from covers (see codec).
 
 The public API covers WAV I/O (audio), bit-string payloads (bits),
 pitch-preserving time stretching (stretch), tempo candidate estimation
@@ -22,7 +24,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each exported name by the module it is defined in
+# each exported name by the module it is defined in: the package root's
+# one list of its names, from which _HOME and __all__ are made
 _EXPORTS = {
     "audio": ("PcmBuffer", "concat", "read_wav", "rms_dbfs", "slice_buffer", "write_wav"),
     "bits": ("ERASURE", "BitString", "bits_to_text", "parse_bitstring", "plan_spanning",
@@ -42,66 +45,7 @@ _EXPORTS = {
     "tempo": ("TempoCandidates", "estimate_tempo", "onset_envelope"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [
-    "PcmBuffer",
-    "concat",
-    "read_wav",
-    "rms_dbfs",
-    "slice_buffer",
-    "write_wav",
-    "ERASURE",
-    "BitString",
-    "bits_to_text",
-    "parse_bitstring",
-    "plan_spanning",
-    "text_to_bits",
-    "BoundaryMode",
-    "DecodeReport",
-    "Direction",
-    "SliceDecision",
-    "SlicePlan",
-    "StegoParams",
-    "capacity",
-    "classify_slice",
-    "decode",
-    "encode",
-    "encode_playlist",
-    "plan_slices",
-    "BufferTooShort",
-    "ClippingWarning",
-    "InsufficientCapacity",
-    "InvalidSymbol",
-    "IoError",
-    "LowEnergy",
-    "MalformedHeader",
-    "MessageTooLong",
-    "NonFiniteSamples",
-    "NoPeriodicity",
-    "OutOfRange",
-    "RatioOutOfRange",
-    "ReferenceSilent",
-    "SampleRateMismatch",
-    "StegoError",
-    "TooShort",
-    "Undecidable",
-    "UnsupportedFormat",
-    "EvalResult",
-    "FileResult",
-    "Gain",
-    "Noise",
-    "ResampleRoundTrip",
-    "compare_bits",
-    "evaluate",
-    "generate_click_track",
-    "perturb",
-    "split_on_silence",
-    "stretch_tempo",
-    "TempoCandidates",
-    "estimate_tempo",
-    "onset_envelope",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

@@ -2,7 +2,7 @@
 
 All processing happens on mono float buffers with samples in [-1, 1].
 Files are read with a small RIFF parser rather than the stdlib wave
-module so that 24-bit PCM and 32-bit float content can be accepted and
+module so that 32-bit float and EXTENSIBLE content can be accepted and
 so that malformed files fail with a precise error instead of a generic
 one. Stereo input is mixed down to mono on read; output is always
 16-bit mono PCM.
@@ -63,6 +63,7 @@ from .errors import (
     SampleRateMismatch,
 )
 from .wavheader import (
+    ENCODINGS,
     O_BINARY,
     WAVE_FORMAT_IEEE_FLOAT,
     WAVE_FORMAT_PCM,
@@ -99,6 +100,10 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 # marks the pool's own threads
 _pool_thread = threading.local()
+
+# the highest sample rate write_wav can write: the header's 32-bit byte
+# rate holds 2 bytes (one 16-bit sample) for each
+MAX_WRITE_RATE = 0xFFFFFFFF // 2
 
 # 1 / 32768: a 16-bit sample times this is exactly its float value
 _I16_SCALE = 2.0**-15
@@ -267,11 +272,12 @@ def screen_finite(buf: PcmBuffer, what: str) -> None:
 def read_wav(path: str) -> PcmBuffer:
     """Read a WAV file into a mono PcmBuffer.
 
-    Accepts 8/16/24-bit integer PCM and 32-bit float, mono or stereo,
-    under a plain format tag or WAVE_FORMAT_EXTENSIBLE with the PCM or
-    IEEE-float subformat. Stereo is mixed down by channel mean. Integer
-    samples are scaled by the full-scale value of their width (e.g.
-    16-bit by 1/32768). A 16-bit mono file gives a buffer in the 16-bit
+    Accepts 8/16/24/32-bit integer PCM and 32-bit float, mono or
+    stereo, under a plain format tag or WAVE_FORMAT_EXTENSIBLE with the
+    PCM or IEEE-float subformat (the encodings of wavheader.ENCODINGS).
+    Stereo is mixed down by channel mean. Integer samples are scaled by
+    the full-scale value of their width (e.g. 16-bit by 1/32768, 32-bit
+    by 2**-31), exactly. A 16-bit mono file gives a buffer in the 16-bit
     form, holding its int16 samples (see PcmBuffer).
 
     The header is parsed by wavheader.read_header, which wav_frames
@@ -292,8 +298,8 @@ def read_wav(path: str) -> PcmBuffer:
 
 def _read_fd(fd: int, path: str) -> PcmBuffer:
     pread, (fmt_tag, channels, sample_rate, bits), offset, n = read_header(fd, path)
-    dtype, offset_value, scale = _CONVERTERS[fmt_tag, bits]
-    frame = dtype.itemsize * channels
+    width, stored, offset_value, scale = ENCODINGS[fmt_tag, bits]
+    frame = width * channels
 
     def fill(buf, at: int) -> None:
         if _fill(pread, buf, offset + at * frame) < buf.nbytes:
@@ -321,7 +327,7 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
             j = min(i + CHUNK_SAMPLES, b)
             block = raw[: (j - i) * frame]
             fill(block, i)
-            src = block.view(dtype)
+            src = block.view(stored)
             if quads is not None:
                 k = len(src)
                 quads[:k, 1:] = block.reshape(k, 3)
@@ -341,19 +347,6 @@ def _read_fd(fd: int, path: str) -> PcmBuffer:
     return PcmBuffer(samples=x, sample_rate=int(sample_rate))
 
 
-# (format tag, bits), the keys of wavheader.SAMPLE_BYTES: (dtype of one
-# sample as stored, then the offset subtracted from it and the power of
-# two it is scaled by to give float64 samples in [-1, 1]); 24-bit samples
-# are stored as byte triplets, read as int32 with the sample in the top
-# three bytes
-_CONVERTERS = {
-    (WAVE_FORMAT_PCM, 8): (np.dtype(np.uint8), 128.0, 2.0**-7),
-    (WAVE_FORMAT_PCM, 16): (_PCM16, 0.0, _I16_SCALE),
-    (WAVE_FORMAT_PCM, 24): (np.dtype("V3"), 0.0, 2.0**-31),
-    (WAVE_FORMAT_IEEE_FLOAT, 32): (np.dtype("<f4"), 0.0, 1.0),
-}
-
-
 def write_wav(buf: PcmBuffer, path: str) -> None:
     """Write a buffer as 16-bit mono PCM.
 
@@ -370,7 +363,7 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     """
     if len(buf) == 0:
         raise ValueError("refusing to write an empty buffer")
-    if buf.sample_rate * 2 > 0xFFFFFFFF:
+    if buf.sample_rate > MAX_WRITE_RATE:
         raise ValueError(f"{buf.sample_rate} Hz overflows the header's 32-bit byte rate")
     if 36 + 2 * len(buf) > 0xFFFFFFFF:
         raise ValueError(f"{len(buf)} samples overflow the header's 32-bit RIFF sizes")

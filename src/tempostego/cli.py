@@ -19,7 +19,7 @@ import re
 import sys
 
 from .bits import BitString, parse_bitstring, text_to_bits
-from .errors import StegoError
+from .errors import StegoError, UnsupportedFormat
 from .plan import BoundaryMode, StegoParams, plan_slices
 from .wavheader import wav_frames
 
@@ -196,10 +196,14 @@ def _cmd_make_carrier(args) -> int:
 def _cmd_split(args) -> int:
     import shutil
 
-    from .audio import read_wav, write_wav
+    from .audio import MAX_WRITE_RATE, read_wav, write_wav
     from .harness import split_on_silence
 
     stream = read_wav(getattr(args, "in"))
+    if stream.sample_rate > MAX_WRITE_RATE:
+        # refused before any directory or file is made
+        raise UnsupportedFormat(f"{getattr(args, 'in')}: segments at {stream.sample_rate} Hz "
+                                f"cannot be written; WAV output stops at {MAX_WRITE_RATE} Hz")
     segments = split_on_silence(
         stream, min_silence_s=args.min_silence, threshold_dbfs=args.threshold
     )

@@ -4,10 +4,18 @@ The carrier is cut into fixed slices of phi_s seconds. The first slice is
 left untouched and serves as the tempo reference; the last (possibly
 partial) slice is an untouched tail. Every slice in between carries one
 bit: its tempo is raised by delta (1% by default) for a 1 bit and
-lowered by delta for a 0 bit. The change is far below the ~2.75%
-absolute accuracy of tempo estimation, so a listener or a single
-measurement cannot tell, but the *direction* of the difference between a
-payload slice and the reference survives measurement noise.
+lowered by delta for a 0 bit. The change is below the ~2.75% absolute
+accuracy of tempo estimation, but the *direction* of the difference
+between a payload slice and the reference survives measurement noise.
+
+That direction is what gives the channel away. A warden who knows the
+scheme decodes a file blind (max_bits=21) and takes the median
+confidence of the decided slices. On 240 s click carriers at 100, 120
+and 128 BPM, clean and under a 0 dB noise bed, each with 21 random
+bits, that median was 0.000-0.028 for the six covers and 0.327-2.104
+for their stego files (0.000-0.025 and 0.251-1.867 with other seeds):
+one threshold told every pair apart. Whether a listener hears the
+change is not measured here.
 
 Decoding measures tempo candidates in a trimmed window of each slice and
 compares them against the reference's candidates: all cross pairs become
@@ -51,12 +59,10 @@ from .errors import (
     TooShort,
     Undecidable,
 )
-from .plan import (  # noqa: F401  (capacity and SlicePlan: codec's public names)
+from .plan import (
     BoundaryMode,
-    SlicePlan,
     StegoParams,
     _geometry,
-    capacity,
     plan_slices,
 )
 from .stretch import KeptInput, frame_starts, starts_fit, stretch_tempo, stretched_length

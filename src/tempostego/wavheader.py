@@ -31,13 +31,22 @@ _SUBFORMAT_GUID_SUFFIX = bytes.fromhex("00001000800000aa00389b71")
 # back to fill them in (ffmpeg's WAV muxer on a pipe)
 _SIZE_UNKNOWN = 0xFFFFFFFF
 
-# The supported encodings, (format tag, bits): bytes one sample takes
-SAMPLE_BYTES = {
-    (WAVE_FORMAT_PCM, 8): 1,
-    (WAVE_FORMAT_PCM, 16): 2,
-    (WAVE_FORMAT_PCM, 24): 3,
-    (WAVE_FORMAT_IEEE_FLOAT, 32): 4,
+# The supported encodings by (format tag, bits), under a plain or an
+# EXTENSIBLE fmt chunk alike: (bytes one sample takes, its numpy type as
+# stored, then the offset subtracted from it and the power of two it is
+# scaled by to give float64 samples in [-1, 1]). read_header takes the
+# frame width from here and audio's reader the rest. A 24-bit sample is
+# stored as a byte triplet, read as the top three bytes of an int32, so
+# its scale is the 32-bit one.
+ENCODINGS = {
+    (WAVE_FORMAT_PCM, 8): (1, "u1", 128.0, 2.0**-7),
+    (WAVE_FORMAT_PCM, 16): (2, "<i2", 0.0, 2.0**-15),
+    (WAVE_FORMAT_PCM, 24): (3, "V3", 0.0, 2.0**-31),
+    (WAVE_FORMAT_PCM, 32): (4, "<i4", 0.0, 2.0**-31),
+    (WAVE_FORMAT_IEEE_FLOAT, 32): (4, "<f4", 0.0, 1.0),
 }
+# the format tags of ENCODINGS
+_TAGS = {tag for tag, _ in ENCODINGS}
 
 # keeps Windows from translating line endings in WAV bytes; 0 elsewhere
 O_BINARY = getattr(os, "O_BINARY", 0)
@@ -66,7 +75,7 @@ def read_header(fd: int, path: str) -> tuple[Pread, tuple[int, int, int, int], i
     subformat.
 
     Raises MalformedHeader when the RIFF structure is broken or the rate
-    is zero, and UnsupportedFormat for an encoding not in SAMPLE_BYTES or
+    is zero, and UnsupportedFormat for an encoding not in ENCODINGS or
     more than two channels.
     """
     info = os.fstat(fd)
@@ -90,15 +99,15 @@ def read_header(fd: int, path: str) -> tuple[Pread, tuple[int, int, int, int], i
 
     fmt, offset, length = _parse_riff(path, pread, size)
     fmt_tag, channels, sample_rate, _, _, bits = fmt
-    if fmt_tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
+    if fmt_tag not in _TAGS:
         raise UnsupportedFormat(f"{path}: format tag {fmt_tag} not supported")
     if channels not in (1, 2):
         raise UnsupportedFormat(f"{path}: {channels} channels not supported")
     if sample_rate == 0:
         raise MalformedHeader(f"{path}: zero sample rate")
-    if (fmt_tag, bits) not in SAMPLE_BYTES:
+    if (fmt_tag, bits) not in ENCODINGS:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
-    frames = length // (SAMPLE_BYTES[fmt_tag, bits] * channels)
+    frames = length // (ENCODINGS[fmt_tag, bits][0] * channels)
     return pread, (fmt_tag, channels, sample_rate, bits), offset, frames
 
 
@@ -214,7 +223,6 @@ def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
         raise MalformedHeader(f"{path}: extensible fmt chunk too small")
     guid = bytes(body[24:40])
     tag = int.from_bytes(guid[:4], "little")
-    known = tag in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT)
-    if not known or guid[4:] != _SUBFORMAT_GUID_SUFFIX:
+    if tag not in _TAGS or guid[4:] != _SUBFORMAT_GUID_SUFFIX:
         raise UnsupportedFormat(f"{path}: extensible subformat {guid.hex()} not supported")
     return (tag,) + fmt[1:]

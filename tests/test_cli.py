@@ -305,8 +305,8 @@ def test_cli_file_errors_report_io_error(tmp_path, capsys, carrier_wav, argv):
 
 
 def test_split_that_writes_nothing_leaves_no_directory(tmp_path, capsys):
-    # read_wav accepts a 3 GHz header, and write_wav refuses the first
-    # segment, after split has made the output directory
+    # read_wav accepts a 3 GHz header, which no 16-bit segment can state:
+    # split refuses the stream before it makes the output directory
     path = tmp_path / "fast.wav"
     write_wav(generate_click_track(120, 2.0), str(path))
     data = bytearray(path.read_bytes())
@@ -314,5 +314,24 @@ def test_split_that_writes_nothing_leaves_no_directory(tmp_path, capsys):
     path.write_bytes(bytes(data))
     out_dir = tmp_path / "new" / "segments"
     assert main(["split", "--in", str(path), "--out-dir", str(out_dir)]) == 1
-    assert "error: ValueError" in capsys.readouterr().err
+    assert "error: UnsupportedFormat" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_split_whose_first_write_fails_removes_the_directory_it_made(
+    tmp_path, capsys, monkeypatch
+):
+    # the first segment's write fails after split has made the directory
+    from tempostego import audio
+    from tempostego.errors import IoError
+
+    def refuse(buf, path):
+        raise IoError(f"cannot write {path}: disk full")
+
+    path = tmp_path / "stream.wav"
+    write_wav(generate_click_track(120, 2.0), str(path))
+    monkeypatch.setattr(audio, "write_wav", refuse)
+    out_dir = tmp_path / "new" / "segments"
+    assert main(["split", "--in", str(path), "--out-dir", str(out_dir)]) == 1
+    assert "error: IoError: " in capsys.readouterr().err
     assert not (tmp_path / "new").exists()

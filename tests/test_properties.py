@@ -35,13 +35,25 @@ the perturbation's formula, written out per kind, byte for byte from a
 wavheader.wav_frames, which reads only the header, must give the length
 and rate of read_wav's buffer for arbitrary bytes, or raise read_wav's
 error; only NaN or infinite samples, which it does not read, may differ.
+The standard library's wave is the reader's and the writer's independent
+oracle: integer PCM frames it writes at every width, mono or stereo, must
+read back as a numpy decode of their bytes that does not use audio, and
+write_wav's files must read back through it as the rounded 16-bit
+samples. Arbitrary bytes, well-formed files and mutations of them must
+make read_wav raise only library errors, with most of them read past the
+header, and make each CLI subcommand that reads a file either succeed or
+print one line naming a library error.
 """
 
 import contextlib
+import io
 import math
+import re
+import shutil
 import struct
 import tracemalloc
 import warnings
+import wave
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -79,7 +91,8 @@ from tempostego import (
     stretch_tempo,
     write_wav,
 )
-from tempostego import audio, codec, harness, stretch, tempo, wavheader
+from tempostego import audio, codec, errors, harness, stretch, tempo, wavheader
+from tempostego.cli import main
 
 RATES = (8000, 44100)
 
@@ -334,7 +347,7 @@ def wav_file(tag, channels, bits, payload, extensible=False):
     ])
 
 
-READ_FORMATS = [(1, 8), (1, 16), (1, 24), (3, 32)]
+READ_FORMATS = sorted(wavheader.ENCODINGS)
 
 
 def random_payload(tag, bits, count, seed):
@@ -371,6 +384,8 @@ def oracle_read_wav(path):
         x = np.frombuffer(raw, "<i2") / 32768.0
     elif bits == 24:
         x = oracle_pcm24(raw)
+    elif tag == 1:
+        x = np.frombuffer(raw, "<i4") / 2147483648.0
     else:
         x = np.frombuffer(raw, "<f4").astype(np.float64)
     return x if channels == 1 else np.mean(x.reshape(-1, 2), axis=1)
@@ -514,31 +529,89 @@ def test_read_24bit_matches_shift_and_or(tmp_path_factory, payload):
     assert np.array_equal(got, oracle_pcm24(payload))
 
 
-@settings(max_examples=500, deadline=None)
-@given(blob=st.one_of(st.binary(max_size=120), riff_blobs()))
-def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path_factory, blob):
-    path = tmp_path_factory.getbasetemp() / "arbitrary.wav"
-    path.write_bytes(blob)
-    try:
-        buf = read_wav(str(path))
-    except StegoError:
-        return
-    assert buf.samples.dtype == np.float64
-    assert np.isfinite(buf.samples).all()
-
-
 @st.composite
-def wav_files(draw):
+def wav_files(draw, min_size=0):
     """Well-formed WAV files of every supported encoding, mono or stereo,
     under a plain or EXTENSIBLE fmt chunk, whose data may end mid-frame
-    and, as float, may hold NaN or infinity."""
-    tag, bits = draw(st.sampled_from(sorted(wavheader.SAMPLE_BYTES)))
+    and, as float, may hold NaN or infinity; at least min_size bytes of
+    data."""
+    tag, bits = draw(st.sampled_from(sorted(wavheader.ENCODINGS)))
     channels = draw(st.integers(1, 2))
-    payload = draw(st.binary(max_size=64))
+    payload = draw(st.binary(min_size=min_size, max_size=64))
     return wav_file(tag, channels, bits, payload, extensible=draw(st.booleans()))
 
 
 NAN_FLOAT_WAV = wav_file(3, 1, 32, np.array([0.5, np.nan, -0.25], dtype="<f4").tobytes())
+
+
+@st.composite
+def mutated_wav_files(draw):
+    """wav_files() with one bit flipped, cut short, or with its RIFF, fmt
+    or data chunk size rewritten. Two flips in three and every cut fall
+    in the samples; half the cut files declare the data size a writer on
+    a pipe leaves, so their data runs to the cut."""
+    blob = bytearray(draw(wav_files(min_size=8)))
+    # the fmt chunk's size is at 16, its body follows, then the data chunk
+    data_size = 24 + struct.unpack_from("<I", blob, 16)[0]
+    samples = draw(st.integers(data_size + 4, len(blob) - 1))
+    how = draw(st.sampled_from(["flip", "cut", "size"]))
+    if how == "flip":
+        at = samples if draw(st.integers(0, 2)) < 2 else draw(st.integers(0, data_size + 3))
+        blob[at] ^= 1 << draw(st.integers(0, 7))
+        return bytes(blob)
+    if how == "cut":
+        if draw(st.booleans()):
+            struct.pack_into("<I", blob, data_size, 0xFFFFFFFF)
+        return bytes(blob[:samples])
+    at = draw(st.sampled_from([4, 16, data_size]))
+    old = struct.unpack_from("<I", blob, at)[0]
+    size = draw(st.one_of(st.integers(max(0, old - 8), old + 8), st.integers(0, 2**32 - 1),
+                          st.just(0xFFFFFFFF)))
+    struct.pack_into("<I", blob, at, size)
+    return bytes(blob)
+
+
+@st.composite
+def arbitrary_files(draw):
+    """Arbitrary bytes or riff_blobs() one time in six, wav_files() one
+    time in six, and mutated_wav_files() the rest."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(st.one_of(st.binary(max_size=120), riff_blobs()))
+    return draw(wav_files() if kind == 1 else mutated_wav_files())
+
+
+ARBITRARY_FILES = arbitrary_files()
+
+
+def test_read_arbitrary_bytes_raises_only_stego_errors(tmp_path):
+    # a fixed-seed batch, so the share of files read past the header is a
+    # count over the same examples every run
+    path = tmp_path / "arbitrary.wav"
+    past_header = []
+
+    def read_header(*args):
+        header = wavheader.read_header(*args)
+        past_header[-1] = True
+        return header
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(blob=ARBITRARY_FILES)
+    def check(blob):
+        past_header.append(False)
+        path.write_bytes(blob)
+        try:
+            buf = read_wav(str(path))
+        except StegoError:
+            return
+        assert buf.samples.dtype == np.float64
+        assert np.isfinite(buf.samples).all()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(audio, "read_header", read_header)
+        check()
+    # most reads reach the sample read and its converters
+    assert sum(past_header) >= len(past_header) / 2
 
 
 @settings(max_examples=500, deadline=None)
@@ -570,9 +643,132 @@ def test_the_header_reader_agrees_with_read_wav(tmp_path_factory, blob):
 
 
 def test_every_supported_encoding_has_one_converter():
-    assert audio._CONVERTERS.keys() == wavheader.SAMPLE_BYTES.keys()
-    for key, (dtype, _, _) in audio._CONVERTERS.items():
-        assert dtype.itemsize == wavheader.SAMPLE_BYTES[key]
+    # each entry's stored type is as wide as the bytes it says a sample takes
+    for width, stored, _, _ in wavheader.ENCODINGS.values():
+        assert np.dtype(stored).itemsize == width
+
+
+def oracle_frames(raw, width, channels):
+    """The floats of integer PCM frames as the standard library's wave
+    writes them, decoded in numpy without audio: full scale of each
+    width maps to 1, stereo frames to the mean of their two floats."""
+    if width == 1:
+        x = (np.frombuffer(raw, np.uint8).astype(np.int16) - 128) * 2.0**-7
+    elif width == 2:
+        x = np.frombuffer(raw, "<i2") * 2.0**-15
+    elif width == 3:
+        x = oracle_pcm24(raw)
+    else:
+        x = np.frombuffer(raw, "<i4") * 2.0**-31
+    return x if channels == 1 else x.reshape(-1, 2).mean(axis=1)
+
+
+# full scale on both sides and the values next to zero, at every width
+def full_scale_frames(width):
+    top = 1 << (8 * width - 1)
+    values = [-top, top - 1, -top + 1, -1, 0, 1]
+    if width == 1:  # 8-bit PCM is stored unsigned
+        return bytes(v + 128 for v in values)
+    return b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    channels=st.integers(1, 2),
+    rate=st.sampled_from([8000, 22050, 44100, 48000, 96000]),
+    frames=st.integers(0, 300),
+    data=st.data(),
+)
+@example(width=3, channels=1, rate=8000, frames=6, data=None)
+@example(width=4, channels=2, rate=48000, frames=3, data=None)
+def test_read_wav_matches_an_independent_decode_of_wave_output(
+    tmp_path_factory, width, channels, rate, frames, data
+):
+    if data is None:
+        raw = full_scale_frames(width)
+    else:
+        size = frames * width * channels
+        raw = data.draw(st.binary(min_size=size, max_size=size))
+    path = str(tmp_path_factory.getbasetemp() / "stdlib.wav")
+    with wave.open(path, "wb") as w:
+        w.setnchannels(channels)
+        w.setsampwidth(width)
+        w.setframerate(rate)
+        w.writeframes(raw)
+    with wave.open(path, "rb") as w:
+        assert wavheader.wav_frames(path) == (w.getnframes(), w.getframerate())
+    buf = read_wav(path)
+    assert buf.sample_rate == rate
+    assert buf.samples.tobytes() == oracle_frames(raw, width, channels).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=300),
+    rate=st.sampled_from([8000, 22050, 44100, 48000, 96000]),
+)
+@example(x=[-1.0, 1.0, 32767.5 / 32768, -32768.5 / 32768, 0.5 / 32768, -0.5 / 32768], rate=8000)
+def test_write_wav_output_reads_back_through_wave(tmp_path_factory, x, rate):
+    x = np.array(x)
+    path = str(tmp_path_factory.getbasetemp() / "written.wav")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClippingWarning)
+        write_wav(PcmBuffer(samples=x, sample_rate=rate), path)
+    with wave.open(path, "rb") as w:
+        assert (w.getnchannels(), w.getsampwidth(), w.getframerate()) == (1, 2, rate)
+        got = w.readframes(w.getnframes())
+    assert got == np.clip(np.rint(x * 32768), -32768, 32767).astype("<i2").tobytes()
+
+
+def at_rate(blob, rate):
+    """A wav_file() blob whose header states another sample rate."""
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, 24, rate)
+    return bytes(blob)
+
+
+# Each subcommand that reads a WAV file, with the arguments it needs
+CLI_READS = {
+    "decode": [],
+    "tempo": [],
+    "capacity": [],
+    "split": ["--out-dir", "{out}/segments"],
+    "encode": ["--out", "{out}/stego.wav", "--bits", "1"],
+}
+
+
+def test_the_cli_fails_on_any_file_with_one_named_error(tmp_path):
+    # a fixed-seed batch of the arbitrary-bytes property's files
+    path = tmp_path / "in.wav"
+    out = tmp_path / "out"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(blob=ARBITRARY_FILES, command=st.sampled_from(sorted(CLI_READS)))
+    # a loud 16-bit file whose rate is past what the 16-bit writer's
+    # byte rate can state: split must refuse it before it writes
+    @example(blob=at_rate(wav_file(1, 1, 16, b"\x00\x40" * 4000), 2**31), command="split")
+    @example(blob=at_rate(wav_file(1, 1, 16, b"\x00\x40" * 4000), 2**32 - 1), command="split")
+    def check(blob, command):
+        path.write_bytes(blob)
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        argv = [command, "--in", str(path)] + [a.format(out=out) for a in CLI_READS[command]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClippingWarning)
+            code = main(argv)  # an exception past main fails the test here
+        if code == 0:
+            return
+        assert code == 1
+        line, = err.getvalue().splitlines()
+        name = re.fullmatch(r"error: (\w+): .+", line)[1]
+        assert issubclass(getattr(errors, name), StegoError), line
+        # a split that fails makes no directory
+        assert not (out / "segments").exists()
+
+    check()
 
 
 @settings(max_examples=100, deadline=None)
