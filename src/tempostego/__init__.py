@@ -39,8 +39,8 @@ _EXPORTS = {
                "ReferenceSilent", "SampleRateMismatch", "StegoError", "TooShort",
                "Undecidable", "UnsupportedFormat"),
     "harness": ("EvalResult", "FileResult", "Gain", "Noise", "ResampleRoundTrip",
-                "compare_bits", "evaluate", "generate_click_track", "perturb",
-                "split_on_silence"),
+                "compare_bits", "evaluate", "generate_click_track", "generate_club_track",
+                "perturb", "split_on_silence"),
     "stretch": ("stretch_tempo",),
     "tempo": ("TempoCandidates", "estimate_tempo", "onset_envelope"),
 }

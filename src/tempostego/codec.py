@@ -24,6 +24,15 @@ discard_pct are dropped (they compare unrelated harmonics), and the sign
 of the surviving sum names the direction. A slice with no usable pairs
 becomes an erasure, not a guess.
 
+Decode first reads each window with the quarter-rate STFT
+(estimate_tempo's quarter_rate), whose FFTs cost about a fifth of the
+full-rate ones. It keeps that decision when its confidence reaches LOW_CONFIDENCE, and
+reads a weaker or failed one again at full rate against the full-rate
+reference, so every low-confidence decision and every erasure is the
+full-rate one. The screen runs only on files whose reference reads the
+same tempi at both rates; any other file is read at full rate
+throughout.
+
 Encode and decode judge the untouched reference slice alike, scaled to
 a fixed RMS, and decode scales each window it reads by the same factor:
 its bits depend neither on playback level nor on audio after the song.
@@ -68,8 +77,14 @@ from .plan import (
 from .stretch import KeptInput, frame_starts, starts_fit, stretch_tempo, stretched_length
 from .tempo import SETTINGS, TempoCandidates, estimate_tempo
 
-# Decisions with confidence below this are flagged in report warnings.
+# Decisions with confidence below this are flagged in report warnings,
+# and a quarter-rate one below it is measured again at full rate.
 LOW_CONFIDENCE = 0.5
+
+# Decode screens windows at the quarter rate only when the reference's
+# candidates at the two rates agree: as many of them, and each tempo,
+# after sorting, within this fraction of its full-rate twin.
+_RATES_AGREE = 0.002
 
 # Reference silence scan: any 2 s window under the RMS gate disqualifies
 # the reference slice. 2 s is long enough that the gaps of a sparse 40 BPM
@@ -155,13 +170,22 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     return factor
 
 
-def _reference_tempo(buf: PcmBuffer, factor: float, params: StegoParams) -> TempoCandidates:
+def _reference_tempo(
+    buf: PcmBuffer, factor: float, params: StegoParams, *, quarter_rate: bool = False
+) -> TempoCandidates:
     """The tempo candidates of the reference slice's trimmed window in
     buf, scaled by factor, which decode compares every slice against.
     Raises what estimate_tempo raises."""
     phi_n, trim_n, _ = _geometry(buf.sample_rate, params)
     window = float_range(buf, trim_n, phi_n - trim_n, factor)
-    return estimate_tempo(PcmBuffer(samples=window, sample_rate=buf.sample_rate))
+    return estimate_tempo(PcmBuffer(samples=window, sample_rate=buf.sample_rate),
+                          quarter_rate=quarter_rate)
+
+
+def _same_tempi(a: TempoCandidates, b: TempoCandidates) -> bool:
+    x = sorted(bpm for bpm, _ in a.entries)
+    y = sorted(bpm for bpm, _ in b.entries)
+    return len(x) == len(y) and all(abs(p - q) <= _RATES_AGREE * q for p, q in zip(x, y))
 
 
 def _surviving_attributes(
@@ -449,7 +473,8 @@ def decode(
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
     testing how a corrupted reference propagates. The level and the
-    silence guard still come from the reference samples.
+    silence guard still come from the reference samples, and every
+    window is read at full rate.
     """
     if max_bits is not None and max_bits < 0:
         raise ValueError("max_bits must be non-negative")
@@ -475,6 +500,15 @@ def decode(
         n_read = min(max_bits, plan.capacity + 1)
 
     ref_cands = reference_override or _reference_tempo(stego, factor, params)
+    # the quarter-rate screen's reference; None reads every window at full
+    # rate
+    screen = None
+    if reference_override is None:
+        try:
+            quarter = _reference_tempo(stego, factor, params, quarter_rate=True)
+            screen = quarter if _same_tempi(quarter, ref_cands) else None
+        except (LowEnergy, NoPeriodicity, TooShort):
+            pass
 
     decisions: list[SliceDecision] = []
     boundary = phi_n
@@ -487,13 +521,22 @@ def decode(
         window = PcmBuffer(samples=float_range(stego, w0, w1, factor), sample_rate=sr)
 
         direction, conf, kept, outcome = None, 0.0, [], "decided"
-        try:
-            kept = _surviving_attributes(ref_cands, estimate_tempo(window), params.discard_pct)
-            direction, conf = _decide(kept)
-        except (LowEnergy, NoPeriodicity, TooShort, Undecidable) as exc:
-            outcome = type(exc).__name__
-            if force_decide and outcome == "Undecidable":
-                direction, outcome = Direction.DOWN, "forced"
+        if screen is not None:
+            try:
+                kept = _surviving_attributes(
+                    screen, estimate_tempo(window, quarter_rate=True), params.discard_pct)
+                direction, conf = _decide(kept)
+            except (LowEnergy, NoPeriodicity, TooShort, Undecidable):
+                pass
+        if direction is None or conf < LOW_CONFIDENCE:
+            direction, conf, kept = None, 0.0, []
+            try:
+                kept = _surviving_attributes(ref_cands, estimate_tempo(window), params.discard_pct)
+                direction, conf = _decide(kept)
+            except (LowEnergy, NoPeriodicity, TooShort, Undecidable) as exc:
+                outcome = type(exc).__name__
+                if force_decide and outcome == "Undecidable":
+                    direction, outcome = Direction.DOWN, "forced"
         decisions.append(SliceDecision(i, direction, conf, len(kept), outcome))
 
         # tracked: the next slice starts where encode ended this one, by

@@ -3,10 +3,12 @@ accounting for end-to-end evaluation.
 
 Click tracks stand in for real music: they have an unambiguous tempo, are
 generated from a seed, and make every capacity and error count exactly
-reproducible. The evaluate() protocol encodes the same message prefix
-into each carrier (truncated to that carrier's capacity), optionally
-passes the result through a perturbation, decodes, and tallies errors
-against the expected bits.
+reproducible. Club tracks come closer to the paper's material: a kick,
+clap, hat, bass and pad, with optional swing and beatless breakdowns.
+The evaluate() protocol encodes the same message prefix into each
+carrier (truncated to that carrier's capacity), optionally passes the
+result through a perturbation, decodes, and tallies errors and signed
+margins against the expected bits.
 """
 
 from __future__ import annotations
@@ -42,12 +44,7 @@ def generate_click_track(
     decay, peak amplitude 0.8. With subdivision=True, quieter clicks
     (peak 0.3) land on the half beats.
     """
-    if not (40.0 <= bpm <= 300.0):
-        raise ValueError("bpm must be in [40, 300]")
-    if not (1.0 <= duration_s < np.inf):
-        raise ValueError("duration must be finite and at least 1 s")
-    if sample_rate < 8000:
-        raise ValueError("sample rate must be at least 8 kHz")
+    _check_track(bpm, duration_s, sample_rate)
     rng = np.random.default_rng(seed)
     burst_len = int(round(CLICK_LEN_S * sample_rate))
     t = np.arange(burst_len) / sample_rate
@@ -72,6 +69,104 @@ def generate_click_track(
             place((k + 0.5) * period, SUBDIVISION_PEAK)
         k += 1
     return PcmBuffer(samples=y, sample_rate=sample_rate)
+
+
+def _check_track(bpm: float, duration_s: float, sample_rate: int) -> None:
+    if not (40.0 <= bpm <= 300.0):
+        raise ValueError("bpm must be in [40, 300]")
+    if not (1.0 <= duration_s < np.inf):
+        raise ValueError("duration must be finite and at least 1 s")
+    if sample_rate < 8000:
+        raise ValueError("sample rate must be at least 8 kHz")
+
+
+# A four-bar loop of (bass root, pad chord), in semitones above A1 (55 Hz):
+# A minor, F major, C major, G major
+CLUB_ROOT_HZ = 55.0
+CLUB_PROGRESSION = ((0, (12, 15, 19)), (-4, (20, 24, 27)), (3, (15, 19, 22)),
+                    (-2, (17, 22, 26)))
+# the pad's two saws per note sit this many cents either side of it
+PAD_DETUNE_CENTS = 7.0
+
+
+def _saw(freq: float, t: np.ndarray) -> np.ndarray:
+    return 2.0 * (freq * t % 1.0) - 1.0
+
+
+def generate_club_track(
+    bpm: float,
+    duration_s: float,
+    sample_rate: int = 44100,
+    *,
+    seed: int = 0,
+    swing: float = 0.0,
+    sections: Iterable[tuple[float, float]] = (),
+) -> PcmBuffer:
+    """Four-on-the-floor club carrier: a kick whose pitch falls from 150
+    to 50 Hz on every beat from t=0, a noise clap on beats 2 and 4 of
+    each bar, a hat and a saw bass note on every off-beat, and a pad of
+    detuned saws, one chord per bar, over a four-bar loop
+    (CLUB_PROGRESSION).
+
+    swing delays each off-beat by that fraction of a beat, in [0, 0.5).
+    sections holds (start_s, end_s) spans that are beatless, a breakdown:
+    a hit that starts inside one is left out, and only the pad plays.
+    The clap and hat are seeded noise, so a seed gives the same samples.
+    The mix is scaled to a peak of 0.9.
+    """
+    _check_track(bpm, duration_s, sample_rate)
+    if not 0.0 <= swing < 0.5:
+        raise ValueError("swing must be in [0, 0.5)")
+    spans = [(float(a), float(b)) for a, b in sections]
+    if not all(0.0 <= a < b < math.inf for a, b in spans):
+        raise ValueError("a section must be a finite span (start_s, end_s), 0 <= start_s < end_s")
+    sr = sample_rate
+    rng = np.random.default_rng(seed)
+    n = int(round(duration_s * sr))
+    y = np.zeros(n)
+    period = 60.0 / bpm
+
+    t = np.arange(int(round(0.3 * sr))) / sr
+    # phase of a tone whose frequency falls as 50 + 100 exp(-t / 30 ms)
+    kick = np.sin(2 * np.pi * (50.0 * t + 3.0 * (1.0 - np.exp(-t / 0.03)))) * np.exp(-t / 0.12)
+    clap = 0.5 * rng.standard_normal(len(t)) * np.exp(-t / 0.03)
+    hat = 0.25 * np.diff(rng.standard_normal(len(t) + 1)) * np.exp(-t / 0.01)
+    # each bar's bass note and pad chord, made once per bar of the loop;
+    # the pad fades in and out over 50 ms at the bar's ends
+    note_t = t[: int(round(0.4 * period * sr))]
+    note_env = 0.35 * np.minimum(1.0, note_t / 0.005) * np.exp(-note_t / 0.15)
+    bar_n = int(round(4 * period * sr))
+    bar_t = np.arange(bar_n) / sr
+    fade = np.minimum(1.0, np.minimum(np.arange(bar_n), bar_n - np.arange(bar_n)) / (0.05 * sr))
+    bass, pads = [], []
+    for root, chord in CLUB_PROGRESSION:
+        bass.append(_saw(CLUB_ROOT_HZ * 2.0 ** (root / 12.0), note_t) * note_env)
+        pads.append(0.04 * fade * sum(
+            _saw(CLUB_ROOT_HZ * 2.0 ** ((note + cents / 100.0) / 12.0), bar_t)
+            for note in chord for cents in (-PAD_DETUNE_CENTS, PAD_DETUNE_CENTS)))
+
+    def add(at_s: float, sound: np.ndarray) -> None:
+        i = int(round(at_s * sr))
+        if i < n:
+            y[i : i + len(sound)] += sound[: n - i]
+
+    def beatless(at_s: float) -> bool:
+        return any(a <= at_s < b for a, b in spans)
+
+    for k in range(int(np.ceil(duration_s / period))):
+        bar = (k // 4) % len(CLUB_PROGRESSION)
+        on, off = k * period, (k + 0.5 + swing) * period
+        if k % 4 == 0:
+            add(on, pads[bar])
+        if not beatless(on):
+            add(on, kick)
+            if k % 2 == 1:
+                add(on, clap)
+        if not beatless(off):
+            add(off, hat)
+            add(off, bass[bar])
+    peak = float(np.max(np.abs(y)))
+    return PcmBuffer(samples=y * (0.9 / peak), sample_rate=sr)
 
 
 # log10 of the largest float: a noise gain of 10**_MAX_LOG10 or more overflows
@@ -189,6 +284,9 @@ class FileResult:
     erasures: int
     compared: int
     failure: str | None = None
+    # one per compared slice, in order: its confidence, negated when the
+    # bit is wrong (erasures are not compared)
+    margins: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -215,9 +313,17 @@ class EvalResult:
             return 0.0
         return self.total_errors / self.total_compared
 
+    @property
+    def margin_p5(self) -> float | None:
+        """The 5th percentile of every file's signed margins, or None
+        when no slice was compared."""
+        margins = [m for f in self.files for m in f.margins]
+        return float(np.percentile(margins, 5)) if margins else None
+
     def format_table(self) -> str:
         """Render per-file decoded bits, padded with 'x' beyond each
-        file's capacity, plus a totals line."""
+        file's capacity, plus a totals line, which ends with the 5th
+        percentile signed margin when any slice was compared."""
         name_w = max([len("(message)")] + [len(f.name) for f in self.files]) + 2
         bits_w = max(1, 2 * len(self.message) - 1)
         lines = [
@@ -240,10 +346,13 @@ class EvalResult:
                 f"{i:>3}  {f.name:<{name_w}}{f.duration_s:>7.1f}  {f.capacity:>4}  "
                 f"{shown:<{bits_w}}  {err:>4}  {ers:>4}"
             )
-        lines.append(
+        totals = (
             f"totals: errors {self.total_errors}/{self.total_compared}"
             f" (BER {self.ber:.4f}), erasures {self.total_erasures}"
         )
+        if self.margin_p5 is not None:
+            totals += f", p5 margin {self.margin_p5:.3f}"
+        lines.append(totals)
         return "\n".join(lines)
 
 
@@ -255,7 +364,7 @@ def evaluate(
     names: list[str] | None = None,
 ) -> EvalResult:
     """Encode, (optionally) perturb, and decode the same message prefix
-    in every carrier; tally bit errors per file.
+    in every carrier; tally bit errors and signed margins per file.
 
     A carrier that fails outright (for example a silent reference) is
     recorded with the error name instead of bits and contributes nothing
@@ -272,14 +381,20 @@ def evaluate(
     for carrier, name in named:
         cap = plan_slices(len(carrier), carrier.sample_rate, params).capacity
         prefix = message[: min(cap, len(message))]
-        bits, failure = None, None
+        bits, failure, margins = None, None, ()
         errors = erasures = compared = 0
         try:
             stego = encode(carrier, prefix, params)
             if perturbation is not None:
                 stego = perturb(stego, perturbation)
-            bits = decode(stego, params, max_bits=len(prefix)).bits
+            report = decode(stego, params, max_bits=len(prefix))
+            bits = report.bits
             errors, erasures, compared = compare_bits(bits, prefix)
+            margins = tuple(
+                d.confidence if got == want else -d.confidence
+                for d, got, want in zip(report.per_slice, bits, prefix)
+                if got != ERASURE
+            )
         except StegoError as exc:
             failure = type(exc).__name__
         results.append(
@@ -292,6 +407,7 @@ def evaluate(
                 erasures=erasures,
                 compared=compared,
                 failure=failure,
+                margins=margins,
             )
         )
     return EvalResult(files=tuple(results), message=message, params_used=params)

@@ -7,6 +7,16 @@ and percussion onsets. Autocorrelation of that onset envelope then exposes
 the beat period: a carrier with a steady pulse shows a comb of peaks at
 the beat lag and its multiples.
 
+The STFT can also read the signal at a quarter of its rate, as beat
+trackers commonly do: a triangular low-pass (the 4-sample mean applied
+twice), then every 4th sample. Each frame still starts and ends where a
+full-rate frame would, so the envelope keeps its frame count and its
+frame rate (86.13 Hz at 44.1 kHz), and the FFTs cost about a fifth of
+the full-rate ones. The flux then sums the bins below sr/8 only, so it
+is a screen, not a substitute: decode accepts a quarter-rate decision
+only where it is confident and the two rates agree on the reference
+(codec.decode).
+
 Rather than committing to a single tempo, estimate_tempo returns a ranked
 list of (BPM, strength) candidates. Half- and double-tempo harmonics of
 the true pulse routinely appear as secondary peaks, and downstream code
@@ -46,6 +56,13 @@ OCTAVE_EXP = 0.3
 # releases the interpreter lock.
 BLOCK_FRAMES = 64
 
+# The quarter-rate STFT keeps every DECIMATION-th sample of the signal
+# low-passed by _LOWPASS, the 4-sample mean applied twice, whose zeros at
+# sr/4 and sr/2 take out the tones that the decimation folds onto 0 Hz.
+DECIMATION = 4
+_LOWPASS = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0
+_LOWPASS.flags.writeable = False
+
 
 @functools.lru_cache(maxsize=8)
 def _hann(win: int) -> np.ndarray:
@@ -57,6 +74,8 @@ def _hann(win: int) -> np.ndarray:
 # The estimator's fixed values, read through SETTINGS. They stay a record
 # because perfbench/spans.py imports TempoConfig and builds one to read the
 # STFT geometry, and a property test swaps in one with another geometry.
+# stft_window and stft_hop count input samples at either rate: a frame
+# spans 2048 of them and starts 512 after the one before.
 @dataclass(frozen=True)
 class TempoConfig:
     bpm_min: float = 60.0 * (1.0 - MAX_DELTA)
@@ -86,14 +105,30 @@ class TempoCandidates:
         return self.entries[0][0]
 
 
-def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
+def stft_frames(x: np.ndarray, *, quarter_rate: bool = False) -> np.ndarray:
+    """The onset STFT's frames of x, before the window: one per stft_hop
+    samples, each a read-only view of its stft_window samples of x. With
+    quarter_rate, a view of every DECIMATION-th of them in one copy of x
+    low-passed by _LOWPASS (zeros past x's ends, centred, so a tone keeps
+    its phase)."""
+    if quarter_rate:
+        x = np.convolve(x, _LOWPASS, mode="same")
+    view = np.lib.stride_tricks.sliding_window_view(x, SETTINGS.stft_window)
+    return view[:: SETTINGS.stft_hop, :: DECIMATION if quarter_rate else 1]
+
+
+def onset_envelope(buf: PcmBuffer, *, quarter_rate: bool = False) -> tuple[np.ndarray, float]:
     """Spectral-flux onset strength, one value per STFT hop.
 
-    Returns (envelope, frame_rate). The envelope is mean-subtracted and
-    clamped at zero, so only spectral change above the running average
-    registers. The STFT runs in blocks on the shared thread pool; the result
-    does not depend on how many threads it has. Raises TooShort below 1 s
-    and LowEnergy below the RMS gate.
+    Returns (envelope, frame_rate): a 2048-point Hann STFT at hop 512 of
+    the samples, or with quarter_rate a 512-point one at hop 128 of the
+    samples low-passed and kept at a quarter rate (stft_frames), with
+    the same frame count and frame rate. The envelope is mean-subtracted
+    and clamped at zero, so only spectral change above the running
+    average registers. The STFT runs in blocks on the shared thread
+    pool; the result does not depend on how many threads it has. Raises
+    TooShort below 1 s and LowEnergy below the RMS gate, both judged on
+    the full-rate samples.
     """
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
@@ -104,8 +139,8 @@ def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
     hop = SETTINGS.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop]
-    window = _hann(win)
+    frames = stft_frames(x, quarter_rate=quarter_rate)
+    window = _hann(frames.shape[1])
     flux = np.empty(frames.shape[0] - 1)
 
     def block(start: int) -> None:
@@ -121,7 +156,7 @@ def onset_envelope(buf: PcmBuffer) -> tuple[np.ndarray, float]:
     return env, buf.sample_rate / hop
 
 
-def estimate_tempo(buf: PcmBuffer) -> TempoCandidates:
+def estimate_tempo(buf: PcmBuffer, *, quarter_rate: bool = False) -> TempoCandidates:
     """Measure tempo candidates for a buffer of at least 9 s.
 
     Autocorrelation of the onset envelope (unbiased normalization) is
@@ -130,6 +165,7 @@ def estimate_tempo(buf: PcmBuffer) -> TempoCandidates:
     PEAK_MARGIN over the band's median are dropped. Survivors are ranked
     by interpolated peak height weighted by the octave preference, and the
     top k_max become candidates with strengths normalized to sum 1.
+    quarter_rate selects onset_envelope's quarter-rate STFT.
 
     Raises TooShort (< 9 s), LowEnergy (below the RMS gate), or
     NoPeriodicity (nothing clears the margin, as with unpitched noise).
@@ -138,7 +174,7 @@ def estimate_tempo(buf: PcmBuffer) -> TempoCandidates:
         raise TooShort(
             f"tempo needs at least {MIN_MEASURE_S:.0f} s, got {buf.duration_s:.2f} s"
         )
-    env, frame_rate = onset_envelope(buf)
+    env, frame_rate = onset_envelope(buf, quarter_rate=quarter_rate)
     n = env.shape[0]
 
     m = 1

@@ -22,6 +22,7 @@ from tempostego import (
     InsufficientCapacity,
     InvalidSymbol,
     MessageTooLong,
+    Noise,
     NoPeriodicity,
     NonFiniteSamples,
     PcmBuffer,
@@ -38,7 +39,9 @@ from tempostego import (
     encode_playlist,
     estimate_tempo,
     generate_click_track,
+    generate_club_track,
     parse_bitstring,
+    perturb,
     plan_slices,
     rms_dbfs,
     stretch_tempo,
@@ -401,9 +404,12 @@ def test_tracked_windows_start_trim_past_the_encoded_boundaries(click, monkeypat
     stego = encode(click(120, 70.0), message)
     windows = []
 
-    def record(buf):
-        windows.append(buf.samples.copy())
-        return estimate_tempo(buf)
+    def record(buf, *, quarter_rate=False):
+        # a clean click track is read at the quarter rate throughout, so
+        # those calls see each window once: the reference, then each slice
+        if quarter_rate:
+            windows.append(buf.samples.copy())
+        return estimate_tempo(buf, quarter_rate=quarter_rate)
 
     monkeypatch.setattr(codec, "estimate_tempo", record)
     assert decode(stego, max_bits=len(message)).bits == message
@@ -523,7 +529,7 @@ def test_decode_report_serializes(click):
     assert d["per_slice"][0] == {
         "slice_index": 1,
         "direction": "up",
-        "confidence": 1.7956173126271238,
+        "confidence": 1.7940774256047356,
         "candidate_count_used": 2,
         "outcome": "decided",
     }
@@ -535,6 +541,70 @@ def test_decode_report_serializes(click):
         "boundary_mode": "tracked",
     }
     assert d["warnings"] == []
+
+
+def full_rate_decode(monkeypatch, *args, **kwargs):
+    """decode with every measurement at full rate, so the quarter-rate
+    screen agrees with the reference and decides as full rate would."""
+    with monkeypatch.context() as mp:
+        mp.setattr(codec, "estimate_tempo", lambda buf, quarter_rate=False: estimate_tempo(buf))
+        return decode(*args, **kwargs)
+
+
+def counting_rates(monkeypatch):
+    calls = {False: 0, True: 0}
+
+    def count(buf, *, quarter_rate=False):
+        calls[quarter_rate] += 1
+        return estimate_tempo(buf, quarter_rate=quarter_rate)
+
+    monkeypatch.setattr(codec, "estimate_tempo", count)
+    return calls
+
+
+def test_decode_reads_weak_quarter_rate_decisions_again_at_full_rate(monkeypatch):
+    # under a 0 dB bed some slices fall under LOW_CONFIDENCE at the quarter
+    # rate; each of them is the full-rate decision, and so are the bits
+    carrier = generate_click_track(140, 90.0, seed=5)
+    x = perturb(carrier, Noise(snr_db=0.0, seed=5)).samples
+    stego = encode(PcmBuffer(samples=x / max(1.0, float(np.max(np.abs(x)))), sample_rate=SR),
+                   parse_bitstring("1 0 1 1 0 0 1"))
+    full = full_rate_decode(monkeypatch, stego, max_bits=7)
+    calls = counting_rates(monkeypatch)
+    report = decode(stego, max_bits=7)
+    assert report.bits == full.bits == parse_bitstring("1 0 1 1 0 0 1")
+    weak = [i for i, d in enumerate(report.per_slice) if d.confidence < codec.LOW_CONFIDENCE]
+    assert weak and len(weak) < 7
+    for i in weak:
+        assert report.per_slice[i] == full.per_slice[i]
+    # one quarter-rate read of the reference and of every slice; at full
+    # rate the reference and each slice read again
+    assert calls[True] == 1 + 7
+    reread = calls[False] - 1
+    assert len(weak) <= reread < 7
+    assert sum(d != f for d, f in zip(report.per_slice, full.per_slice)) == 7 - reread
+
+
+def test_decode_reads_at_full_rate_where_the_rates_disagree_on_the_reference(monkeypatch):
+    # this club carrier's reference has three candidates at full rate and
+    # four at the quarter rate (two of them 82.5 and 85.7 BPM), whose cross
+    # pairs once decoded payload slice 5 wrong at confidence 2.85
+    message = parse_bitstring("1 0 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0 0 1 1")
+    stego = encode(generate_club_track(126, 240.0, seed=4), message)
+    full = full_rate_decode(monkeypatch, stego, max_bits=21)
+    calls = counting_rates(monkeypatch)
+    report = decode(stego, max_bits=21)
+    assert report.to_dict() == full.to_dict()
+    assert report.bits == message
+    assert calls == {True: 1, False: 1 + 21}
+
+
+def test_a_reference_override_reads_every_window_at_full_rate(click, monkeypatch):
+    stego = encode(click(120, 60.0), parse_bitstring("1 0 1"))
+    reference = estimate_tempo(PcmBuffer(samples=stego.samples[: PHI_N], sample_rate=SR))
+    calls = counting_rates(monkeypatch)
+    decode(stego, max_bits=3, reference_override=reference)
+    assert calls == {True: 0, False: 3}
 
 
 def test_decode_stops_where_the_window_runs_past_the_end(click):

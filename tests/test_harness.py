@@ -16,8 +16,11 @@ from tempostego import (
     ResampleRoundTrip,
     compare_bits,
     concat,
+    decode,
+    encode,
     evaluate,
     generate_click_track,
+    generate_club_track,
     parse_bitstring,
     perturb,
     split_on_silence,
@@ -72,6 +75,63 @@ def test_click_track_validation():
         generate_click_track(120, 0.5)
     with pytest.raises(ValueError):
         generate_click_track(120, 10.0, sample_rate=4000)
+
+
+# the acceptance suite's 21-bit message
+MESSAGE_21 = parse_bitstring("1 1 0 1 1 0 1 1 1 1 0 0 1 1 1 1 0 0 1 1 1")
+
+
+def test_club_track_is_the_same_for_a_seed():
+    a = generate_club_track(124, 12.0, seed=5, swing=0.1, sections=[(4.0, 8.0)])
+    b = generate_club_track(124, 12.0, seed=5, swing=0.1, sections=[(4.0, 8.0)])
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert len(a) == 12 * SR and float(np.max(np.abs(a.samples))) == pytest.approx(0.9)
+    for other in (generate_club_track(124, 12.0, seed=6, swing=0.1, sections=[(4.0, 8.0)]),
+                  generate_club_track(124, 12.0, seed=5, sections=[(4.0, 8.0)]),
+                  generate_club_track(124, 12.0, seed=5, swing=0.1)):
+        assert not np.array_equal(a.samples, other.samples)
+
+
+def test_club_track_breakdown_holds_only_the_pad():
+    # the kick starts every beat outside the section, and inside it the
+    # loudest sample is the pad's, far below the kick's
+    track = generate_club_track(120, 12.0, seed=1, sections=[(4.0, 8.0)])
+    x = track.samples
+    assert np.max(np.abs(x[int(4.3 * SR) : 8 * SR])) < 0.25 * np.max(np.abs(x[: 4 * SR]))
+    assert np.max(np.abs(x[8 * SR : 8 * SR + SR // 20])) > 0.4
+
+
+@pytest.mark.parametrize("kwargs", [{"swing": 0.5}, {"swing": -0.1},
+                                    {"sections": [(5.0, 5.0)]}, {"sections": [(-1.0, 5.0)]},
+                                    {"sections": [(1.0, math.inf)]}, {"bpm": 30},
+                                    {"duration_s": 0.5}, {"sample_rate": 4000}])
+def test_club_track_validation(kwargs):
+    args = {"bpm": 124, "duration_s": 10.0} | kwargs
+    with pytest.raises(ValueError):
+        generate_club_track(**args)
+
+
+@pytest.mark.parametrize("bpm, seed, message", [
+    (124, 1, MESSAGE_21),
+    # a quarter-rate decode alone read payload slice 5 of this one wrong
+    (126, 4, parse_bitstring("1 0 0 0 1 1 0 1 0 0 0 0 1 0 1 1 0 0 0 1 1")),
+])
+def test_a_club_carrier_round_trips(bpm, seed, message):
+    carrier = generate_club_track(bpm, 240.0, seed=seed)
+    report = decode(encode(carrier, message), max_bits=21)
+    assert report.bits == message
+    assert all(d.outcome == "decided" for d in report.per_slice)
+
+
+def test_a_club_breakdown_erases_exactly_the_slices_it_covers():
+    # 100-131 s is beatless: payload slices 10-12 (nominally 100-130 s)
+    # hold only the pad and come back erased; every other slice decodes
+    carrier = generate_club_track(124, 240.0, seed=1, sections=[(100.0, 131.0)])
+    report = decode(encode(carrier, MESSAGE_21), max_bits=21)
+    erased = [d.slice_index for d in report.per_slice if d.direction is None]
+    assert erased == [10, 11, 12]
+    assert all(got == want for got, want in zip(report.bits, MESSAGE_21) if got != ERASURE)
+    assert len(report.per_slice) == 21
 
 
 SNR_PAST_INF = "noise SNR must be a number of dB above -inf"
@@ -222,6 +282,39 @@ def test_evaluate_round_trip_totals():
         assert f.capacity == 2
         assert f.failure is None
         assert len(f.bits) == 2
+
+
+def test_evaluate_signs_each_compared_slice_by_its_bit(monkeypatch):
+    # the stego file carries the message with its second bit flipped, so
+    # that slice decodes wrong and its margin is its confidence negated
+    message = parse_bitstring("1 0 1")
+    flipped = parse_bitstring("1 1 1")
+    monkeypatch.setattr(harness, "encode",
+                        lambda carrier, bits, params: encode(carrier, flipped, params))
+    carrier = generate_click_track(120, 50.0, seed=1)
+    result = evaluate([carrier], message)
+    f = result.files[0]
+    assert (f.errors, f.erasures, f.compared) == (1, 0, 3)
+    confidences = [d.confidence for d in decode(encode(carrier, flipped), max_bits=3).per_slice]
+    assert f.margins == (confidences[0], -confidences[1], confidences[2])
+    assert all(c > 0.0 for c in confidences)
+    assert result.margin_p5 == float(np.percentile(f.margins, 5))
+    assert result.margin_p5 < 0.0
+    assert result.format_table().splitlines()[-1] == (
+        f"totals: errors 1/3 (BER 0.3333), erasures 0, p5 margin {result.margin_p5:.3f}"
+    )
+
+
+def test_evaluate_leaves_erasures_out_of_the_margins(monkeypatch):
+    report = decode(encode(generate_click_track(120, 40.0, seed=1), parse_bitstring("1 0")),
+                    max_bits=2)
+    erased = dataclasses.replace(report.per_slice[0], direction=None, confidence=0.0,
+                                 outcome="NoPeriodicity")
+    monkeypatch.setattr(harness, "decode", lambda *args, **kwargs: dataclasses.replace(
+        report, bits=BitString((ERASURE, 0)), per_slice=(erased, report.per_slice[1])))
+    result = evaluate([generate_click_track(120, 40.0, seed=1)], parse_bitstring("1 0"))
+    assert result.files[0].margins == (report.per_slice[1].confidence,)
+    assert result.total_erasures == 1
 
 
 def test_evaluate_takes_carriers_one_at_a_time():

@@ -797,8 +797,10 @@ def test_stretch_length_law_and_first_frame(sr, frames, ratio, seed, silent):
         assert not out.any()
 
 
-def oracle_onset_envelope(buf, config):
-    """The one-shot STFT the blocked envelope must reproduce."""
+def oracle_onset_envelope(buf, config, quarter_rate):
+    """The one-shot STFT the blocked envelope must reproduce; at the
+    quarter rate, of the samples filtered once, every 4th sample of each
+    frame kept."""
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
     if rms_dbfs(buf) < config.min_rms_dbfs:
@@ -808,7 +810,12 @@ def oracle_onset_envelope(buf, config):
     hop = config.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop] * np.hanning(win)
+    if quarter_rate:
+        y = np.convolve(x, np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0]) / 16.0, mode="same")
+        starts = range(0, len(x) - win + 1, hop)
+        frames = np.stack([y[s : s + win : 4] for s in starts]) * np.hanning(len(range(0, win, 4)))
+    else:
+        frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop] * np.hanning(win)
     mag = np.abs(np.fft.rfft(frames, axis=1))
     flux = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
     env = np.maximum(flux - flux.mean(), 0.0)
@@ -864,8 +871,9 @@ def oracle_stretch_core(x, ratio, seq, seek, overlap, n_out):
     return out[:n_out].copy()
 
 
-# (window, hop) pairs: the default, a finer grid, hop equal to the window,
-# and sizes that are not powers of two
+# (window, hop) pairs in input samples: the default, a finer grid, hop
+# equal to the window, and sizes that are not powers of two, whose frames
+# start at every phase of the quarter rate
 STFT_GEOMETRIES = ((2048, 512), (1024, 256), (512, 512), (1000, 333))
 
 
@@ -877,9 +885,12 @@ STFT_GEOMETRIES = ((2048, 512), (1024, 256), (512, 512), (1000, 333))
     offset=st.sampled_from([-1, 0, 1, 2]),
     ragged=st.floats(0.0, 1.0, exclude_max=True),
     seed=st.integers(0, 2**32 - 1),
+    quarter_rate=st.booleans(),
 )
-@example(sr=8000, geometry=(2048, 512), blocks=0, offset=0, ragged=0.0, seed=0)
-def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragged, seed):
+@example(sr=8000, geometry=(2048, 512), blocks=0, offset=0, ragged=0.0, seed=0, quarter_rate=False)
+@example(sr=8000, geometry=(2048, 512), blocks=0, offset=0, ragged=0.0, seed=0, quarter_rate=True)
+def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragged, seed,
+                                              quarter_rate):
     win, hop = geometry
     config = tempo.TempoConfig(stft_window=win, stft_hop=hop)
     block = tempo.BLOCK_FRAMES
@@ -890,13 +901,13 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     x = np.random.default_rng(seed).standard_normal(n) * 0.3
     x[n // 3 : n // 2] = 0.0  # frames of silence give zero spectra and zero flux
     buf = PcmBuffer(samples=x, sample_rate=sr)
-    want_env, want_rate = oracle_onset_envelope(buf, config)
+    want_env, want_rate = oracle_onset_envelope(buf, config, quarter_rate)
     assert want_env.shape == (n_frames - 1,)
     for workers in (1, 3):
         with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
             mp.setattr(tempo, "shared_pool", lambda: pool)
             mp.setattr(tempo, "SETTINGS", config)
-            env, rate = onset_envelope(buf)
+            env, rate = onset_envelope(buf, quarter_rate=quarter_rate)
         assert rate == want_rate
         assert np.array_equal(env, want_env)
 
@@ -1469,6 +1480,7 @@ def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path
 READERS = {
     "rms_dbfs": rms_dbfs,
     "onset_envelope": onset_envelope,
+    "onset_envelope at the quarter rate": lambda b: onset_envelope(b, quarter_rate=True),
     "estimate_tempo": estimate_tempo,
     "stretch_tempo": lambda b: stretch_tempo(b, 1.01),
     "perturb": lambda b: perturb(b, Noise(snr_db=20.0, seed=1)),

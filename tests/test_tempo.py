@@ -14,7 +14,7 @@ from tempostego import (
     onset_envelope,
     stretch_tempo,
 )
-from tempostego.tempo import SETTINGS
+from tempostego.tempo import DECIMATION, SETTINGS, stft_frames
 
 SR = 44100
 
@@ -47,6 +47,27 @@ def test_single_click_localized_in_envelope():
     # envelope index i differences frames i and i+1; convert to center time
     peak_time = ((peak + 1) * SETTINGS.stft_hop + SETTINGS.stft_window / 2) / SR
     assert abs(peak_time - 2.0) <= 2 * SETTINGS.stft_hop / SR + SETTINGS.stft_window / SR
+
+
+@pytest.mark.parametrize("freq", [SR // 4, SR // 2, 441, 2205])
+@pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2])
+def test_stft_frames_low_pass_a_tone_by_the_filter_gain(freq, phase):
+    # the q-sample mean applied twice passes a tone at f scaled by
+    # (sin(q pi f / sr) / (q sin(pi f / sr)))**2, in phase: zero at sr/4 and
+    # sr/2, the filter's nulls; the frames' first and last rows reach the
+    # zeros past the ends
+    q = DECIMATION
+    # whole cycles dropped in integers, so no sample's phase is off by the
+    # rounding of a large argument
+    x = np.cos(2 * np.pi * (np.arange(2 * SR) * freq % SR) / SR + phase)
+    gain = (np.sin(q * np.pi * freq / SR) / (q * np.sin(np.pi * freq / SR))) ** 2
+    frames = stft_frames(x, quarter_rate=True)
+    win, hop = SETTINGS.stft_window, SETTINGS.stft_hop
+    assert frames.shape == ((len(x) - win) // hop + 1, win // q)
+    want = np.stack([x[s : s + win : q] for s in range(0, len(x) - win + 1, hop)]) * gain
+    assert np.max(np.abs(frames[1:-1] - want[1:-1])) <= 1e-12
+    if freq in (SR // 4, SR // 2):
+        assert np.max(np.abs(frames[1:-1])) <= 1e-12
 
 
 def test_envelope_peak_spacing_matches_beat_period(click):
