@@ -14,6 +14,15 @@ The stretch has two halves. The search (frame_starts) finds every
 frame's start and takes most of the time; the render (stretch_tempo with
 starts) crossfades the frames at those starts, which fully determine the
 output, so the two may run in different processes.
+
+At a ratio near 1, nearly every frame's best start is its natural
+continuation: the one whose window is the template itself, at a
+normalized correlation of 1 (Verhelst & Roelands, ICASSP 1993). The
+search proves that choice with a cheap certificate, a Cauchy-Schwarz
+bound on each other start's score with every rounding error bounded,
+and scores only the few starts the bound cannot rule out. Frames it
+cannot certify are searched in full. Either way the starts, and so the
+output, are those of scoring every start.
 """
 
 from __future__ import annotations
@@ -40,6 +49,90 @@ def _frame_count(n_out: int, seq: int, overlap: int) -> int:
     return 1 if n_out <= seq else (n_out - seq + hop - 1) // hop + 1
 
 
+# Unit roundoff and the smallest subnormal of a double. _SLACK widens the
+# certificate's threshold past the rounding of its own few operations; a
+# frame with more than _MAX_SURVIVORS lags left to score is searched in
+# full, which is then about as cheap.
+_U = 2.0**-53
+_TINY = 2.0**-1074
+_SLACK = 1.0 + 2.0**-30
+_MAX_SURVIVORS = 16
+
+
+def _certified(
+    seg: np.ndarray, tmpl: np.ndarray, te: float, sq: np.ndarray, en: np.ndarray,
+    l0: int, sig_buf: np.ndarray,
+) -> int | None:
+    """The lag the full search of seg picks, proved without scoring
+    every lag; None where the proof fails.
+
+    l0 is the natural lag, whose window is tmpl itself: its correlation
+    is te, and its score s0 = te / sqrt(en[l0] * te) is about 1. For
+    unit vectors u and v,
+    u.v = 1 - |u - v|**2 / 2 <= 1 - (u[0] - v[0])**2 / 2,
+    so a window whose signature (its first sample over the root of its
+    energy) lies d from the template's has a normalized correlation of at
+    most 1 - d**2 / 2. A lag whose computed signature is more than
+    sqrt(2 * (1 - s0 + err)) + eps from the template's therefore scores
+    below s0, as the full search computes its score, and cannot win. The
+    error terms are rigorous bounds:
+
+    - gamma: a dot product of `overlap` terms, in any order, against the
+      product of the two norms (the correlation, and te);
+    - rho: every live en, a difference of running sums of squares, each
+      within (n + 1) ulps of at most the range's total energy, relative
+      to the smallest live en; rho_t: te;
+    - kappa: both energies' errors and the score's product, square root
+      and division; tiny: underflow in the dot product and the quotient;
+    - eps: the rounding of both signatures.
+
+    The lags left, l0 among them, are scored as the full search scores
+    them: np.dot calls the dot product np.correlate calls, on the same
+    samples. Every other lag scores below s0, so the first maximum among
+    them in lag order is the full search's.
+
+    None when en[l0] is not positive; when a live lag's en * te is not a
+    normal double, since the full search's score could then be infinite
+    or NaN; when rho + rho_t passes 2**-10, where the bound's linear terms
+    stop holding; and when more than _MAX_SURVIVORS lags are left."""
+    m = en.shape[0]
+    n = seg.shape[0]
+    overlap = tmpl.shape[0]
+    e0 = float(en[l0])
+    total = float(sq[n])  # no en exceeds it
+    e_min = float(en.min())
+    if e_min <= 0.0:  # the smallest live en
+        e_min = float(np.min(en, where=en > 0.0, initial=np.inf))
+    if not (e0 > 0.0 and e_min * te >= 2.0**-1022 and math.isfinite(total * te)):
+        return None
+    s0 = te / math.sqrt(e0 * te)
+    if not 0.5 <= s0 <= 2.0:  # 1 - s0 is then exact
+        return None
+    gamma = overlap * _U / (1.0 - overlap * _U)
+    rho = (4.0 * (n + 1) * _U * total + 4.0 * n * _TINY) / e_min
+    rho_t = 2.0 * (gamma + overlap * _TINY / te)
+    if rho + rho_t > 2.0**-10:
+        return None
+    kappa = 2.0 * (rho + rho_t) + 4.0 * _U
+    tiny = overlap * _TINY * (1.0 + 3.0 * _U) / math.sqrt(e_min * te) + _TINY
+    err = (gamma + s0 * kappa + tiny) * _SLACK
+    eps = 1.25 * (rho + rho_t) + 8.0 * _U + 2.0 * _TINY
+    thr = (math.sqrt(max(2.0 * ((1.0 - s0) + err), 0.0)) + eps) * _SLACK
+    sig = np.sqrt(en, out=sig_buf[:m])
+    np.divide(seg[:m], sig, out=sig)
+    np.subtract(sig, float(tmpl[0]) / math.sqrt(te), out=sig)
+    np.abs(sig, out=sig)
+    # a dead lag's signature is infinite or NaN, so it is never kept
+    kept = np.flatnonzero(sig <= thr)
+    if kept.shape[0] == 1:
+        return int(kept[0])
+    if kept.shape[0] > _MAX_SURVIVORS:
+        return None
+    corr = np.array([np.dot(seg[l : l + overlap], tmpl) for l in kept.tolist()])
+    scores = corr / np.sqrt(en[kept] * te)
+    return int(kept[np.argmax(scores)])
+
+
 def _search(
     x: np.ndarray, ratio: float, seq: int, seek: int, overlap: int, n_out: int
 ) -> np.ndarray:
@@ -53,10 +146,15 @@ def _search(
     A window without energy scores -2, below any real score, and a
     template without energy keeps the nominal position. The nominal grid,
     the running sums of squares and the scores are computed into buffers
-    made once per call. Every search range's scores are divided in place
-    in the correlation's own array, and the windows without energy,
-    marked before the division, are then set to -2. A window with energy
-    gets the arithmetic of the plain per-frame formula."""
+    made once per call.
+
+    Where the template's own position, the natural continuation, lies in
+    the range, _certified proves which lag wins from the running sums of
+    squares and a few exact scores; at a ratio near 1 it is nearly always
+    that position. Otherwise, and wherever the proof fails, every lag is
+    scored: the correlation over the whole range is divided in place, and
+    the windows without energy, marked before the division, are then set
+    to -2. Both give the starts of the plain per-frame formula."""
     hop = seq - overlap
     n = x.shape[0]
     n_frames = _frame_count(n_out, seq, overlap)
@@ -69,10 +167,12 @@ def _search(
     # of a search range, so en = sq[overlap:][:m] - sq[:m]
     sq = np.zeros(2 * seek + overlap + 1)
     en_buf = np.empty(2 * seek + 1)
+    sig_buf = np.empty(2 * seek + 1)
     dead_buf = np.empty(2 * seek + 1, dtype=bool)
     starts = [0]
     prev = 0
-    # a window without energy divides by zero; its score is then replaced
+    # a window without energy divides by zero in its score and its
+    # signature; the score is then replaced, and the signature never kept
     with np.errstate(divide="ignore", invalid="ignore"):
         for nom, lo, hi in zip(nominal.tolist(), los, his):
             tb = prev + hop
@@ -82,18 +182,23 @@ def _search(
                 prev = nom
             else:
                 seg = x[lo : hi + overlap]
-                corr = np.correlate(seg, tmpl, mode="valid")
-                m = corr.shape[0]
+                m = hi - lo + 1
                 run = sq[1 : seg.shape[0] + 1]
                 np.multiply(seg, seg, out=run)
                 np.cumsum(run, out=run)
                 en = np.subtract(sq[overlap : overlap + m], sq[:m], out=en_buf[:m])
-                dead = np.less_equal(en, 0.0, out=dead_buf[:m])
-                np.multiply(en, te, out=en)
-                np.sqrt(en, out=en)
-                scores = np.divide(corr, en, out=corr)
-                np.copyto(scores, -2.0, where=dead)
-                prev = lo + int(np.argmax(scores))
+                best = None
+                if lo <= tb <= hi:
+                    best = _certified(seg, tmpl, te, sq, en, tb - lo, sig_buf)
+                if best is None:
+                    corr = np.correlate(seg, tmpl, mode="valid")
+                    dead = np.less_equal(en, 0.0, out=dead_buf[:m])
+                    np.multiply(en, te, out=en)
+                    np.sqrt(en, out=en)
+                    scores = np.divide(corr, en, out=corr)
+                    np.copyto(scores, -2.0, where=dead)
+                    best = int(np.argmax(scores))
+                prev = lo + best
             starts.append(prev)
     return np.array(starts, dtype=np.int64)
 

@@ -105,16 +105,36 @@ class TempoCandidates:
         return self.entries[0][0]
 
 
-def stft_frames(x: np.ndarray, *, quarter_rate: bool = False) -> np.ndarray:
-    """The onset STFT's frames of x, before the window: one per stft_hop
-    samples, each a read-only view of its stft_window samples of x. With
-    quarter_rate, a view of every DECIMATION-th of them in one copy of x
-    low-passed by _LOWPASS (zeros past x's ends, centred, so a tone keeps
-    its phase)."""
+def stft_frames(
+    x: np.ndarray, start: int = 0, stop: int | None = None, *, quarter_rate: bool = False
+) -> np.ndarray:
+    """The onset STFT's frames start..stop-1 of x (every frame by
+    default), before the window: frame i spans stft_window samples from
+    i * stft_hop. A read-only view of them in x; with quarter_rate, of
+    every DECIMATION-th sample in a copy of their span of x low-passed by
+    _LOWPASS (centred, so a tone keeps its phase). The span takes its
+    filter's halo from x, so only x's own ends meet zeros, and any range
+    of frames gets the samples it would get in one filtering of all x."""
+    win = SETTINGS.stft_window
+    hop = SETTINGS.stft_hop
+    if stop is None:
+        stop = (x.shape[0] - win) // hop + 1
+    a = start * hop
+    b = (stop - 1) * hop + win
     if quarter_rate:
-        x = np.convolve(x, _LOWPASS, mode="same")
-    view = np.lib.stride_tricks.sliding_window_view(x, SETTINGS.stft_window)
-    return view[:: SETTINGS.stft_hop, :: DECIMATION if quarter_rate else 1]
+        half = _LOWPASS.shape[0] // 2
+        lo = max(a - half, 0)
+        x = np.convolve(x[lo : min(b + half, x.shape[0])], _LOWPASS, mode="same")
+        x = x[a - lo : b - lo]
+    else:
+        x = x[a:b]
+    step = DECIMATION if quarter_rate else 1
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(stop - start, len(range(0, win, step))),
+        strides=(hop * x.strides[0], step * x.strides[0]),
+        writeable=False,
+    )
 
 
 def onset_envelope(buf: PcmBuffer, *, quarter_rate: bool = False) -> tuple[np.ndarray, float]:
@@ -126,7 +146,8 @@ def onset_envelope(buf: PcmBuffer, *, quarter_rate: bool = False) -> tuple[np.nd
     the same frame count and frame rate. The envelope is mean-subtracted
     and clamped at zero, so only spectral change above the running
     average registers. The STFT runs in blocks on the shared thread
-    pool; the result does not depend on how many threads it has. Raises
+    pool, each low-passing its own span at the quarter rate; the result
+    does not depend on how many threads it has. Raises
     TooShort below 1 s and LowEnergy below the RMS gate, both judged on
     the full-rate samples.
     """
@@ -139,15 +160,14 @@ def onset_envelope(buf: PcmBuffer, *, quarter_rate: bool = False) -> tuple[np.nd
     hop = SETTINGS.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
-    frames = stft_frames(x, quarter_rate=quarter_rate)
-    window = _hann(frames.shape[1])
-    flux = np.empty(frames.shape[0] - 1)
+    flux = np.empty((len(x) - win) // hop)
 
     def block(start: int) -> None:
         # frames start..stop give flux[start:stop]; the next block starts
         # at this one's last frame
         stop = min(start + BLOCK_FRAMES, flux.shape[0])
-        mag = np.abs(np.fft.rfft(frames[start : stop + 1] * window, axis=1))
+        frames = stft_frames(x, start, stop + 1, quarter_rate=quarter_rate)
+        mag = np.abs(np.fft.rfft(frames * _hann(frames.shape[1]), axis=1))
         flux[start:stop] = np.maximum(mag[1:] - mag[:-1], 0.0).sum(axis=1)
 
     # list() waits for every block and re-raises the first failure
