@@ -10,19 +10,27 @@ one. Stereo input is mixed down to mono on read; output is always
 A buffer holds its samples in one of two forms, which its constructor
 fixes from their dtype and which never changes: float64 samples, or
 little-endian int16 samples, the form read_wav gives a 16-bit mono file,
-the format this package writes. Library code reads samples only through
-float_range, which converts only the range it reads (each int16 / 32768,
-times a factor, in one multiply); the public `samples` property of a
-16-bit buffer is one such read of the whole buffer, a new read-only
-array each time. The splitter also cuts the int16 array into views
-(view_range), the writer writes its bytes unchanged, and screen_finite
-skips it, since integers are always finite. Every float a call sees
-equals the one the float64 form holds, so results do not depend on the
-form. The splitter's frame scan (frame_mean_squares) reads the int16
-array too, on the path a float64 array takes: it sums each frame's
-squares of the stored values and scales the sum once by a power of two,
-so both forms give the same mean squares. No other module refers to the
-int16 form.
+the format this package writes. Library code reads samples as floats
+only through float_range, which converts only the range it reads (each
+int16 / 32768, times a factor, in one multiply); the public `samples`
+property of a 16-bit buffer is one such read of the whole buffer, a new
+read-only array each time. The splitter also cuts the int16 array into
+views (view_range), the writer writes its bytes unchanged, and
+screen_finite skips it, since integers are always finite. Every float a
+call sees equals the one the float64 form holds, so what it computes
+from them does not depend on the form. The splitter's frame scan
+(frame_mean_squares) reads the int16 array too, on the path a float64
+array takes: it sums each frame's squares of the stored values and
+scales the sum once by a power of two, so both forms give the same mean
+squares.
+
+Encode copies samples as stored (stored_range), so a 16-bit carrier
+gives a 16-bit stego: its reference, tail and stretched frames are the
+carrier's int16 samples, and only the stretch's crossfades are computed
+in floats (stretch.stretch_core), then rounded as the writer rounds
+them. Its samples are those the writer makes of the float twin's stego,
+so both write the same file. Outside the splitter, the writer and that
+encode path, no module refers to the int16 form.
 
 Long buffers are converted and scanned in sample ranges, one per usable
 CPU, on a thread pool that the STFT of the tempo estimator shares. Every
@@ -248,11 +256,18 @@ def float_range(
     return np.multiply(part, factor, out=out)
 
 
+def stored_range(buf: PcmBuffer, a: int, b: int) -> np.ndarray:
+    """Samples [a, b) as stored, for reading and copying only: a view of
+    a float buffer's float64 samples, or of a 16-bit buffer's int16
+    samples."""
+    return buf._data[a:b]
+
+
 def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
     """Samples [a, b) as a buffer sharing buf's memory, in buf's form: a
     view of a float buffer's samples, or of a 16-bit buffer's int16
     samples."""
-    return PcmBuffer(samples=buf._data[a:b], sample_rate=buf.sample_rate)
+    return PcmBuffer(samples=stored_range(buf, a, b), sample_rate=buf.sample_rate)
 
 
 def screen_finite(buf: PcmBuffer, what: str) -> None:

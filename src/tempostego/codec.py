@@ -57,7 +57,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .audio import PcmBuffer, _write_all, float_range, rms_dbfs, screen_finite, usable_cpus
+from .audio import (
+    PcmBuffer,
+    _write_all,
+    float_range,
+    rms_dbfs,
+    screen_finite,
+    stored_range,
+    usable_cpus,
+    view_range,
+)
 from .bits import ERASURE, BitString, plan_spanning
 from .errors import (
     InvalidSymbol,
@@ -74,7 +83,7 @@ from .plan import (
     _geometry,
     plan_slices,
 )
-from .stretch import KeptInput, frame_starts, starts_fit, stretch_tempo, stretched_length
+from .stretch import frame_starts, starts_fit, stretch_tempo, stretched_length
 from .tempo import SETTINGS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings,
@@ -232,7 +241,12 @@ def encode(
     """Embed a message, returning the modulated carrier.
 
     The reference slice and tail pass through untouched, as do payload
-    slices beyond the end of the message. The search half of each payload
+    slices beyond the end of the message. The result has the carrier's
+    form: a 16-bit carrier gives a 16-bit buffer, whose stretched slices
+    copy the carrier's int16 samples and round only their crossfades
+    (stretch.stretch_core). Its samples are those write_wav writes for the
+    encode of the carrier's float twin, so the two write the same file,
+    byte for byte. The search half of each payload
     slice's stretch runs in one process per usable CPU (forked workers,
     where the platform has an affinity call), which claim slices from one
     queue; the workers send back only each slice's frame starts, and this
@@ -257,21 +271,23 @@ def encode(
 
     sr = carrier.sample_rate
     _, ref_end = plan.reference
-    # one output buffer sized by the length law; the reference and the
-    # tail are read straight into it and the payload slices stretched
-    # into it
+    # one output buffer in the carrier's form, sized by the length law;
+    # the reference and the tail are copied into it as stored and the
+    # payload slices stretched into it
     ratios = [_ratio_for(Direction.UP if bit == 1 else Direction.DOWN, params.delta)
               for bit in message]
     jobs = [((s0, s1), r, stretched_length(s1 - s0, r)) for (s0, s1), r in zip(plan.data, ratios)]
-    out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs))
-    factor = _reference_factor(float_range(carrier, 0, ref_end, out=out[:ref_end]), sr)
+    stored = stored_range(carrier, 0, n)
+    out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs), dtype=stored.dtype)
+    factor = _reference_factor(float_range(carrier, 0, ref_end), sr)
     if message:  # decode reads a message against the measured reference
         _reference_tempo(carrier, factor, params)
+    out[:ref_end] = stored[:ref_end]
     o = _stretch_into(carrier, jobs, out, ref_end)
     # the tail is what follows the last stretched slice's input
     rest = jobs[-1][0][1] if jobs else ref_end
     end = o + n - rest
-    float_range(carrier, rest, n, out=out[o:end])
+    out[o:end] = stored[rest:]
     return PcmBuffer(samples=out[:end], sample_rate=sr)
 
 
@@ -291,10 +307,10 @@ def _stretch_into(
     record per slice back on its own result pipe. This process renders
     every slice, in order, at the running offset of the lengths
     stretch_tempo returns, so a short return shortens the file as a
-    serial loop does and an exception comes from this call. When this
-    process searches the slice it renders next, the render reuses the
-    input the search read, checked and scaled (stretch.KeptInput); no
-    other slice's input is held.
+    serial loop does and an exception comes from this call. Both halves
+    read the slice as a view of the carrier (audio.view_range): the
+    search converts it to floats, and a 16-bit slice is rendered from its
+    int16 samples into a 16-bit out.
 
     A record is kept only when its index was queued and has no starts
     yet, and its starts fit the slice (stretch.starts_fit). A worker
@@ -306,19 +322,12 @@ def _stretch_into(
     """
     sr = carrier.sample_rate
 
-    def piece(i: int) -> KeptInput:
+    def piece(i: int) -> PcmBuffer:
         (s0, s1), _, _ = jobs[i]
-        return KeptInput(samples=float_range(carrier, s0, s1), sample_rate=sr)
+        return view_range(carrier, s0, s1)
 
     def search(i: int) -> np.ndarray:
         return frame_starts(piece(i), jobs[i][1])
-
-    def search_here(i: int) -> None:
-        # the slice rendered next keeps its prepared input for its render
-        nonlocal ready
-        buf = piece(i)
-        found[i] = frame_starts(buf, jobs[i][1])
-        ready = buf if i == at else None
 
     def fits(i: int, starts: np.ndarray) -> bool:
         (s0, s1), ratio, _ = jobs[i]
@@ -326,7 +335,6 @@ def _stretch_into(
 
     found: list[np.ndarray | None] = [None] * len(jobs)
     at = 0  # the next slice to render
-    ready = None  # slice at's buffer, when this process searched it
     queue = None  # the queue pipe's read end, until it runs dry
     queued = 0  # slices 0 .. queued - 1 went into the queue
     streams: dict[int, bytearray] = {}  # result read end: its unread bytes
@@ -400,14 +408,13 @@ def _stretch_into(
                 take(0)
             if found[at] is not None:
                 _, ratio, n = jobs[at]
-                buf = ready if ready is not None else piece(at)
-                ready = None
-                o += len(stretch_tempo(buf, ratio, out=out[o : o + n], starts=found[at]))
+                o += len(stretch_tempo(piece(at), ratio, out=out[o : o + n], starts=found[at]))
                 at += 1
                 continue
             token = os.read(queue, _INDEX) if queue is not None else b""
             if len(token) == _INDEX:
-                search_here(int.from_bytes(token, sys.byteorder))
+                i = int.from_bytes(token, sys.byteorder)
+                found[i] = search(i)
                 continue
             if queue is not None:  # the queue ran dry
                 os.close(queue)
@@ -415,7 +422,7 @@ def _stretch_into(
             if streams and at < queued:
                 take(None)  # a worker may still hand it back
             else:
-                search_here(at)
+                found[at] = search(at)
     finally:
         if queue is not None:
             os.close(queue)

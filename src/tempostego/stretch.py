@@ -13,7 +13,10 @@ length is exactly round(len(input) / ratio) samples.
 The stretch has two halves. The search (frame_starts) finds every
 frame's start and takes most of the time; the render (stretch_tempo with
 starts) crossfades the frames at those starts, which fully determine the
-output, so the two may run in different processes.
+output, so the two may run in different processes. The search reads
+the input as floats; the render of a 16-bit buffer into an int16 output
+copies its frames as stored and computes only the crossfades, rounded to
+the samples write_wav writes for the float render.
 
 At a ratio near 1, nearly every frame's best start is its natural
 continuation: the one whose window is the template itself, at a
@@ -31,7 +34,7 @@ import math
 
 import numpy as np
 
-from .audio import PcmBuffer, energy, float_range
+from .audio import PcmBuffer, energy, float_range, stored_range
 from .errors import BufferTooShort, NonFiniteSamples, RatioOutOfRange
 
 RATIO_MIN = 0.5
@@ -218,8 +221,18 @@ def stretch_core(
     aligned within +-seek samples of its nominal position and crossfaded
     over overlap samples. The frames start at `starts` when given (one
     per frame, each in [0, len(x) - seq]; not checked here), else where
-    _search puts them. The result is written into `out` (n_out float64
-    samples) when given, else into a new array."""
+    _search puts them. The result is written into `out` (n_out samples)
+    when given, else into a new float64 array.
+
+    x and out are both float64, or both int16, which needs `starts`. An
+    int16 frame is copied as stored, and its crossfade with the previous
+    frame's tail (read from x) is computed as the float64 one is, on the
+    stored values, then rounded to the nearest integer. Those values are
+    the floats' times 32768 exactly, so the result is what write_wav
+    makes of the float render of x / 32768. A crossfade never leaves the
+    int16 range: fade_in + fade_out <= 1 + 2**-53, so a head's magnitude
+    is at most (1 + 2**-51) times its larger input's, which rounds to
+    within [-32768, 32767]."""
     if starts is None:
         starts = _search(x, ratio, seq, seek, overlap, n_out)
     hop = seq - overlap
@@ -227,20 +240,25 @@ def stretch_core(
     # copy is cut short, so each output sample is written exactly once
     if out is None:
         out = np.empty(n_out)
+    rounded = out.dtype != np.float64
     fade_in = np.arange(overlap) / overlap
     fade_out = 1.0 - fade_in
     mix = np.empty(overlap)
+    scratch = np.empty(overlap) if rounded else None
 
     at = starts.tolist()
     first = min(seq, n_out)
     out[:first] = x[at[0] : at[0] + first]
     for k in range(1, len(at)):
         start = at[k]
+        tail = at[k - 1] + hop
         o = k * hop
-        head = out[o : o + overlap]
-        np.multiply(head, fade_out, out=head)
+        head = scratch if rounded else out[o : o + overlap]
+        np.multiply(x[tail : tail + overlap], fade_out, out=head)
         np.multiply(x[start : start + overlap], fade_in, out=mix)
         np.add(head, mix, out=head)
+        if rounded:
+            np.rint(head, out=out[o : o + overlap], casting="unsafe")
         end = min(seq, n_out - o)
         out[o + overlap : o + end] = x[start + overlap : start + end]
     return out
@@ -276,23 +294,9 @@ def starts_fit(starts: np.ndarray, n: int, ratio: float, sample_rate: int) -> bo
     )
 
 
-class KeptInput(PcmBuffer):
-    """A buffer that keeps the input the kernel takes, from its first
-    frame_starts or stretch_tempo call for the later ones: its range is
-    read as floats, checked and scaled once. encode passes one to the
-    search and then the render of a slice it does both for. Its samples
-    must not change between the calls."""
-
-    __slots__ = ("_kernel_input",)
-
-    def __init__(self, samples: np.ndarray, sample_rate: int):
-        super().__init__(samples, sample_rate)
-        self._kernel_input = None
-
-
-def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
-    """stretch_tempo's checks; then the input as the kernel takes it, the
-    power of two it was scaled down by, the frame geometry and n_out."""
+def _checked(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
+    """stretch_tempo's checks of the ratio, the length and out; then the
+    frame geometry and n_out."""
     if not (RATIO_MIN <= ratio <= RATIO_MAX):
         raise RatioOutOfRange(f"ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
     seq, seek, overlap = _geometry(buf.sample_rate)
@@ -301,21 +305,18 @@ def _prepared(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
             f"need at least {2 * seq} samples ({2 * SEQUENCE_MS:.0f} ms), got {len(buf)}"
         )
     n_out = stretched_length(len(buf), ratio)
-    kept = getattr(buf, "_kernel_input", None)
-    src = float_range(buf, 0, len(buf)) if kept is None else kept[0]
+    stored = stored_range(buf, 0, len(buf))
     if out is not None and (
         not isinstance(out, np.ndarray)
         or out.shape != (n_out,)
-        or out.dtype != np.float64
-        or np.may_share_memory(out, src)
+        or (out.dtype != np.float64 and out.dtype != stored.dtype)
+        or np.may_share_memory(out, stored)
     ):
-        raise ValueError(f"out must be {n_out} float64 samples apart from the input")
-    if kept is None:
-        kept = (src, *_kernel_input(src))
-        if isinstance(buf, KeptInput):
-            buf._kernel_input = kept
-    _, xs, k = kept
-    return xs, k, (seq, seek, overlap), n_out
+        raise ValueError(
+            f"out must be {n_out} float64 samples, or int16 ones for a 16-bit buffer,"
+            " apart from the input"
+        )
+    return (seq, seek, overlap), n_out
 
 
 def _kernel_input(src: np.ndarray) -> tuple[np.ndarray, int]:
@@ -346,7 +347,8 @@ def frame_starts(buf: PcmBuffer, ratio: float) -> np.ndarray:
     the search half of the stretch, with its checks and its errors. The
     render half, stretch_tempo(buf, ratio, starts=...), then gives the
     same samples as stretch_tempo(buf, ratio)."""
-    xs, _, (seq, seek, overlap), n_out = _prepared(buf, ratio, None)
+    (seq, seek, overlap), n_out = _checked(buf, ratio, None)
+    xs, _ = _kernel_input(float_range(buf, 0, len(buf)))
     return _search(xs, float(ratio), seq, seek, overlap, n_out)
 
 
@@ -362,17 +364,28 @@ def stretch_tempo(
     ratio = 1.01 plays 1% faster (output shorter by 1%). The output length
     is exactly round(len(buf) / ratio). When `out` is given, the samples
     are written into it and the returned buffer holds `out` itself; it
-    must be a float64 array of exactly that length that does not overlap
-    the input, else ValueError. When `starts` is given (as frame_starts
-    returns it), the frames are placed there and not searched for; starts
-    that do not fit the stretch (starts_fit) raise ValueError.
+    must be an array of exactly that length that does not overlap the
+    input, else ValueError. It is float64, or int16 for a 16-bit buffer:
+    the frames are then copied as stored and only the crossfades are
+    computed, and the result holds the int16 samples write_wav writes for
+    the float64 result (stretch_core). When `starts` is given (as
+    frame_starts returns it), the frames are placed there and not
+    searched for; starts that do not fit the stretch (starts_fit) raise
+    ValueError.
     Raises RatioOutOfRange outside [0.5, 2.0], BufferTooShort for
     inputs under two sequence frames and NonFiniteSamples for input
     holding NaN or infinity.
     """
-    xs, k, (seq, seek, overlap), n_out = _prepared(buf, ratio, out)
+    (seq, seek, overlap), n_out = _checked(buf, ratio, out)
     if starts is not None and not starts_fit(starts, len(buf), ratio, buf.sample_rate):
         raise ValueError(f"starts do not place the frames of {len(buf)} samples at ratio {ratio}")
+    if out is not None and out.dtype != np.float64:  # a 16-bit buffer's int16 out
+        if starts is None:
+            starts = frame_starts(buf, ratio)
+        x = stored_range(buf, 0, len(buf))
+        stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out, starts=starts)
+        return PcmBuffer(samples=out, sample_rate=buf.sample_rate)
+    xs, k = _kernel_input(float_range(buf, 0, len(buf)))
     with np.errstate(over="ignore", invalid="ignore"):
         y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out, starts=starts)
         if k:

@@ -678,9 +678,15 @@ def test_int16_built_buffer_equals_its_float_twin(tmp_path):
     write_wav(PcmBuffer(samples=q, sample_rate=44100), str(tmp_path / "q.wav"))
     write_wav(twin, str(tmp_path / "twin.wav"))
     assert (tmp_path / "q.wav").read_bytes() == (tmp_path / "twin.wav").read_bytes()
+    # its encode is 16-bit: the samples, and so the file, that write_wav
+    # makes of the twin's float encode
     message = BitString((1,))
-    got = encode(PcmBuffer(samples=q, sample_rate=44100), message).samples
-    assert got.tobytes() == encode(twin, message).samples.tobytes()
+    got = encode(PcmBuffer(samples=q, sample_rate=44100), message)
+    assert got._data.dtype == np.dtype("<i2")
+    write_wav(got, str(tmp_path / "stego.wav"))
+    write_wav(encode(twin, message), str(tmp_path / "twin-stego.wav"))
+    assert got._data.tobytes() == read_wav(str(tmp_path / "twin-stego.wav"))._data.tobytes()
+    assert (tmp_path / "stego.wav").read_bytes() == (tmp_path / "twin-stego.wav").read_bytes()
     # a strided view of int16 samples writes the samples it shows, in order
     for view in (q[::2], q[::-3]):
         write_wav(PcmBuffer(samples=view, sample_rate=22050), str(tmp_path / "view.wav"))

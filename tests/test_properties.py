@@ -24,9 +24,12 @@ sample and byte for byte. The reader reads each range's bytes by
 position; it must also match the whole-buffer reader, which holds every
 byte of the file in one buffer and converts the data chunk in one piece.
 A 16-bit mono file is read into its int16 samples: written again it must
-give the same bytes, and its split, encode and decode must equal those
-of a float buffer holding the same samples, without a whole-length
-float64 of the buffer. The frame scan takes one path for both forms
+give the same bytes, and its split and decode must equal those of a
+float buffer holding the same samples, without a whole-length float64 of
+the buffer. Its encode is 16-bit: the samples write_wav makes of the
+float twin's encode. The 16-bit render under it must equal write_wav's
+rounding of the float render at the same starts, with runs of full-scale
+samples, and never clip. The frame scan takes one path for both forms
 and sums squared integers for a 16-bit stream; its mean squares must
 equal np.mean of the float twin's squares byte for byte, the float
 twin's own scan at 2**23 + 1 samples a frame too, and its split the
@@ -1105,6 +1108,54 @@ def test_a_stretch_rendered_at_its_found_starts_is_the_stretch(sr, frames, ratio
     got = stretch.stretch_tempo(buf, ratio, starts=starts).samples
     assert got.tobytes() == want.tobytes()
 
+
+def full_scale_runs(n, seed, runs):
+    """n random 16-bit samples with `runs` runs of -32768 or 32767, each
+    up to 8000 samples long, one of them possibly the whole range."""
+    rng = np.random.default_rng(seed)
+    q = pcm16_values(n, seed, [-32768, 32767, 0])
+    for _ in range(runs):
+        a = int(rng.integers(0, n))
+        q[a : a + int(rng.integers(1, 8000))] = rng.choice([-32768, 32767])
+    return q
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sr=st.sampled_from(RATES),
+    frames=st.floats(2.0, 12.0),
+    ratio=st.floats(0.5, 2.0),
+    content=st.sampled_from(["runs", "max", "min", "alternating"]),
+    runs=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every crossfade mixes two full-scale samples of one sign, or of both
+@example(sr=44100, frames=12.0, ratio=1.01, content="max", runs=0, seed=0)
+@example(sr=44100, frames=12.0, ratio=0.99, content="min", runs=0, seed=0)
+@example(sr=8000, frames=4.0, ratio=2.0, content="alternating", runs=0, seed=0)
+def test_a_16bit_render_is_the_written_float_render(sr, frames, ratio, content, runs, seed):
+    seq = int(round(stretch.SEQUENCE_MS * sr / 1000.0))
+    n = int(frames * seq)
+    if content == "runs":
+        q = full_scale_runs(n, seed, runs)
+    elif content == "alternating":  # full scale, the sign flipping every few samples
+        q = np.where(np.arange(n) // (1 + seed % 7) % 2, -32768, 32767).astype("<i2")
+    else:
+        q = np.full(n, 32767 if content == "max" else -32768, dtype="<i2")
+    before = q.copy()
+    buf = PcmBuffer(samples=q, sample_rate=sr)
+    starts = stretch.frame_starts(buf, ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ClippingWarning)
+        want = audio._to_pcm16(stretch_tempo(buf, ratio, starts=starts).samples, "render")
+    for given_starts in (starts, None):
+        out = np.empty(len(want), dtype="<i2")
+        got = stretch_tempo(buf, ratio, out=out, starts=given_starts)
+        assert got._data is out
+        assert out.tobytes() == want.tobytes()
+    assert q.tobytes() == before.tobytes()
+
+
 def oracle_encode(carrier, message, params):
     """Encode as parts: each payload slice stretched into its own array,
     then one concatenate."""
@@ -1395,17 +1446,23 @@ def test_16bit_frame_scan_holds_one_block_scratch_per_range(cpus):
 )
 def test_pcm16_encode_and_decode_equal_the_float_twin(tmp_path, bpm, duration_s,
                                                       subdivision, bits):
+    # a 16-bit carrier encodes to a 16-bit stego holding the samples
+    # write_wav makes of its float twin's stego, so both write one file
     path = str(tmp_path / "carrier16.wav")
     write_wav(generate_click_track(bpm, duration_s, subdivision=subdivision), path)
     message = parse_bitstring(bits)
     got = encode(read_wav(path), message)
-    want = encode(float_twin(read_wav(path)), message)
-    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got._data.dtype == np.dtype("<i2")
+    twin = str(tmp_path / "twin16.wav")
+    write_wav(encode(float_twin(read_wav(path)), message), twin)
+    assert got._data.tobytes() == read_wav(twin)._data.tobytes()
     stego = str(tmp_path / "stego16.wav")
     write_wav(got, stego)
+    assert (tmp_path / "stego16.wav").read_bytes() == (tmp_path / "twin16.wav").read_bytes()
     for kwargs in ({"max_bits": len(message)}, {}):
         report = decode(read_wav(stego), **kwargs)
         assert report.to_dict() == decode(float_twin(read_wav(stego)), **kwargs).to_dict()
+        assert report.to_dict() == decode(got, **kwargs).to_dict()
     assert report.bits[: len(message)] == message
 
 
@@ -1584,8 +1641,19 @@ def test_pcm16_hot_paths_make_no_whole_length_float(pcm16_carrier_240s, tmp_path
         _, peak = traced_peak(lambda: slice_buffer(buf, 10.0, 20.0))
     else:
         out, peak = traced_peak(lambda: encode(buf, BitString((1, 0, 1))))
-        peak -= out.samples.nbytes  # encode's own output is exempt
+        peak -= 2 * len(out)  # encode's own int16 output is exempt
     assert peak < whole / 4
+
+
+def test_a_16bit_carrier_encodes_with_no_float64_stego(pcm16_carrier_240s):
+    # the whole stego as float64 would be 8 bytes a sample, 84.7 MB for
+    # 240 s; a 16-bit carrier's is made as int16, and every slice carries
+    # a bit
+    buf = read_wav(pcm16_carrier_240s)
+    message = BitString(tuple(np.random.default_rng(3).integers(0, 2, 22).tolist()))
+    out, peak = traced_peak(lambda: encode(buf, message))
+    assert out._data.dtype == np.dtype("<i2")
+    assert peak < 8 * len(out)
 
 
 # Library calls that read a buffer's samples as floats, for the one-reader

@@ -163,33 +163,31 @@ def test_the_last_start_may_reach_len_minus_seq(click):
     assert len(stretch_tempo(buf, 1.01, starts=starts)) == stretch.stretched_length(len(buf), 1.01)
 
 
-@pytest.mark.parametrize("form", ["float", "int16", "tiny"])
-def test_a_kept_input_is_prepared_once_and_stretches_alike(click, monkeypatch, form):
-    # a KeptInput's search and render read, check and scale its samples
-    # once, and give what a plain buffer's do; "tiny" is stretched at a
-    # power-of-two scale
-    x = click(120, 10.0).samples
-    if form == "int16":
-        samples = np.rint(x * 32767.0).astype("<i2")
-    else:
-        samples = x * (1e-100 if form == "tiny" else 1.0)
-    plain = PcmBuffer(samples=samples, sample_rate=SR)
-    want = stretch_tempo(plain, 0.99).samples
-    prepared = []
-    real = stretch._kernel_input
-
-    def counted(src):
-        prepared.append(None)
-        return real(src)
-
-    monkeypatch.setattr(stretch, "_kernel_input", counted)
-    kept = stretch.KeptInput(samples=samples, sample_rate=SR)
-    starts = stretch.frame_starts(kept, 0.99)
-    out = np.empty(len(want))
-    got = stretch_tempo(kept, 0.99, out=out, starts=starts)
-    assert len(prepared) == 1
-    assert got.samples is out
-    assert np.array_equal(out, want)
-    if form != "int16":  # a float input's own samples are no place for its output
-        with pytest.raises(ValueError, match="apart from the input"):
-            stretch_tempo(kept, 1.0, out=kept.samples)
+@pytest.mark.parametrize("found", [False, True])
+def test_an_int16_out_is_refused_unless_it_fits_a_16bit_buffer(click, found):
+    # an int16 out for a float buffer, one of the wrong length or dtype,
+    # and one overlapping the 16-bit buffer's own samples are refused, and
+    # nothing is written into them
+    buf = click(120, 10.0)
+    q = PcmBuffer(samples=np.rint(buf.samples * 32767.0).astype("<i2"), sample_rate=SR)
+    n = stretch.stretched_length(len(buf), 1.01)
+    starts = stretch.frame_starts(q, 1.01) if found else None
+    refused = [
+        (buf, np.zeros(n, dtype="<i2")),
+        (q, np.zeros(n - 1, dtype="<i2")),
+        (q, np.zeros(n + 1, dtype="<i2")),
+        (q, np.zeros(n, dtype="<i4")),
+        (q, np.zeros(n, dtype=">i2")),
+    ]
+    for b, out in refused:
+        with pytest.raises(ValueError, match="int16 ones for a 16-bit buffer"):
+            stretch_tempo(b, 1.01, out=out, starts=starts)
+        assert not out.any()
+    own = q._data.copy()
+    with pytest.raises(ValueError, match="apart from the input"):
+        stretch_tempo(q, 1.01, out=q._data[len(q) - n :], starts=starts)
+    assert q._data.tobytes() == own.tobytes()
+    # what fits is filled: the written float render's samples
+    out = np.zeros(n, dtype="<i2")
+    assert stretch_tempo(q, 1.01, out=out, starts=starts)._data is out
+    assert np.array_equal(out, np.rint(stretch_tempo(q, 1.01).samples * 32768.0))
