@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import enum
 import math
+import mmap
 import os
 import select
 import signal
@@ -59,7 +60,6 @@ import numpy as np
 
 from .audio import (
     PcmBuffer,
-    _write_all,
     float_range,
     rms_dbfs,
     screen_finite,
@@ -83,7 +83,7 @@ from .plan import (
     _geometry,
     plan_slices,
 )
-from .stretch import frame_starts, starts_fit, stretch_tempo, stretched_length
+from .stretch import frame_count, frame_starts, starts_fit, stretch_tempo, stretched_length
 from .tempo import SETTINGS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings,
@@ -109,9 +109,8 @@ _SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 # gate above, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
 
-# Bytes of a slice index (uint32) in encode's queue pipe. A worker's
-# record is the index and the frame count (uint32 each), then the frame
-# starts (int64).
+# Bytes of a slice index (uint32) in encode's queue pipe and in its done
+# pipe, where a worker writes it once the slice's starts are in its slot.
 _INDEX = 4
 
 
@@ -249,17 +248,17 @@ def encode(
     byte for byte. The search half of each payload
     slice's stretch runs in one process per usable CPU (forked workers,
     where the platform has an affinity call), which claim slices from one
-    queue; the workers send back only each slice's frame starts, and this
-    process renders every slice in order. A slice no worker hands back is
-    searched here, and the output does not depend on how many processes
-    searched. Raises MessageTooLong when the message exceeds
-    the carrier's capacity, ReferenceSilent when any 2 s of the first
-    slice is silent relative to the slice's own level (decoding would be
-    anchored to a bad tempo measurement), the error decode would raise
-    (NoPeriodicity, LowEnergy) when a message is given and the first
-    slice's tempo cannot be measured, InvalidSymbol if the message
-    carries erasures, and NonFiniteSamples if the carrier holds NaN or
-    infinity.
+    queue; the workers write each slice's frame starts into a shared
+    table and its index into one done pipe, and this process renders
+    every slice in order. A slice no worker hands back is searched here,
+    and the output does not depend on how many processes searched.
+    Raises MessageTooLong when the message exceeds the carrier's
+    capacity, ReferenceSilent when any 2 s of the first slice is silent
+    relative to the slice's own level (decoding would be anchored to a
+    bad tempo measurement), the error decode would raise (NoPeriodicity,
+    LowEnergy) when a message is given and the first slice's tempo cannot
+    be measured, InvalidSymbol if the message carries erasures, and
+    NonFiniteSamples if the carrier holds NaN or infinity.
     """
     if message.has_erasures:
         raise InvalidSymbol("cannot embed a message containing erasures")
@@ -301,24 +300,26 @@ def _stretch_into(
     A stretch is a search for its frame starts (frame_starts), which
     takes most of its time, and a render that places the frames there
     (stretch_tempo with starts). Up to min(usable CPUs, jobs) - 1 forked
-    workers share the searches with this process. Every slice's index is
-    put in one queue pipe before the fork, and each process claims the
-    next index when it is free. A worker streams an (index, starts)
-    record per slice back on its own result pipe. This process renders
-    every slice, in order, at the running offset of the lengths
-    stretch_tempo returns, so a short return shortens the file as a
-    serial loop does and an exception comes from this call. Both halves
-    read the slice as a view of the carrier (audio.view_range): the
-    search converts it to floats, and a 16-bit slice is rendered from its
-    int16 samples into a 16-bit out.
+    workers share the searches with this process. Before the fork, every
+    slice's index goes into one queue pipe, a shared table gets a slot of
+    stretch.frame_count starts per slice, and one done pipe is opened.
+    Each process claims the next index when it is free; a worker writes
+    the starts into the slice's slot, then the index into the done pipe
+    in one atomic write. This process renders every slice, in order, at
+    the running offset of the lengths stretch_tempo returns, so a short
+    return shortens the file as a serial loop does and an exception comes
+    from this call. Both halves read the slice as a view of the carrier
+    (audio.view_range): the search converts it to floats, and a 16-bit
+    slice is rendered from its int16 samples into a 16-bit out.
 
-    A record is kept only when its index was queued and has no starts
-    yet, and its starts fit the slice (stretch.starts_fit). A worker
-    whose stream ends mid-record or carries a record that is not kept is
-    read no further. This process searches every slice no worker hands
-    back: one whose worker failed, one past the indices the queue pipe
-    could hold, or all of them when no pipe or fork can be made. The
-    result does not depend on how many processes searched.
+    For each index on the done pipe this process copies the slot and
+    keeps the copy only when the index was queued and has no starts yet,
+    and the starts fit the slice (stretch.starts_fit); a search with the
+    wrong number of starts cannot be written, and its worker exits. This
+    process searches every slice no worker hands back: one whose worker
+    failed, one past the indices the queue pipe could hold, all left once
+    every worker has ended, or all when no table, pipe or fork can be
+    made. The result does not depend on how many processes searched.
     """
     sr = carrier.sample_rate
 
@@ -329,83 +330,73 @@ def _stretch_into(
     def search(i: int) -> np.ndarray:
         return frame_starts(piece(i), jobs[i][1])
 
-    def fits(i: int, starts: np.ndarray) -> bool:
-        (s0, s1), ratio, _ = jobs[i]
-        return starts_fit(starts, s1 - s0, ratio, sr)
-
     found: list[np.ndarray | None] = [None] * len(jobs)
     at = 0  # the next slice to render
     queue = None  # the queue pipe's read end, until it runs dry
     queued = 0  # slices 0 .. queued - 1 went into the queue
-    streams: dict[int, bytearray] = {}  # result read end: its unread bytes
+    table = None  # slice i's starts are int64s at bytes ends[i] .. ends[i + 1]
+    done = d = None  # the done pipe's read end, until every worker has ended; its write end
     pids = []
     try:
         workers = min(usable_cpus(), len(jobs)) - 1
         if workers > 0:
+            counts = [frame_count(s1 - s0, r, sr) for (s0, s1), r, _ in jobs]
+            ends = (8 * np.cumsum([0] + counts)).tolist()
             try:
+                table = mmap.mmap(-1, ends[-1])
                 queue, w = os.pipe()
-            except OSError:  # no descriptor to spare: every slice is searched here
-                workers = 0
-            else:
                 queued = _enqueue(w, len(jobs))
+                done, d = os.pipe()
+            except OSError:  # no memory or descriptor to spare: every slice is searched here
+                workers = 0
         for _ in range(workers):
-            r = w = None
             # Python 3.12+ warns about a fork once the shared pool has
             # started threads; the child runs only numpy kernels and pipe
             # I/O, and audio's at-fork hook drops the pool it inherits, so
             # the warning is harmless (the 3.12 CI leg runs these forks)
             try:
-                r, w = os.pipe()
                 pid = os.fork()
-            except OSError:  # no descriptor, memory or process to spare
-                for fd in (r, w):
-                    if fd is not None:
-                        os.close(fd)
+            except OSError:  # no memory or process to spare
                 continue
             if pid == 0:
                 # no atexit handlers, no stdio flush: the parent owns those
                 try:
                     while len(token := os.read(queue, _INDEX)) == _INDEX:
                         i = int.from_bytes(token, sys.byteorder)
-                        starts = search(i)
-                        head = np.array([i, len(starts)], dtype=np.uint32)
-                        _write_all(w, head.tobytes() + starts.tobytes())
+                        # a slice assignment of the wrong length raises
+                        table[ends[i] : ends[i + 1]] = search(i).tobytes()
+                        os.write(d, token)
                     os._exit(0)
                 finally:  # reached only when a search or a write raised
                     os._exit(1)
-            os.close(w)
-            streams[r] = bytearray()
             pids.append(pid)
-
-        poll = select.poll() if streams else None
-        for fd in streams:
-            poll.register(fd, select.POLLIN)
+        if d is not None:  # the pipe ends when the last worker does
+            os.close(d)
+            d = None
+        poll = select.poll()
+        if done is not None:
+            poll.register(done, select.POLLIN)
 
         def take(timeout: int | None) -> None:
-            # read what has come in; keep every record that fits its slice
-            for fd, _ in poll.poll(timeout):
-                data = os.read(fd, 1 << 16)
-                buf = streams[fd]
-                buf += data
-                ok = bool(data)
-                while ok and len(buf) >= 2 * _INDEX:
-                    i, count = np.frombuffer(bytes(buf[: 2 * _INDEX]), dtype=np.uint32).tolist()
-                    end = 2 * _INDEX + 8 * count
-                    if len(buf) < end:
-                        break
-                    starts = np.frombuffer(bytes(buf[2 * _INDEX : end]), dtype=np.int64)
-                    del buf[:end]
-                    ok = i < queued and found[i] is None and fits(i, starts)
-                    if ok:
+            # keep each slot a worker reports done, if it fits its slice
+            nonlocal done
+            while done is not None and poll.poll(timeout):
+                timeout = 0
+                token = os.read(done, _INDEX)
+                if len(token) < _INDEX:  # every worker has ended
+                    os.close(done)
+                    done = None
+                    return
+                i = int.from_bytes(token, sys.byteorder)
+                if i < queued and found[i] is None:
+                    (s0, s1), ratio, _ = jobs[i]
+                    # a copy, so no worker can change starts once kept
+                    starts = np.frombuffer(table[ends[i] : ends[i + 1]], dtype=np.int64)
+                    if starts_fit(starts, s1 - s0, ratio, sr):
                         found[i] = starts
-                if not ok:  # the stream ended, or its record is not kept
-                    poll.unregister(fd)
-                    os.close(fd)
-                    del streams[fd]
 
         while at < len(jobs):
-            if streams:
-                take(0)
+            take(0)
             if found[at] is not None:
                 _, ratio, n = jobs[at]
                 o += len(stretch_tempo(piece(at), ratio, out=out[o : o + n], starts=found[at]))
@@ -419,19 +410,20 @@ def _stretch_into(
             if queue is not None:  # the queue ran dry
                 os.close(queue)
                 queue = None
-            if streams and at < queued:
+            if done is not None and at < queued:
                 take(None)  # a worker may still hand it back
             else:
                 found[at] = search(at)
     finally:
-        if queue is not None:
-            os.close(queue)
-        for fd in streams:
-            os.close(fd)
+        for fd in (queue, done, d):
+            if fd is not None:
+                os.close(fd)
         # a worker still running has nothing left that this process reads
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if table is not None:
+            table.close()
     return o
 
 

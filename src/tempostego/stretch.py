@@ -280,16 +280,23 @@ def _geometry(sample_rate: int) -> tuple[int, int, int]:
     return seq, seek, overlap
 
 
+def frame_count(n: int, ratio: float, sample_rate: int) -> int:
+    """How many frames, and so how many starts, a stretch of n samples at
+    `ratio` has at this rate."""
+    seq, _, overlap = _geometry(sample_rate)
+    return _frame_count(stretched_length(n, ratio), seq, overlap)
+
+
 def starts_fit(starts: np.ndarray, n: int, ratio: float, sample_rate: int) -> bool:
     """Whether `starts` can place the frames of a stretch of n samples at
     `ratio`: a 1-D integer array with one start per frame, each in
     [0, n - seq]. frame_starts gives such an array."""
-    seq, _, overlap = _geometry(sample_rate)
+    seq, _, _ = _geometry(sample_rate)
     return (
         isinstance(starts, np.ndarray)
         and starts.ndim == 1
         and starts.dtype.kind in "iu"
-        and len(starts) == _frame_count(stretched_length(n, ratio), seq, overlap)
+        and len(starts) == frame_count(n, ratio, sample_rate)
         and 0 <= int(starts.min()) and int(starts.max()) <= n - seq
     )
 

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import math
+import mmap
 import os
 import signal
 import subprocess
@@ -46,8 +47,7 @@ from tempostego import (
     rms_dbfs,
     stretch_tempo,
 )
-from tempostego import codec
-from tempostego.audio import _write_all
+from tempostego import codec, stretch
 from tempostego.codec import _geometry
 from tempostego.stretch import SEQUENCE_MS, frame_starts, stretched_length
 from tempostego.tempo import MAX_DELTA
@@ -900,15 +900,19 @@ def test_the_caller_renders_each_payload_slice_once_in_order(click, monkeypatch,
     assert not os.path.exists(elsewhere)
 
 
-@pytest.mark.parametrize("failure", ["queue", "result"])
+@pytest.mark.parametrize("failure", ["table", "queue", "result"])
 def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tmp_path, failure):
-    # at its descriptor limit: "queue", no queue pipe can be made;
-    # "result", the queue is made but no worker's result pipe. No worker
-    # is forked, and the caller searches and renders all four slices
+    # "table", no memory for the table of slots; at its descriptor limit,
+    # "queue", no queue pipe can be made, or "result", the queue is made
+    # but not the done pipe. No worker is forked, and the caller searches
+    # and renders all four slices
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     real_pipe = os.pipe
     pipes = []
+
+    def no_table(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
 
     def no_pipe():
         pipes.append(None)
@@ -916,7 +920,10 @@ def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tm
             return real_pipe()
         raise OSError(errno.EMFILE, "Too many open files")
 
-    monkeypatch.setattr(os, "pipe", no_pipe)
+    if failure == "table":
+        monkeypatch.setattr(mmap, "mmap", no_table)
+    else:
+        monkeypatch.setattr(os, "pipe", no_pipe)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a pipe"))
     log = str(tmp_path / "searches")
     log_searches(carrier, monkeypatch, log)
@@ -928,52 +935,94 @@ def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tm
     assert_nothing_left(fds)
 
 
-@pytest.mark.parametrize(
-    "bad", ["unissued", "duplicate", "count", "below", "above", "mid-record"]
-)
-def test_a_bad_record_is_searched_again_here(click, monkeypatch, bad):
-    # every record a worker sends is bad in one way: an index never
-    # queued, a second record for a slice already kept, one start too
-    # few, a start under 0 or past len(slice) - seq, or a stream that
-    # ends inside a record. The caller keeps none of them, reads that
-    # worker no further and searches the slice itself
+def wait_for(path, seconds=None):
+    """Return once the file path exists, or after seconds if given."""
+    deadline = None if seconds is None else time.monotonic() + seconds
+    while not os.path.exists(path) and (deadline is None or time.monotonic() < deadline):
+        time.sleep(0.001)
+
+
+@pytest.mark.parametrize("bad", ["unissued", "duplicate", "below", "above", "short"])
+def test_a_bad_record_is_searched_again_here(click, monkeypatch, tmp_path, bad):
+    # a worker hands a bad record back for a slice: an index never
+    # queued; a start under 0 or past len(slice) - seq; one start too
+    # few, which its slot cannot take, so the worker exits; or, once the
+    # caller has kept a slot, wrong starts that fit the slice written over
+    # it and its index sent again. The caller keeps none of them and
+    # searches those slices itself
     carrier = click(120, 62.0)
     want = encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch)
     caller = os.getpid()
+    seq = int(round(SEQUENCE_MS * SR / 1000.0))
+    real_write, real_mmap = os.write, mmap.mmap
+    tables, last = [], []
+    # "duplicate": the worker has sent a slot (sent), the caller has kept
+    # it and waits to render (kept), and the slot is rewritten and sent
+    # again (again)
+    sent, kept, again = (str(tmp_path / name) for name in ("sent", "kept", "again"))
 
-    def slow_caller(buf, ratio):
-        # the caller's first search waits, so the workers claim slices
-        if os.getpid() == caller and not waited:
-            waited.append(None)
-            time.sleep(0.2)
-        return frame_starts(buf, ratio)
+    def mapped(*args):
+        tables.append(real_mmap(*args))
+        return tables[-1]
 
-    def write_bad(fd, data):
-        i, count = np.frombuffer(data[:8], dtype=np.uint32).tolist()
-        starts = np.frombuffer(data[8:], dtype=np.int64).copy()
-        if bad == "mid-record":
-            _write_all(fd, data[: len(data) // 2])
-            os._exit(0)
-        if bad == "unissued":
-            i = 1000
-        elif bad == "count":
-            count, starts = count - 1, starts[:-1]
-        elif bad == "below":
+    def bad_search(buf, ratio):
+        starts = frame_starts(buf, ratio)
+        if os.getpid() == caller:
+            # the caller's first search waits, so the workers claim slices
+            if not searched:
+                searched.append(None)
+                if bad == "duplicate":
+                    wait_for(sent, 10.0)
+                else:
+                    time.sleep(0.2)
+            return starts
+        if bad == "below":
             starts[-1] = -1
         elif bad == "above":
-            starts[-1] = PHI_N - int(round(SEQUENCE_MS * SR / 1000.0)) + 1
-        head = np.array([i, count], dtype=np.uint32).tobytes()
-        _write_all(fd, head + starts.tobytes())
-        if bad == "duplicate":  # starts that fit the slice, but not its own
-            starts[1:] = 0
-            _write_all(fd, head + starts.tobytes())
+            starts[-1] = PHI_N - seq + 1
+        elif bad == "short":
+            starts = starts[:-1]
+        last[:] = [payload_slice(carrier, buf), starts]
+        return starts
 
-    waited = []
-    monkeypatch.setattr(codec, "frame_starts", slow_caller)
-    monkeypatch.setattr(codec, "_write_all", write_bad)
+    def bad_write(fd, data):
+        if os.getpid() == caller:
+            return real_write(fd, data)
+        if bad == "unissued":
+            return real_write(fd, (1000).to_bytes(len(data), sys.byteorder))
+        written = real_write(fd, data)
+        i, starts = last
+        if bad == "duplicate" and i > 0 and not os.path.exists(sent):
+            open(sent, "w").close()
+            wait_for(kept)
+            # slot i follows those of the slices before it, which FOUR_BITS
+            # raises, lowers and lowers
+            at = 8 * sum(stretch.frame_count(PHI_N, r, SR) for r in (1.01, 0.99, 0.99)[:i])
+            wrong = starts.copy()
+            wrong[1:] = 0
+            tables[-1][at : at + wrong.nbytes] = wrong.tobytes()
+            real_write(fd, data)
+            open(again, "w").close()
+        return written
+
+    def render(buf, ratio, *, out=None, starts=None):
+        # the caller's first render after its first search waits for the
+        # rewrite, so it reads the index sent again before that slice's
+        if bad == "duplicate" and searched and not os.path.exists(kept):
+            open(kept, "w").close()
+            wait_for(again, 10.0)
+        return stretch_tempo(buf, ratio, out=out, starts=starts)
+
+    searched = []
+    monkeypatch.setattr(mmap, "mmap", mapped)
+    monkeypatch.setattr(codec, "frame_starts", bad_search)
+    monkeypatch.setattr(codec, "stretch_tempo", render)
+    monkeypatch.setattr(os, "write", bad_write)
     fds = open_fds()
-    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch), want)
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 2, monkeypatch), want)
     assert_nothing_left(fds)
+    if bad == "duplicate":
+        assert os.path.exists(again)
 
 
 @contextlib.contextmanager
@@ -1099,17 +1148,70 @@ print(np.array_equal(got, want))
 """
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-def test_an_encode_at_its_descriptor_limit_stretches_every_run_itself():
-    # setrlimit acts on the whole process, so a fresh interpreter runs it
+HIGH_DESCRIPTOR_PROBE = """
+import os, resource
+import numpy as np
+from tempostego import codec, encode, generate_click_track, parse_bitstring
+carrier = generate_click_track(120, 62.0, seed=0)
+bits = parse_bitstring("1 0 0 1")
+codec.usable_cpus = lambda: 1
+want = encode(carrier, bits).samples
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+if soft != resource.RLIM_INFINITY and soft < 1100:
+    if hard != resource.RLIM_INFINITY and hard < 1100:
+        raise SystemExit("skip")
+    resource.setrlimit(resource.RLIMIT_NOFILE, (1100, hard))
+held = [os.dup(1)]
+while held[-1] < 1024:  # every descriptor up to 1024 is taken
+    held.append(os.dup(1))
+codec.usable_cpus = lambda: 3
+got = encode(carrier, bits).samples
+for fd in held:
+    os.close(fd)
+print(np.array_equal(got, want))
+"""
+
+
+def run_probe(probe):
+    """Run probe in a fresh interpreter, since setrlimit acts on the whole
+    process; its stdout, split into words."""
     pytest.importorskip("resource")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run([sys.executable, "-c", DESCRIPTOR_LIMIT_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0 and proc.stderr.strip() == "skip":
+        pytest.skip("the descriptor limit cannot be raised past 1024")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True"]
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_an_encode_at_its_descriptor_limit_stretches_every_run_itself():
+    assert run_probe(DESCRIPTOR_LIMIT_PROBE) == ["True"]
+
+
+def test_an_encode_with_descriptors_past_1024_hands_back_every_slice():
+    # the queue and done pipes get descriptors above 1024, which the
+    # caller must still be able to wait on
+    assert run_probe(HIGH_DESCRIPTOR_PROBE) == ["True"]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_an_encode_unmaps_its_table(click, monkeypatch):
+    # the table of slots lives for one encode; the first encode maps
+    # whatever encode maps only once
+    carrier = click(120, 62.0)
+
+    def mappings():
+        with open("/proc/self/maps") as fh:
+            return len(fh.readlines())
+
+    encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch)
+    before = mappings()
+    encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch)
+    assert mappings() == before
 
 
 def test_an_error_in_the_calling_process_reaps_every_worker(click, monkeypatch):
