@@ -373,8 +373,8 @@ def _stretch_into(
         if d is not None:  # the pipe ends when the last worker does
             os.close(d)
             d = None
-        poll = select.poll()
-        if done is not None:
+        poll = select.poll() if done is not None else None  # no select.poll on Windows
+        if poll is not None:
             poll.register(done, select.POLLIN)
 
         def take(timeout: int | None) -> None:

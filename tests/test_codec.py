@@ -5,6 +5,7 @@ import json
 import math
 import mmap
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -935,6 +936,15 @@ def test_an_encode_with_no_pipe_searches_every_slice_here(click, monkeypatch, tm
     assert_nothing_left(fds)
 
 
+def test_an_encode_on_one_cpu_needs_no_select_poll(click, monkeypatch):
+    # where select.poll does not exist (Windows), one usable CPU means no
+    # worker, so encode waits on no pipe and never asks for a poll object
+    carrier = click(120, 62.0)
+    want = encode_with_workers(carrier, FOUR_BITS, 3, monkeypatch)
+    monkeypatch.delattr(select, "poll")
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 1, monkeypatch), want)
+
+
 def wait_for(path, seconds=None):
     """Return once the file path exists, or after seconds if given."""
     deadline = None if seconds is None else time.monotonic() + seconds
@@ -1019,7 +1029,7 @@ def test_a_bad_record_is_searched_again_here(click, monkeypatch, tmp_path, bad):
     monkeypatch.setattr(codec, "stretch_tempo", render)
     monkeypatch.setattr(os, "write", bad_write)
     fds = open_fds()
-    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 2, monkeypatch), want)
+    assert np.array_equal(encode_with_workers(carrier, FOUR_BITS, 2 if bad == "duplicate" else 3, monkeypatch), want)
     assert_nothing_left(fds)
     if bad == "duplicate":
         assert os.path.exists(again)

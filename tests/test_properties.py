@@ -1103,7 +1103,6 @@ def test_a_stretch_rendered_at_its_found_starts_is_the_stretch(sr, frames, ratio
             x[:] = 0.0
         buf = PcmBuffer(samples=x, sample_rate=sr)
     starts = stretch.frame_starts(buf, ratio)
-    assert len(starts) == stretch.frame_count(n, ratio, sr)
     assert stretch.starts_fit(starts, n, ratio, sr)
     want = stretch.stretch_tempo(buf, ratio).samples
     got = stretch.stretch_tempo(buf, ratio, starts=starts).samples
