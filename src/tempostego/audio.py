@@ -196,13 +196,16 @@ class PcmBuffer:
     refused: its sums of squares overflow). A little-endian int16 array
     (what read_wav makes of a 16-bit mono file) is the 16-bit form, kept
     as given. The int16 form is audio's own (see the module docstring),
-    and no library call reads `samples`. Any other dtype, and a sample
-    rate that is not a positive integer, raise ValueError.
+    and no library call reads `samples`. Samples that are not a numpy
+    array, any other dtype, and a sample rate that is not a positive
+    integer raise ValueError.
     """
 
     __slots__ = ("_data", "sample_rate")
 
     def __init__(self, samples: np.ndarray, sample_rate: int):
+        if not isinstance(samples, np.ndarray):
+            raise ValueError(f"PcmBuffer holds a numpy array, not {type(samples).__name__}")
         if samples.ndim != 1:
             raise ValueError("PcmBuffer holds mono audio only")
         if samples.dtype != _PCM16 and not (samples.dtype.kind == "f" and samples.itemsize >= 4):
@@ -237,23 +240,20 @@ class PcmBuffer:
         return len(self) / self.sample_rate
 
 
-def float_range(
-    buf: PcmBuffer, a: int, b: int, factor: float = 1.0, out: np.ndarray | None = None
-) -> np.ndarray:
+def float_range(buf: PcmBuffer, a: int, b: int, factor: float = 1.0) -> np.ndarray:
     """samples[a:b] * factor, for reading only: the one way this package
-    reads a buffer's samples as floats, `samples` included. Written into
-    out (b - a float64 samples) when given; else a view of a float
-    buffer's samples when factor is 1, or a new float64 array. A 16-bit
-    range is cast and scaled by factor / 32768 in one multiply,
+    reads a buffer's samples as floats, `samples` included. A view of a
+    float buffer's samples when factor is 1, else a new float64 array. A
+    16-bit range is cast and scaled by factor / 32768 in one multiply,
     converting only that range; a 16-bit sample is exact in float64 and
     the power-of-two factor is exact, so each float is rounded once, as
     (q / 32768) * factor is."""
     part = buf._data[a:b]
     if part.dtype == _PCM16:
         factor *= _I16_SCALE
-    elif out is None and factor == 1.0:
+    elif factor == 1.0:
         return part
-    return np.multiply(part, factor, out=out)
+    return part * factor
 
 
 def stored_range(buf: PcmBuffer, a: int, b: int) -> np.ndarray:

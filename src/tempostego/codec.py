@@ -17,25 +17,24 @@ for their stego files (0.000-0.025 and 0.251-1.867 with other seeds):
 one threshold told every pair apart. Whether a listener hears the
 change is not measured here.
 
-Decoding measures tempo candidates in a trimmed window of each slice and
-compares them against the reference's candidates: all cross pairs become
-percentage differences ("attributes"), pairs whose magnitude exceeds
-discard_pct are dropped (they compare unrelated harmonics), and the sign
-of the surviving sum names the direction. A slice with no usable pairs
-becomes an erasure, not a guess.
+Decode reads the reference and every payload slice through one window
+rule (_window: the slice trimmed by trim_frac at both edges, scaled by
+the factor that brings the reference slice to a fixed RMS, so bits
+depend neither on playback level nor on audio after the song) and one
+reading (_read), which compares the window's tempo candidates with the
+reference's: all cross pairs become percentage differences
+("attributes"), pairs whose magnitude exceeds discard_pct are dropped
+(they compare unrelated harmonics), and the sign of the surviving sum
+names the direction. A slice with no usable pairs, or whose tempo
+cannot be measured, becomes an erasure, not a guess.
 
-Decode first reads each window with the quarter-rate STFT
-(estimate_tempo's quarter_rate), whose FFTs cost about a fifth of the
-full-rate ones. It keeps that decision when its confidence reaches LOW_CONFIDENCE, and
-reads a weaker or failed one again at full rate against the full-rate
-reference, so every low-confidence decision and every erasure is the
-full-rate one. The screen runs only on files whose reference reads the
-same tempi at both rates; any other file is read at full rate
-throughout.
-
-Encode and decode judge the untouched reference slice alike, scaled to
-a fixed RMS, and decode scales each window it reads by the same factor:
-its bits depend neither on playback level nor on audio after the song.
+Each window is read first at the quarter rate (estimate_tempo's
+quarter_rate, whose FFTs cost about a fifth of the full-rate ones). A
+decision that reaches LOW_CONFIDENCE is kept; a weaker or failed one is
+read again at full rate, so every low-confidence decision and every
+erasure is the full-rate one. Files whose reference reads different
+tempi at the two rates are read at full rate throughout. Encode
+measures its reference window as decode does.
 
 Because stretched slices change length, slice boundaries in the encoded
 file drift away from the nominal i * phi_s grid. In the default Tracked
@@ -50,6 +49,7 @@ from __future__ import annotations
 import enum
 import math
 import mmap
+import numbers
 import os
 import select
 import signal
@@ -108,6 +108,8 @@ _SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 # The reference slice is scaled to this RMS before it is judged: with the
 # gate above, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
+
+_UNMEASURED = (LowEnergy, NoPeriodicity, TooShort)  # a window's tempo cannot be measured
 
 # Bytes of a slice index (uint32) in encode's queue pipe and in its done
 # pipe, where a worker writes it once the slice's starts are in its slot.
@@ -178,16 +180,15 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     return factor
 
 
-def _reference_tempo(
-    buf: PcmBuffer, factor: float, params: StegoParams, *, quarter_rate: bool = False
-) -> TempoCandidates:
-    """The tempo candidates of the reference slice's trimmed window in
-    buf, scaled by factor, which decode compares every slice against.
-    Raises what estimate_tempo raises."""
-    phi_n, trim_n, _ = _geometry(buf.sample_rate, params)
-    window = float_range(buf, trim_n, phi_n - trim_n, factor)
-    return estimate_tempo(PcmBuffer(samples=window, sample_rate=buf.sample_rate),
-                          quarter_rate=quarter_rate)
+def _window(buf: PcmBuffer, start: int, factor: float, params: StegoParams) -> PcmBuffer | None:
+    """The trimmed window of the slice of buf that starts at sample
+    start, scaled by factor (only its samples are read), or None where it
+    runs past the end of buf. The reference's window starts at 0."""
+    _, trim_n, win_n = _geometry(buf.sample_rate, params)
+    w0 = start + trim_n
+    if w0 + win_n > len(buf):
+        return None
+    return PcmBuffer(samples=float_range(buf, w0, w0 + win_n, factor), sample_rate=buf.sample_rate)
 
 
 def _same_tempi(a: TempoCandidates, b: TempoCandidates) -> bool:
@@ -215,6 +216,20 @@ def _decide(kept: list[float]) -> tuple[Direction, float]:
     if total == 0.0:
         raise Undecidable("surviving attributes sum to exactly zero")
     return (Direction.UP if total > 0.0 else Direction.DOWN), abs(total)
+
+
+def _read(reference: TempoCandidates, window: PcmBuffer, discard_pct: float,
+          quarter_rate: bool) -> tuple[Direction | None, float, int, str]:
+    """(direction, confidence, pairs kept, outcome) of the window's tempo
+    at one rate against the reference's candidates at that rate. An
+    erasure has direction None, confidence 0 and its error's name."""
+    kept: list[float] = []
+    try:
+        kept = _surviving_attributes(
+            reference, estimate_tempo(window, quarter_rate=quarter_rate), discard_pct)
+        return (*_decide(kept), len(kept), "decided")
+    except (*_UNMEASURED, Undecidable) as exc:
+        return None, 0.0, len(kept), type(exc).__name__
 
 
 def classify_slice(
@@ -280,7 +295,7 @@ def encode(
     out = np.empty(n + sum(k - (s1 - s0) for (s0, s1), _, k in jobs), dtype=stored.dtype)
     factor = _reference_factor(float_range(carrier, 0, ref_end), sr)
     if message:  # decode reads a message against the measured reference
-        _reference_tempo(carrier, factor, params)
+        estimate_tempo(_window(carrier, 0, factor, params))
     out[:ref_end] = stored[:ref_end]
     o = _stretch_into(carrier, jobs, out, ref_end)
     # the tail is what follows the last stretched slice's input
@@ -455,19 +470,19 @@ def decode(
 ) -> DecodeReport:
     """Recover bits from a carrier encoded with the same params.
 
-    Every window is scaled by the factor that brings the reference slice
-    to a fixed RMS, so the result depends neither on playback level nor
-    on audio after the song. Reads every payload slice (or the first
-    max_bits). Slices the classifier cannot decide come back as erasures
-    unless force_decide is set, which breaks ties toward DOWN with zero
-    confidence. Slices where tempo measurement itself fails (silence, no
-    periodicity) are always erasures. Each SliceDecision.outcome says why
-    its slice was decided or erased; the warnings derive from it. Raises
-    TooShort when the buffer is shorter than the shortest file encode
-    writes from a three-slice carrier (reference, one raised slice,
-    tail), NonFiniteSamples when the buffer holds NaN or infinity,
+    Reads every payload slice (or the first max_bits), each window at
+    the reference's level (see the module docstring). Slices the
+    classifier cannot decide come back as erasures unless force_decide
+    is set, which breaks ties toward DOWN with zero confidence. Slices
+    where tempo measurement itself fails (silence, no periodicity) are
+    always erasures. Each SliceDecision.outcome says why its slice was
+    decided or erased; the warnings derive from it. Raises TooShort when
+    the buffer is shorter than the shortest file encode writes from a
+    three-slice carrier (reference, one raised slice, tail),
+    NonFiniteSamples when the buffer holds NaN or infinity,
     ReferenceSilent under the guard encode applies to the first slice,
-    and ValueError for a negative max_bits.
+    and ValueError, before reading a sample, for a max_bits that is not
+    a non-negative integer.
 
     reference_override substitutes externally supplied reference
     candidates in place of measuring the first slice; it exists for
@@ -475,10 +490,11 @@ def decode(
     silence guard still come from the reference samples, and every
     window is read at full rate.
     """
-    if max_bits is not None and max_bits < 0:
-        raise ValueError("max_bits must be non-negative")
+    whole = isinstance(max_bits, numbers.Integral) and not isinstance(max_bits, bool)
+    if max_bits is not None and not (whole and max_bits >= 0):
+        raise ValueError(f"max_bits must be a non-negative integer, not {max_bits!r}")
     sr = stego.sample_rate
-    phi_n, trim_n, win_n = _geometry(sr, params)
+    phi_n, _, _ = _geometry(sr, params)
     n = len(stego)
     if n < 2 * phi_n + stretched_length(phi_n, _ratio_for(Direction.UP, params.delta)):
         raise TooShort("decoding needs a reference, one payload slice and a tail")
@@ -498,49 +514,33 @@ def decode(
         # it (the net drift never exceeds one slice length).
         n_read = min(max_bits, plan.capacity + 1)
 
-    ref_cands = reference_override or _reference_tempo(stego, factor, params)
-    # the quarter-rate screen's reference; None reads every window at full
-    # rate
-    screen = None
+    ref = _window(stego, 0, factor, params)
+    ref_cands = reference_override or estimate_tempo(ref)
+    screen = None  # the quarter-rate reference; None reads every window at full rate
     if reference_override is None:
         try:
-            quarter = _reference_tempo(stego, factor, params, quarter_rate=True)
+            quarter = estimate_tempo(ref, quarter_rate=True)
             screen = quarter if _same_tempi(quarter, ref_cands) else None
-        except (LowEnergy, NoPeriodicity, TooShort):
+        except _UNMEASURED:
             pass
 
     decisions: list[SliceDecision] = []
     boundary = phi_n
     for i in range(1, n_read + 1):
-        w0 = boundary + trim_n
-        w1 = w0 + win_n
-        if w1 > n:
+        window = _window(stego, boundary, factor, params)
+        if window is None:
             break
-        # only the samples decode reads are scaled; no full-length copy
-        window = PcmBuffer(samples=float_range(stego, w0, w1, factor), sample_rate=sr)
-
-        direction, conf, kept, outcome = None, 0.0, [], "decided"
+        direction = None
         if screen is not None:
-            try:
-                kept = _surviving_attributes(
-                    screen, estimate_tempo(window, quarter_rate=True), params.discard_pct)
-                direction, conf = _decide(kept)
-            except (LowEnergy, NoPeriodicity, TooShort, Undecidable):
-                pass
+            direction, conf, kept, outcome = _read(screen, window, params.discard_pct, True)
         if direction is None or conf < LOW_CONFIDENCE:
-            direction, conf, kept = None, 0.0, []
-            try:
-                kept = _surviving_attributes(ref_cands, estimate_tempo(window), params.discard_pct)
-                direction, conf = _decide(kept)
-            except (LowEnergy, NoPeriodicity, TooShort, Undecidable) as exc:
-                outcome = type(exc).__name__
-                if force_decide and outcome == "Undecidable":
-                    direction, outcome = Direction.DOWN, "forced"
-        decisions.append(SliceDecision(i, direction, conf, len(kept), outcome))
+            direction, conf, kept, outcome = _read(ref_cands, window, params.discard_pct, False)
+            if force_decide and outcome == "Undecidable":
+                direction, outcome = Direction.DOWN, "forced"
+        decisions.append(SliceDecision(i, direction, conf, kept, outcome))
 
-        # tracked: the next slice starts where encode ended this one, by
-        # the stretcher's length law; an erasure or static mode keeps the
-        # nominal grid
+        # tracked: the next slice starts where encode ended this one (the
+        # stretcher's length law); an erasure or static mode keeps the grid
         if direction is None or params.boundary_mode is BoundaryMode.STATIC:
             boundary += phi_n
         else:

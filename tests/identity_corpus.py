@@ -32,14 +32,17 @@ import numpy as np
 
 from tempostego import (
     BitString,
+    BoundaryMode,
     Gain,
     Noise,
     PcmBuffer,
     ResampleRoundTrip,
+    StegoParams,
     concat,
     decode,
     encode,
     generate_click_track,
+    generate_club_track,
     perturb,
     read_wav,
     split_on_silence,
@@ -53,6 +56,8 @@ TEMPOS = (90, 110, 120, 128, 140, 174)
 MESSAGE_21 = BitString(tuple(int(c) for c in "110110111100111100111"))
 # the first ten bits fill a 120 s carrier
 MESSAGE_10 = BitString(MESSAGE_21.symbols[:10])
+# four bits leave 17 slices of a 240 s carrier unmodulated
+MESSAGE_4 = BitString((1, 0, 1, 1))
 BEDS_DB = (0.0, -5.0)
 # encode's worker count in each variant; every variant must write the
 # 1-worker samples
@@ -127,6 +132,16 @@ def build() -> dict:
             stego = encode_case(f"{bpm}bpm-240s-clean", click(bpm, 240.0), MESSAGE_21, blind=True)
             if bpm in (90, 140):
                 parts.append(stego)
+        # read blind, the unmodulated slices are Undecidable with pairs
+        # kept; read again with force_decide, and on the static grid
+        stego = encode_case("120bpm-240s-4bits", click(120, 240.0), MESSAGE_4, blind=True)
+        digest["decode"]["120bpm-240s-4bits/blind-forced"] = decode(
+            stego, force_decide=True).to_dict()
+        digest["decode"]["120bpm-240s-4bits/blind-static"] = decode(
+            stego, StegoParams(boundary_mode=BoundaryMode.STATIC)).to_dict()
+        # a club carrier whose reference reads different tempi at the two
+        # rates, so decode reads every window at full rate
+        encode_case("club-126bpm-240s", generate_club_track(126, 240.0, seed=4), MESSAGE_21)
         # the 120 BPM carrier in its 16-bit form
         q = sixteen_bit(click(120, 240.0), os.path.join(tmp, "carrier.wav"))
         encode_case("120bpm-240s-clean-int16", q, MESSAGE_21, VARIANTS)

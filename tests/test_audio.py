@@ -653,6 +653,12 @@ def test_buffer_refuses_samples_that_are_neither_float_nor_little_endian_int16(s
         PcmBuffer(samples=samples, sample_rate=44100)
 
 
+@pytest.mark.parametrize("samples", [[0.1, 0.2], (0.1, 0.2)], ids=["list", "tuple"])
+def test_buffer_refuses_samples_that_are_not_an_array(samples):
+    with pytest.raises(ValueError, match=f"not {type(samples).__name__}$"):
+        PcmBuffer(samples, 44100)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, ">f8", np.longdouble])
 def test_buffer_holds_float_samples_as_native_float64(dtype):
     x = np.array([0.25, -0.75, 1e-3]).astype(dtype)

@@ -504,11 +504,17 @@ def test_decode_needs_three_slices(click):
             decode(buf, max_bits=1)
 
 
-def test_negative_max_bits_rejected(click):
+def test_negative_max_bits_rejected(click, monkeypatch):
     stego = encode(click(120, 30.0), parse_bitstring("1"))
-    with pytest.raises(ValueError):
-        decode(stego, max_bits=-1)
+    calls = counting_rates(monkeypatch)
+    # refused before a window is measured: also a count that is not an
+    # integer, or a bool
+    for bad in (-1, 1.5, 1.0, math.nan, True, "1", np.float64(1.0)):
+        with pytest.raises(ValueError, match="max_bits must be"):
+            decode(stego, max_bits=bad)
+    assert calls == {False: 0, True: 0}
     assert len(decode(stego, max_bits=0).bits) == 0
+    assert decode(stego, max_bits=np.int64(1)).bits == decode(stego, max_bits=1).bits
 
 
 @pytest.mark.parametrize("duration_s", [30.0, 30.05])

@@ -1524,11 +1524,10 @@ def test_a_samples_read_before_the_scan_leaves_the_split_that_of_the_float_twin(
     n=st.one_of(st.integers(0, 300), st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])),
     pcm16=st.booleans(),
     factor=st.sampled_from([1.0, 0.3, 1e160]),
-    with_out=st.booleans(),
     cut=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_float_range_is_samples_times_factor(n, pcm16, factor, with_out, cut, seed):
+def test_float_range_is_samples_times_factor(n, pcm16, factor, cut, seed):
     if pcm16:
         buf = PcmBuffer(samples=pcm16_values(max(n, 1), seed, [-32768, 32767, 0])[:n],
                         sample_rate=44100)
@@ -1536,11 +1535,8 @@ def test_float_range_is_samples_times_factor(n, pcm16, factor, with_out, cut, se
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
         buf = PcmBuffer(samples=x, sample_rate=44100)
     a, b = sorted(int(c * n) for c in cut)
-    out = np.full(b - a, np.nan) if with_out else None
-    got = audio.float_range(buf, a, b, factor, out=out)
-    if with_out:
-        assert got is out
-    elif not pcm16 and factor == 1.0 and a < b:
+    got = audio.float_range(buf, a, b, factor)
+    if not pcm16 and factor == 1.0 and a < b:
         assert np.shares_memory(got, buf.samples)  # a float buffer's view
     # the 16-bit buffer makes its float samples only here, after the read
     assert got.dtype == np.float64
