@@ -64,7 +64,6 @@ import numpy as np
 
 from .errors import (
     ClippingWarning,
-    IoError,
     MalformedHeader,
     NonFiniteSamples,
     OutOfRange,
@@ -72,11 +71,10 @@ from .errors import (
 )
 from .wavheader import (
     ENCODINGS,
-    O_BINARY,
     WAVE_FORMAT_IEEE_FLOAT,
     WAVE_FORMAT_PCM,
     _fill,
-    open_read,
+    open_fd,
     read_header,
 )
 
@@ -100,8 +98,8 @@ CHUNK_SAMPLES = 1 << 16
 # thread and never start the pool. Importing concurrent.futures.thread
 # takes 8-16 ms, about what two CPUs save on the read, write and silence
 # scan of a buffer this long (48 s at 44.1 kHz: 22.7 ms serial, 17.6 ms
-# in two ranges on a running pool; medians of 15 on a 2-vCPU VM). So a
-# CLI call on a 30 s file runs serial code only.
+# in two ranges on a running pool; medians of 15 on a 2-vCPU VM). Every
+# STFT starts the pool: only capacity, and split and make-carrier on a short file, stay serial.
 PARALLEL_MIN_SAMPLES = 1 << 21
 
 _pool: ThreadPoolExecutor | None = None
@@ -270,18 +268,20 @@ def view_range(buf: PcmBuffer, a: int, b: int) -> PcmBuffer:
     return PcmBuffer(samples=stored_range(buf, a, b), sample_rate=buf.sample_rate)
 
 
-def screen_finite(buf: PcmBuffer, what: str) -> None:
-    """Raise NonFiniteSamples if buf holds NaN or infinity. 16-bit
-    samples are always finite and are not read. Float samples are
-    screened by one sum of squares, which makes no temporary; it is also
-    inf for huge finite samples, so a second pass confirms before
-    rejecting."""
+def screen_finite(buf: PcmBuffer, what: str) -> float | None:
+    """Raise NonFiniteSamples if buf holds NaN or infinity; else the sum
+    of its samples' squares (energy), or None for 16-bit samples, which
+    are always finite and are not read. Float samples are screened by
+    that one sum, which makes no temporary; it is also inf for huge
+    finite samples, so a second pass confirms before rejecting."""
     x = buf._data
     if x.dtype == _PCM16:
-        return
+        return None
     with np.errstate(over="ignore"):
-        if not math.isfinite(energy(x)) and not np.isfinite(x).all():
-            raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
+        e = energy(x)
+    if not math.isfinite(e) and not np.isfinite(x).all():
+        raise NonFiniteSamples(f"the {what} holds NaN or infinite samples")
+    return e
 
 
 def read_wav(path: str) -> PcmBuffer:
@@ -308,7 +308,7 @@ def read_wav(path: str) -> PcmBuffer:
     RIFF structure is broken, UnsupportedFormat for other encodings, and
     NonFiniteSamples when float content holds NaN or infinity.
     """
-    return open_read(path, lambda fd: _read_fd(fd, path))
+    return open_fd(path, os.O_RDONLY, "read", lambda fd: _read_fd(fd, path))
 
 
 def _read_fd(fd: int, path: str) -> PcmBuffer:
@@ -407,20 +407,16 @@ def write_wav(buf: PcmBuffer, path: str) -> None:
     # in place (quartiles of 12, 2-vCPU VM). The RIFF signature is
     # written last, after the file is cut to length, so a write that
     # fails part way leaves a file that read_wav rejects.
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | O_BINARY, 0o666)
-        try:
-            regular = stat.S_ISREG(os.fstat(fd).st_mode)
-            _write_all(fd, bytes(4) + header[4:] if regular else header)
-            _write_all(fd, q)
-            if regular:
-                os.ftruncate(fd, len(header) + q.nbytes)
-                os.lseek(fd, 0, os.SEEK_SET)
-                _write_all(fd, header[:4])
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    def write(fd: int) -> None:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        _write_all(fd, bytes(4) + header[4:] if regular else header)
+        _write_all(fd, q)
+        if regular:
+            os.ftruncate(fd, len(header) + q.nbytes)
+            os.lseek(fd, 0, os.SEEK_SET)
+            _write_all(fd, header[:4])
+
+    open_fd(path, os.O_WRONLY | os.O_CREAT, "write", write)
 
 
 def _to_pcm16(x: np.ndarray, path: str) -> np.ndarray:

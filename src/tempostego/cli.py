@@ -20,7 +20,8 @@ import sys
 
 from .bits import BitString, parse_bitstring, text_to_bits
 from .errors import StegoError, UnsupportedFormat
-from .plan import BoundaryMode, StegoParams, plan_slices
+from .plan import (CARRIER_RATE, CARRIER_SEED, SPLIT_MIN_SILENCE_S, SPLIT_THRESHOLD_DBFS,
+                   BoundaryMode, StegoParams, plan_slices)
 from .wavheader import wav_frames
 
 
@@ -286,16 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bpm", type=float, required=True)
     p.add_argument("--duration", type=float, required=True, help="seconds")
     p.add_argument("--out", required=True)
-    p.add_argument("--sr", type=int, default=44100, help="sample rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sr", type=int, default=CARRIER_RATE, help="sample rate")
+    p.add_argument("--seed", type=int, default=CARRIER_SEED)
     p.add_argument("--subdivision", action="store_true", help="add quieter half-beat clicks")
     p.set_defaults(func=_cmd_make_carrier)
 
     p = sub.add_parser("split", help="cut a stream at silent gaps into segment WAVs")
     p.add_argument("--in", required=True, help="input WAV stream")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--min-silence", type=float, default=2.0, help="seconds")
-    p.add_argument("--threshold", type=float, default=-50.0, help="dBFS")
+    p.add_argument("--min-silence", type=float, default=SPLIT_MIN_SILENCE_S, help="seconds")
+    p.add_argument("--threshold", type=float, default=SPLIT_THRESHOLD_DBFS, help="dBFS")
     p.set_defaults(func=_cmd_split)
 
     return parser

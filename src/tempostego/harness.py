@@ -23,6 +23,7 @@ from .audio import PcmBuffer, float_range, frame_mean_squares, view_range
 from .bits import ERASURE, BitString
 from .codec import StegoParams, decode, encode, plan_slices
 from .errors import BufferTooShort, StegoError
+from .plan import CARRIER_RATE, CARRIER_SEED, SPLIT_MIN_SILENCE_S, SPLIT_THRESHOLD_DBFS
 
 CLICK_DECAY_S = 0.005
 CLICK_LEN_S = 0.030
@@ -33,9 +34,9 @@ SUBDIVISION_PEAK = 0.3
 def generate_click_track(
     bpm: float,
     duration_s: float,
-    sample_rate: int = 44100,
+    sample_rate: int = CARRIER_RATE,
     *,
-    seed: int = 0,
+    seed: int = CARRIER_SEED,
     subdivision: bool = False,
 ) -> PcmBuffer:
     """Metronome-style carrier: one noise burst per beat from t=0.
@@ -44,40 +45,41 @@ def generate_click_track(
     decay, peak amplitude 0.8. With subdivision=True, quieter clicks
     (peak 0.3) land on the half beats.
     """
-    _check_track(bpm, duration_s, sample_rate)
+    y = _silent_track(bpm, duration_s, sample_rate)
     rng = np.random.default_rng(seed)
     burst_len = int(round(CLICK_LEN_S * sample_rate))
     t = np.arange(burst_len) / sample_rate
     burst = rng.uniform(-1.0, 1.0, burst_len) * np.exp(-t / CLICK_DECAY_S)
     burst /= np.max(np.abs(burst))
 
-    n = int(round(duration_s * sample_rate))
-    y = np.zeros(n)
     period = 60.0 / bpm
 
-    def place(beat_time: float, peak: float) -> None:
-        idx = int(round(beat_time * sample_rate))
-        if idx >= n:
-            return
-        take = min(burst_len, n - idx)
-        y[idx : idx + take] += peak * burst[:take]
-
+    click, half_click = CLICK_PEAK * burst, SUBDIVISION_PEAK * burst
     k = 0
     while k * period < duration_s:
-        place(k * period, CLICK_PEAK)
+        _mix(y, k * period * sample_rate, click)
         if subdivision:
-            place((k + 0.5) * period, SUBDIVISION_PEAK)
+            _mix(y, (k + 0.5) * period * sample_rate, half_click)
         k += 1
     return PcmBuffer(samples=y, sample_rate=sample_rate)
 
 
-def _check_track(bpm: float, duration_s: float, sample_rate: int) -> None:
+def _mix(y: np.ndarray, at: float, sound: np.ndarray) -> None:
+    """Add sound into y from sample round(at) on, cut at y's end."""
+    i = int(round(at))
+    if i < len(y):
+        y[i : i + len(sound)] += sound[: len(y) - i]
+
+
+def _silent_track(bpm: float, duration_s: float, sample_rate: int) -> np.ndarray:
+    """Zeros of the track's length to mix into, once its parameters pass."""
     if not (40.0 <= bpm <= 300.0):
         raise ValueError("bpm must be in [40, 300]")
     if not (1.0 <= duration_s < np.inf):
         raise ValueError("duration must be finite and at least 1 s")
     if sample_rate < 8000:
         raise ValueError("sample rate must be at least 8 kHz")
+    return np.zeros(int(round(duration_s * sample_rate)))
 
 
 # A four-bar loop of (bass root, pad chord), in semitones above A1 (55 Hz):
@@ -96,9 +98,9 @@ def _saw(freq: float, t: np.ndarray) -> np.ndarray:
 def generate_club_track(
     bpm: float,
     duration_s: float,
-    sample_rate: int = 44100,
+    sample_rate: int = CARRIER_RATE,
     *,
-    seed: int = 0,
+    seed: int = CARRIER_SEED,
     swing: float = 0.0,
     sections: Iterable[tuple[float, float]] = (),
 ) -> PcmBuffer:
@@ -114,7 +116,7 @@ def generate_club_track(
     The clap and hat are seeded noise, so a seed gives the same samples.
     The mix is scaled to a peak of 0.9.
     """
-    _check_track(bpm, duration_s, sample_rate)
+    y = _silent_track(bpm, duration_s, sample_rate)
     if not 0.0 <= swing < 0.5:
         raise ValueError("swing must be in [0, 0.5)")
     spans = [(float(a), float(b)) for a, b in sections]
@@ -122,8 +124,6 @@ def generate_club_track(
         raise ValueError("a section must be a finite span (start_s, end_s), 0 <= start_s < end_s")
     sr = sample_rate
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * sr))
-    y = np.zeros(n)
     period = 60.0 / bpm
 
     t = np.arange(int(round(0.3 * sr))) / sr
@@ -145,11 +145,6 @@ def generate_club_track(
             _saw(CLUB_ROOT_HZ * 2.0 ** ((note + cents / 100.0) / 12.0), bar_t)
             for note in chord for cents in (-PAD_DETUNE_CENTS, PAD_DETUNE_CENTS)))
 
-    def add(at_s: float, sound: np.ndarray) -> None:
-        i = int(round(at_s * sr))
-        if i < n:
-            y[i : i + len(sound)] += sound[: n - i]
-
     def beatless(at_s: float) -> bool:
         return any(a <= at_s < b for a, b in spans)
 
@@ -157,14 +152,14 @@ def generate_club_track(
         bar = (k // 4) % len(CLUB_PROGRESSION)
         on, off = k * period, (k + 0.5 + swing) * period
         if k % 4 == 0:
-            add(on, pads[bar])
+            _mix(y, on * sr, pads[bar])
         if not beatless(on):
-            add(on, kick)
+            _mix(y, on * sr, kick)
             if k % 2 == 1:
-                add(on, clap)
+                _mix(y, on * sr, clap)
         if not beatless(off):
-            add(off, hat)
-            add(off, bass[bar])
+            _mix(y, off * sr, hat)
+            _mix(y, off * sr, bass[bar])
     peak = float(np.max(np.abs(y)))
     return PcmBuffer(samples=y * (0.9 / peak), sample_rate=sr)
 
@@ -415,8 +410,8 @@ def evaluate(
 
 def split_on_silence(
     stream: PcmBuffer,
-    min_silence_s: float = 2.0,
-    threshold_dbfs: float = -50.0,
+    min_silence_s: float = SPLIT_MIN_SILENCE_S,
+    threshold_dbfs: float = SPLIT_THRESHOLD_DBFS,
 ) -> list[PcmBuffer]:
     """Cut a stream at silent gaps, as a broadcast recording splitter.
 

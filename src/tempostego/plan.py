@@ -20,6 +20,10 @@ MIN_MEASURE_S = 9.0
 # carrier, so a slice lowered from 60 BPM still measures inside it.
 MAX_DELTA = 0.03
 
+# Defaults of harness's generators and splitter, which the CLI's parser shares
+CARRIER_RATE, CARRIER_SEED = 44100, 0
+SPLIT_MIN_SILENCE_S, SPLIT_THRESHOLD_DBFS = 2.0, -50.0
+
 # A payload slice's attribute is about 100 * delta percent, and a discard
 # gate under it erases the slice. The estimate's error adds a part that
 # does not scale with delta: over 310 random click carriers a slice needed

@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .audio import PcmBuffer, energy, float_range, stored_range
-from .errors import BufferTooShort, NonFiniteSamples, RatioOutOfRange
+from .audio import PcmBuffer, float_range, screen_finite, stored_range
+from .errors import BufferTooShort, RatioOutOfRange
 
 RATIO_MIN = 0.5
 RATIO_MAX = 2.0
@@ -326,27 +326,23 @@ def _checked(buf: PcmBuffer, ratio: float, out: np.ndarray | None):
     return (seq, seek, overlap), n_out
 
 
-def _kernel_input(src: np.ndarray) -> tuple[np.ndarray, int]:
-    """src as the kernel takes it, and the power of two it was scaled
-    down by; NonFiniteSamples if src holds NaN or infinity."""
-    x = np.ascontiguousarray(src)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = energy(x)
-        # the sum is also inf for huge finite samples: a second pass
-        # confirms before rejecting, as screen_finite does
-        if not math.isfinite(e) and not np.isfinite(x).all():
-            raise NonFiniteSamples("the stretch input holds NaN or infinite samples")
-        # An alignment score divides by the square root of a product of two
-        # window energies, each at most the input's. That product can
-        # overflow when the input's energy passes 2**511 (samples from
-        # about 1e76 on) and underflow when it is under 2**-511 (samples
-        # of about 1e-100). Such input is stretched at a power-of-two scale
-        # with its peak in [0.5, 1), then scaled back. Both scalings are
-        # exact, so the result is what the unscaled arithmetic gives
-        # without overflow or underflow. Silence keeps k = 0.
-        in_range = 2.0**-511 < e < 2.0**511
-        k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
-        return (np.ldexp(x, -k) if k else x), k
+def _kernel_input(buf: PcmBuffer) -> tuple[np.ndarray, int]:
+    """buf's samples as the kernel takes them, and the power of two they
+    were scaled down by; screen_finite raises for NaN or infinity."""
+    e = screen_finite(buf, "stretch input")
+    x = np.ascontiguousarray(float_range(buf, 0, len(buf)))
+    # An alignment score divides by the square root of a product of two
+    # window energies, each at most the input's. That product can
+    # overflow when the input's energy passes 2**511 (samples from about
+    # 1e76 on) and underflow when it is under 2**-511 (samples of about
+    # 1e-100). Such input is stretched at a power-of-two scale with its
+    # peak in [0.5, 1), then scaled back. Both scalings are exact, so the
+    # result is what the unscaled arithmetic gives without overflow or
+    # underflow. Silence keeps k = 0, and so does 16-bit input (e None):
+    # its floats are multiples of 2**-15 in [-1, 1), so e is 0 or in range.
+    in_range = e is None or 2.0**-511 < e < 2.0**511
+    k = 0 if in_range else math.frexp(float(np.max(np.abs(x))))[1]
+    return (np.ldexp(x, -k) if k else x), k
 
 
 def frame_starts(buf: PcmBuffer, ratio: float) -> np.ndarray:
@@ -355,7 +351,7 @@ def frame_starts(buf: PcmBuffer, ratio: float) -> np.ndarray:
     render half, stretch_tempo(buf, ratio, starts=...), then gives the
     same samples as stretch_tempo(buf, ratio)."""
     (seq, seek, overlap), n_out = _checked(buf, ratio, None)
-    xs, _ = _kernel_input(float_range(buf, 0, len(buf)))
+    xs, _ = _kernel_input(buf)
     return _search(xs, float(ratio), seq, seek, overlap, n_out)
 
 
@@ -392,7 +388,7 @@ def stretch_tempo(
         x = stored_range(buf, 0, len(buf))
         stretch_core(x, float(ratio), seq, seek, overlap, n_out, out=out, starts=starts)
         return PcmBuffer(samples=out, sample_rate=buf.sample_rate)
-    xs, k = _kernel_input(float_range(buf, 0, len(buf)))
+    xs, k = _kernel_input(buf)
     with np.errstate(over="ignore", invalid="ignore"):
         y = stretch_core(xs, float(ratio), seq, seek, overlap, n_out, out=out, starts=starts)
         if k:

@@ -48,24 +48,22 @@ ENCODINGS = {
 # the format tags of ENCODINGS
 _TAGS = {tag for tag, _ in ENCODINGS}
 
-# keeps Windows from translating line endings in WAV bytes; 0 elsewhere
-O_BINARY = getattr(os, "O_BINARY", 0)
-
 # reads up to len(buf) bytes at an offset into buf; the count read
 Pread = Callable[[memoryview, int], int]
 
 
-def open_read(path: str, body: Callable[[int], T]) -> T:
-    """body(fd) on path opened for reading; an OSError from either becomes
-    IoError."""
+def open_fd(path: str, flags: int, verb: str, body: Callable[[int], T]) -> T:
+    """body(fd) on path opened in binary mode with flags, a file it creates
+    with mode 0o666; an OSError from either becomes IoError("cannot <verb> <path>: ...")."""
     try:
-        fd = os.open(path, os.O_RDONLY | O_BINARY)
+        # O_BINARY keeps Windows from translating line endings in WAV bytes
+        fd = os.open(path, flags | getattr(os, "O_BINARY", 0), 0o666)
         try:
             return body(fd)
         finally:
             os.close(fd)
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot {verb} {path}: {exc}") from exc
 
 
 def read_header(fd: int, path: str) -> tuple[Pread, tuple[int, int, int, int], int, int]:
@@ -122,7 +120,7 @@ def wav_frames(path: str) -> tuple[int, int]:
         _, (_, _, sample_rate, _), _, n = read_header(fd, path)
         return n, sample_rate
 
-    return open_read(path, frames)
+    return open_fd(path, os.O_RDONLY, "read", frames)
 
 
 def _fill(pread: Pread, buf, offset: int) -> int:

@@ -1,5 +1,6 @@
 import errno
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -314,6 +315,18 @@ def test_compressed_format_rejected(tmp_path):
         read_wav(path)
 
 
+def test_a_supported_tag_at_an_unsupported_width_rejected(tmp_path):
+    path = write_raw(tmp_path, "f64.wav", wav_bytes(3, 1, 44100, 64, bytes(64)))
+    with pytest.raises(UnsupportedFormat, match="64-bit samples with format tag 3"):
+        read_wav(path)
+
+
+def test_zero_sample_rate_rejected(tmp_path):
+    path = write_raw(tmp_path, "zero.wav", wav_bytes(1, 1, 0, 16, bytes(4)))
+    with pytest.raises(MalformedHeader, match="zero sample rate"):
+        read_wav(path)
+
+
 def test_three_channels_rejected(tmp_path):
     path = write_raw(tmp_path, "c3.wav", wav_bytes(1, 3, 44100, 16, bytes(600)))
     with pytest.raises(UnsupportedFormat):
@@ -445,6 +458,11 @@ def test_read_from_a_fifo_holds_one_copy_of_the_data(tmp_path, monkeypatch):
     assert peak <= 2.2 * q.nbytes
 
 
+def test_one_cpu_is_usable_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert audio.usable_cpus() == 1
+
+
 def test_ranges_start_at_the_parallel_size(monkeypatch):
     monkeypatch.setattr(audio, "usable_cpus", lambda: 2)
     n = audio.PARALLEL_MIN_SAMPLES
@@ -481,17 +499,20 @@ def test_ranges_run_in_the_calling_thread_on_a_pool_thread(monkeypatch):
 
 def test_file_that_shrinks_after_fstat_is_malformed(tmp_path, monkeypatch):
     path = tmp_path / "shrinks.wav"
-    write_wav(make_buffer(2.0), str(path))
     fstat = os.fstat
+    # cut inside the samples, then inside the data chunk's header (bytes 36-43)
+    for keep, what in [(lambda size: size // 2, "chunk b'data'"), (lambda size: 40, "chunk header")]:
+        write_wav(make_buffer(2.0), str(path))
 
-    def fstat_then_truncate(fd):
-        info = fstat(fd)
-        os.truncate(path, info.st_size // 2)
-        return info
+        def fstat_then_truncate(fd):
+            info = fstat(fd)
+            os.truncate(path, keep(info.st_size))
+            return info
 
-    monkeypatch.setattr(audio.os, "fstat", fstat_then_truncate)
-    with pytest.raises(MalformedHeader, match="past end of file"):
-        read_wav(str(path))
+        with monkeypatch.context() as mp:
+            mp.setattr(audio.os, "fstat", fstat_then_truncate)
+            with pytest.raises(MalformedHeader, match=f"{re.escape(what)} extends past end of file"):
+                read_wav(str(path))
 
 
 POOL_PROBE = """
@@ -659,6 +680,15 @@ def test_buffer_refuses_samples_that_are_not_an_array(samples):
         PcmBuffer(samples, 44100)
 
 
+def test_buffer_repr_names_its_length_and_rate():
+    assert repr(PcmBuffer(np.zeros(4), 8000)) == "PcmBuffer(4 samples at 8000 Hz)"
+
+
+def test_buffer_refuses_samples_of_more_than_one_channel():
+    with pytest.raises(ValueError, match="mono audio only"):
+        PcmBuffer(np.zeros((4, 2)), 44100)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, ">f8", np.longdouble])
 def test_buffer_holds_float_samples_as_native_float64(dtype):
     x = np.array([0.25, -0.75, 1e-3]).astype(dtype)
@@ -768,6 +798,8 @@ def test_rms_levels():
     t = np.arange(44100) / 44100
     sine = PcmBuffer(samples=np.sin(2 * np.pi * 100 * t), sample_rate=44100)
     assert rms_dbfs(sine) == pytest.approx(-3.01, abs=0.1)
+    with pytest.raises(ValueError, match="empty buffer"):
+        rms_dbfs(PcmBuffer(samples=np.zeros(0), sample_rate=1000))
 
 
 def test_rms_dbfs_of_a_long_buffer_holds_no_temporary():

@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from tempostego import concat, generate_click_track, read_wav, write_wav
+from tempostego import concat, generate_click_track, read_wav, split_on_silence, write_wav
 from tempostego.audio import PcmBuffer
 from tempostego.cli import _params_from, _parse_perturb, build_parser, main
 from tempostego.codec import BoundaryMode, StegoParams
@@ -27,6 +28,18 @@ def test_make_carrier_and_capacity(tmp_path, capsys):
     assert "70.0 s at 120 BPM" in capsys.readouterr().out
     assert main(["capacity", "--in", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # make-carrier and split leave out what the library would default
+    parser = build_parser()
+    carrier = parser.parse_args(["make-carrier", "--bpm", "120", "--duration", "9", "--out", "x"])
+    split = parser.parse_args(["split", "--in", "x", "--out-dir", "d"])
+    click = inspect.signature(generate_click_track).parameters
+    gaps = inspect.signature(split_on_silence).parameters
+    assert (carrier.sr, carrier.seed) == (click["sample_rate"].default, click["seed"].default)
+    assert (split.min_silence, split.threshold) == (
+        gaps["min_silence_s"].default, gaps["threshold_dbfs"].default)
 
 
 def test_capacity_respects_phi(capsys, carrier_wav):
@@ -240,6 +253,14 @@ def test_evaluate_reads_the_wavs_of_a_directory(tmp_path, capsys):
     assert [row.split()[1] for row in rows[2:4]] == ["a.wav", "b.wav"]
     assert rows[4].startswith("totals: errors 0/4")
     assert len(rows) == 5
+
+
+def test_evaluate_reports_a_bad_generate_item_and_a_directory_without_wavs(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not a carrier")
+    for source, message in [(["--generate", "120@60,126"], "bad --generate item '126'"),
+                            (["--carriers", str(tmp_path)], "no .wav files in")]:
+        assert main(["evaluate", *source, "--bits", "1"]) == 1
+        assert f"error: ValueError: {message}" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_unknown_perturbation(capsys):

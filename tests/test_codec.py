@@ -606,6 +606,25 @@ def test_decode_reads_at_full_rate_where_the_rates_disagree_on_the_reference(mon
     assert calls == {True: 1, False: 1 + 21}
 
 
+def test_decode_reads_at_full_rate_where_the_reference_has_no_quarter_rate_tempo(
+        click, monkeypatch):
+    stego = encode(click(120, 60.0), parse_bitstring("1 0 1"))
+    full = full_rate_decode(monkeypatch, stego, max_bits=3)
+    calls = {False: 0, True: 0}
+
+    def no_quarter_rate_tempo(buf, *, quarter_rate=False):
+        calls[quarter_rate] += 1
+        if quarter_rate:
+            raise NoPeriodicity("nothing clears the margin at the quarter rate")
+        return estimate_tempo(buf)
+
+    monkeypatch.setattr(codec, "estimate_tempo", no_quarter_rate_tempo)
+    report = decode(stego, max_bits=3)
+    assert report.to_dict() == full.to_dict()
+    assert report.bits == parse_bitstring("1 0 1")
+    assert calls == {True: 1, False: 1 + 3}
+
+
 def test_a_reference_override_reads_every_window_at_full_rate(click, monkeypatch):
     stego = encode(click(120, 60.0), parse_bitstring("1 0 1"))
     reference = estimate_tempo(PcmBuffer(samples=stego.samples[: PHI_N], sample_rate=SR))

@@ -154,6 +154,11 @@ def test_a_perturbation_checks_its_parameters_when_made(kind, field, valid, bad,
         dataclasses.replace(kind(valid), **{field: bad})
 
 
+def test_perturb_refuses_an_unknown_kind():
+    with pytest.raises(TypeError, match="unknown perturbation"):
+        perturb(PcmBuffer(samples=np.zeros(10), sample_rate=SR), "gain:2")
+
+
 def test_perturb_gain_scales_exactly():
     buf = generate_click_track(120, 5.0)
     out = perturb(buf, Gain(0.5))

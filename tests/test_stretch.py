@@ -89,6 +89,40 @@ def test_short_buffer_rejected():
         stretch_tempo(sine(440, 0.1), 1.01)
 
 
+def test_a_rate_too_low_for_the_frame_geometry_is_refused():
+    # at 100 Hz the 10 ms overlap rounds to one sample
+    noise = np.random.default_rng(0).uniform(-0.5, 0.5, 1000)
+    with pytest.raises(ValueError, match="degenerates at 100 Hz"):
+        stretch_tempo(PcmBuffer(samples=noise, sample_rate=100), 1.01)
+
+
+def test_the_search_of_a_16bit_buffer_sums_no_squares(click, monkeypatch):
+    # a 16-bit input's energy is 0 or in range, so it is never summed; its
+    # float twin is screened by one sum, and both find the same starts
+    q = np.round(click(120, 10.0).samples * 32767).astype("<i2")
+    twin = PcmBuffer(samples=q / 32768, sample_rate=SR)
+    einsum, calls = np.einsum, []
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(a[0]) or einsum(*a, **k))
+    starts = stretch.frame_starts(PcmBuffer(samples=q, sample_rate=SR), 1.01)
+    assert calls == []
+    assert np.array_equal(stretch.frame_starts(twin, 1.01), starts)
+    assert calls == ["i,i->"]
+
+
+def test_the_certificate_declines_a_template_unlike_its_natural_window():
+    # the natural window's score s0 is sqrt(te / en[l0]); outside [0.5, 2]
+    # the bound's terms do not hold, so the frame is left to the full search
+    overlap, m, l0 = 32, 9, 4
+    seg = np.random.default_rng(0).uniform(-1.0, 1.0, m + overlap - 1)
+    sq = np.zeros(len(seg) + 1)
+    np.cumsum(seg * seg, out=sq[1:])
+    en = sq[overlap : overlap + m] - sq[:m]
+    for scale, want in [(1.0, l0), (0.1, None), (10.0, None)]:
+        tmpl = scale * seg[l0 : l0 + overlap]
+        te = float(np.dot(tmpl, tmpl))
+        assert stretch._certified(seg, tmpl, te, sq, en, l0, np.empty(m)) == want
+
+
 def test_out_is_filled_and_returned(click):
     buf = click(120, 10.0)
     want = stretch_tempo(buf, 1.01).samples

@@ -33,6 +33,19 @@ def test_short_buffers_rejected():
         onset_envelope(PcmBuffer(samples=rng.uniform(-0.5, 0.5, SR // 2), sample_rate=SR))
     with pytest.raises(TooShort):
         estimate_tempo(PcmBuffer(samples=rng.uniform(-0.5, 0.5, 8 * SR), sample_rate=SR))
+    # 1 s at 2 kHz is under one STFT window and hop
+    with pytest.raises(TooShort, match="two STFT frames"):
+        onset_envelope(PcmBuffer(samples=rng.uniform(-0.5, 0.5, 2000), sample_rate=2000))
+
+
+def test_an_envelope_without_energy_or_room_for_the_band_has_no_periodicity():
+    # every frame of a DC signal has the same spectrum: the flux is 0
+    with pytest.raises(NoPeriodicity, match="no energy"):
+        estimate_tempo(PcmBuffer(samples=np.full(10 * SR, 0.5), sample_rate=SR))
+    # 9 s at 352 Hz gives two flux values, no lag inside the BPM band
+    noise = np.random.default_rng(0).uniform(-0.5, 0.5, 9 * 352)
+    with pytest.raises(NoPeriodicity, match="BPM band"):
+        estimate_tempo(PcmBuffer(samples=noise, sample_rate=352))
 
 
 def test_single_click_localized_in_envelope():
