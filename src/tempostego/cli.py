@@ -22,7 +22,7 @@ from .bits import BitString, parse_bitstring, text_to_bits
 from .errors import StegoError, UnsupportedFormat
 from .plan import (CARRIER_RATE, CARRIER_SEED, SPLIT_MIN_SILENCE_S, SPLIT_THRESHOLD_DBFS,
                    BoundaryMode, StegoParams, plan_slices)
-from .wavheader import wav_frames
+from .wavheader import MAX_WRITE_RATE, wav_frames
 
 
 # Channel flags by StegoParams field: (flag, type, help). A subcommand
@@ -197,7 +197,7 @@ def _cmd_make_carrier(args) -> int:
 def _cmd_split(args) -> int:
     import shutil
 
-    from .audio import MAX_WRITE_RATE, read_wav, write_wav
+    from .audio import read_wav, write_wav
     from .harness import split_on_silence
 
     stream = read_wav(getattr(args, "in"))

@@ -1,13 +1,15 @@
-"""The WAV header reader: RIFF chunk walk and fmt parsing, without numpy.
+"""The WAV layer, without numpy: the only module that knows the layout.
 
-read_wav (audio) reads its files through read_header here, so this module
-holds the one parser and every header check. wav_frames makes the same
-checks and reads no sample, so a call that needs only a file's length
-and rate (the CLI's `capacity`) never loads numpy.
+The RIFF signature, the chunk header and the fmt body are each one
+struct, read by the one parser (read_header: every header check, then a
+reader of whole frames for audio's read_wav) and written by the one
+header writer (pcm16_header, which holds the write limits). wav_frames
+reads no sample, so a call that needs only a file's length and rate
+(the CLI's `capacity`) never loads numpy.
 
-A regular file is read by position with small reads. A pipe or device,
-or any file where os.preadv is missing, is read in sequence up to the
-size its RIFF header declares, and no further, then parsed the same way.
+A regular file is read by position with small reads; a pipe or device,
+or any file where os.preadv is missing, in sequence and never past the
+size its RIFF header declares. Either is parsed only that far.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import os
 import stat
 import struct
 from collections.abc import Callable
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from .errors import IoError, MalformedHeader, UnsupportedFormat
 
@@ -48,6 +50,16 @@ ENCODINGS = {
 # the format tags of ENCODINGS
 _TAGS = {tag for tag, _ in ENCODINGS}
 
+# the RIFF signature, a chunk header (id, size), and a fmt body's first 16
+# bytes (format tag, channels, rate, byte rate, block align, bits)
+_RIFF = struct.Struct("<4sI4s")
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")
+
+# the highest sample rate pcm16_header can state: the header's 32-bit
+# byte rate holds 2 bytes (one 16-bit sample) for each
+MAX_WRITE_RATE = 0xFFFFFFFF // 2
+
 # reads up to len(buf) bytes at an offset into buf; the count read
 Pread = Callable[[memoryview, int], int]
 
@@ -66,11 +78,28 @@ def open_fd(path: str, flags: int, verb: str, body: Callable[[int], T]) -> T:
         raise IoError(f"cannot {verb} {path}: {exc}") from exc
 
 
-def read_header(fd: int, path: str) -> tuple[Pread, tuple[int, int, int, int], int, int]:
-    """A positioned reader of the WAV source fd, its (format tag, channels,
-    sample rate, bits), the byte offset of its data chunk, and the whole
-    frames that chunk holds. An EXTENSIBLE file reports the tag of its
-    subformat.
+def pcm16_header(sample_rate: int, frames: int) -> bytes:
+    """The 44 header bytes of a 16-bit mono PCM file of `frames` samples
+    at sample_rate; ValueError for no samples, a rate past MAX_WRITE_RATE
+    or RIFF sizes past 32 bits."""
+    if frames == 0:
+        raise ValueError("refusing to write an empty buffer")
+    if sample_rate > MAX_WRITE_RATE:
+        raise ValueError(f"{sample_rate} Hz overflows the header's 32-bit byte rate")
+    data = 2 * frames
+    if 36 + data > 0xFFFFFFFF:  # "WAVE", the fmt chunk, the data header
+        raise ValueError(f"{frames} samples overflow the header's 32-bit RIFF sizes")
+    fmt = _FMT.pack(WAVE_FORMAT_PCM, 1, sample_rate, 2 * sample_rate, 2, 16)
+    return (_RIFF.pack(b"RIFF", 36 + data, b"WAVE") + _CHUNK.pack(b"fmt ", len(fmt)) + fmt
+            + _CHUNK.pack(b"data", data))
+
+
+def read_header(fd: int, path: str) -> tuple[Callable[[Any, int], None], tuple[int, ...], int]:
+    """A reader of the WAV source fd's frames, its (format tag, channels,
+    sample rate, bits), and the whole frames its data chunk holds; an
+    EXTENSIBLE file reports the tag of its subformat. read(buf, frame)
+    fills buf with whole frames from that frame of the data chunk on, and
+    raises MalformedHeader where the source ends first.
 
     Raises MalformedHeader when the RIFF structure is broken or the rate
     is zero, and UnsupportedFormat for an encoding not in ENCODINGS or
@@ -105,8 +134,13 @@ def read_header(fd: int, path: str) -> tuple[Pread, tuple[int, int, int, int], i
         raise MalformedHeader(f"{path}: zero sample rate")
     if (fmt_tag, bits) not in ENCODINGS:
         raise UnsupportedFormat(f"{path}: {bits}-bit samples with format tag {fmt_tag}")
-    frames = length // (ENCODINGS[fmt_tag, bits][0] * channels)
-    return pread, (fmt_tag, channels, sample_rate, bits), offset, frames
+    frame = ENCODINGS[fmt_tag, bits][0] * channels
+
+    def read_frames(buf, at: int) -> None:
+        if _fill(pread, buf, offset + at * frame) < buf.nbytes:
+            raise MalformedHeader(f"{path}: chunk b'data' extends past end of file")
+
+    return read_frames, (fmt_tag, channels, sample_rate, bits), length // frame
 
 
 def wav_frames(path: str) -> tuple[int, int]:
@@ -117,7 +151,7 @@ def wav_frames(path: str) -> tuple[int, int]:
     or infinity raise nothing here."""
 
     def frames(fd: int) -> tuple[int, int]:
-        _, (_, _, sample_rate, _), _, n = read_header(fd, path)
+        _, (_, _, sample_rate, _), n = read_header(fd, path)
         return n, sample_rate
 
     return open_fd(path, os.O_RDONLY, "read", frames)
@@ -141,7 +175,7 @@ def _signature(path: str, head: bytes) -> int:
     follows its first 8."""
     if len(head) < 12:
         raise MalformedHeader(f"{path}: too small to be a WAV file")
-    riff, size, wave_id = struct.unpack_from("<4sI4s", head, 0)
+    riff, size, wave_id = _RIFF.unpack_from(head)
     if riff != b"RIFF" or wave_id != b"WAVE":
         raise MalformedHeader(f"{path}: missing RIFF/WAVE signature")
     return size
@@ -173,8 +207,11 @@ def _parse_riff(
     """The fmt fields of a RIFF/WAVE source of `size` bytes, and the
     offset and length of its data chunk, from its chunk headers. Where a
     chunk occurs twice, the last one counts. A data chunk of unknown size
-    (_SIZE_UNKNOWN) runs to the end of the source."""
-    _signature(path, _read_at(pread, 0, 12))
+    (_SIZE_UNKNOWN) runs to the end of the source, and the source ends
+    where its RIFF size says, unless that size is _SIZE_UNKNOWN."""
+    declared = _signature(path, _read_at(pread, 0, 12))
+    if declared != _SIZE_UNKNOWN:
+        size = min(size, 8 + declared)
     fmt = None
     data = None
     pos = 12
@@ -182,7 +219,7 @@ def _parse_riff(
         head = _read_at(pread, pos, 8)
         if len(head) < 8:  # the file shrank after it was sized
             raise MalformedHeader(f"{path}: chunk header extends past end of file")
-        cid, csize = struct.unpack("<4sI", head)
+        cid, csize = _CHUNK.unpack(head)
         pos += 8
         if cid == b"data" and csize == _SIZE_UNKNOWN:
             csize = size - pos
@@ -212,9 +249,9 @@ def _read_at(pread: Pread, offset: int, k: int) -> bytes:
 def _parse_fmt(path: str, body: bytes) -> tuple[int, int, int, int, int, int]:
     """(format tag, channels, rate, byte rate, block align, bits) of a fmt
     chunk body. An EXTENSIBLE chunk reports the tag of its subformat."""
-    if len(body) < 16:
+    if len(body) < _FMT.size:
         raise MalformedHeader(f"{path}: fmt chunk too small")
-    fmt = struct.unpack_from("<HHIIHH", body, 0)
+    fmt = _FMT.unpack_from(body)
     if fmt[0] != WAVE_FORMAT_EXTENSIBLE:
         return fmt
     if len(body) < 40:

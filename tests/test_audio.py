@@ -29,6 +29,7 @@ from tempostego import (
     write_wav,
 )
 from tempostego import audio
+from tempostego.wavheader import MAX_WRITE_RATE, pcm16_header, wav_frames
 
 
 def wav_bytes(fmt_tag, channels, sample_rate, bits, payload):
@@ -189,11 +190,15 @@ def test_write_rejects_non_finite_without_leaving_a_file(tmp_path, bad):
 
 
 def test_write_rejects_a_byte_rate_past_32_bits_without_leaving_a_file(tmp_path):
-    # read_wav accepts a 3 GHz header; its byte rate needs 33 bits
+    # read_wav accepts a 3 GHz header; its byte rate needs 33 bits. The
+    # highest rate whose byte rate fits is written, and one more is not
     path = tmp_path / "fast.wav"
-    with pytest.raises(ValueError, match="byte rate"):
-        write_wav(PcmBuffer(samples=np.zeros(1000), sample_rate=3_000_000_000), str(path))
-    assert not path.exists()
+    for rate in [3_000_000_000, MAX_WRITE_RATE + 1]:
+        with pytest.raises(ValueError, match="byte rate"):
+            write_wav(PcmBuffer(samples=np.zeros(1000), sample_rate=rate), str(path))
+        assert not path.exists()
+    write_wav(PcmBuffer(samples=np.zeros(1), sample_rate=MAX_WRITE_RATE), str(path))
+    assert wav_frames(str(path)) == (1, MAX_WRITE_RATE)
 
 
 # One sample past what the 32-bit RIFF sizes hold (36 + 2n <= 0xFFFFFFFF),
@@ -212,6 +217,9 @@ def test_write_rejects_a_length_past_the_riff_sizes_without_leaving_a_file(tmp_p
     with pytest.raises(ValueError, match="RIFF sizes"):
         write_wav(PcmBuffer(samples=too_long(dtype), sample_rate=8000), str(path))
     assert not path.exists()
+    # one sample fewer fills the RIFF size to 0xFFFFFFFE (36 + 2n is even)
+    riff, riff_size, wave_id = struct.unpack("<4sI4s", pcm16_header(8000, TOO_LONG - 1)[:12])
+    assert (riff, riff_size, wave_id) == (b"RIFF", 0xFFFFFFFE, b"WAVE")
 
 
 @pytest.mark.parametrize("samples,rate", [
@@ -372,8 +380,12 @@ def test_read_from_dev_zero_stops_at_the_signature():
 def test_read_from_a_fifo_stops_at_the_declared_size(tmp_path):
     write_wav(make_buffer(0.1, sr=8000), str(tmp_path / "plain.wav"))
     blob = (tmp_path / "plain.wav").read_bytes()
+    want = read_wav(str(tmp_path / "plain.wav")).samples
     extra = b"LIST" + struct.pack("<I", 1 << 30) + b"not part of the file"
     assert len(blob + extra) < 4096  # one atomic write into the pipe
+    # a regular file is parsed as far as its pipe: the chunk after the
+    # RIFF size, whose own size runs past the end, is never read
+    assert np.array_equal(read_wav(write_raw(tmp_path, "tagged.wav", blob + extra)).samples, want)
     fifo = tmp_path / "pipe.wav"
     os.mkfifo(fifo)
     done = threading.Event()
@@ -399,7 +411,7 @@ def test_read_from_a_fifo_stops_at_the_declared_size(tmp_path):
         done.set()
         writer.join(timeout=30)
     assert not writer.is_alive()
-    assert np.array_equal(got.samples, read_wav(str(tmp_path / "plain.wav")).samples)
+    assert np.array_equal(got.samples, want)
     assert left == extra
 
 

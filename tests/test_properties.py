@@ -42,6 +42,8 @@ the perturbation's formula, written out per kind, byte for byte from a
 wavheader.wav_frames, which reads only the header, must give the length
 and rate of read_wav's buffer for arbitrary bytes, or raise read_wav's
 error; only NaN or infinite samples, which it does not read, may differ.
+The same bytes read from a file and through a pipe must give the same
+samples or the same error: both are parsed only up to their RIFF size.
 The standard library's wave is the reader's and the writer's independent
 oracle: integer PCM frames it writes at every width, mono or stereo, must
 read back as a numpy decode of their bytes that does not use audio, and
@@ -56,6 +58,7 @@ import contextlib
 import functools
 import io
 import math
+import os
 import re
 import shutil
 import struct
@@ -649,6 +652,38 @@ def test_the_header_reader_agrees_with_read_wav(tmp_path_factory, blob):
         assert got == (len(buf), buf.sample_rate)
     else:
         assert got is buf
+
+
+def read_outcome(path):
+    """read_wav's samples and rate at path, or the class of its error."""
+    try:
+        buf = read_wav(path)
+    except StegoError as exc:
+        return type(exc)
+    return buf.samples.tobytes(), buf.sample_rate
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_file_reads_as_its_pipe_does(tmp_path):
+    # a fixed-seed batch of the arbitrary-bytes property's files, each
+    # read by position from a file and in sequence from a pipe
+    path = tmp_path / "file.wav"
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(blob=ARBITRARY_FILES)
+    def check(blob):
+        path.write_bytes(blob)
+        assert len(blob) <= 4096  # fits the pipe, so one write cannot block
+        r, w = os.pipe()
+        os.write(w, blob)
+        os.close(w)
+        try:
+            piped = read_outcome(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert read_outcome(str(path)) == piped
+
+    check()
 
 
 def test_every_supported_encoding_has_one_converter():

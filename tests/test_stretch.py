@@ -114,13 +114,23 @@ def test_the_certificate_declines_a_template_unlike_its_natural_window():
     # the bound's terms do not hold, so the frame is left to the full search
     overlap, m, l0 = 32, 9, 4
     seg = np.random.default_rng(0).uniform(-1.0, 1.0, m + overlap - 1)
+    for scale, want in [(1.0, l0), (0.1, None), (10.0, None)]:
+        assert certified(seg, scale * seg[l0 : l0 + overlap], l0) == want
+    # Nor when the range's energy dwarfs its smallest window's (about
+    # 3e11 times here): the rounding term rho passes 2**-10, where the
+    # bound's linear terms stop holding, though s0 is 1
+    seg[-overlap:] *= 1e-6
+    assert certified(seg, seg[l0 : l0 + overlap].copy(), l0) is None
+
+
+def certified(seg, tmpl, l0):
+    """stretch._certified of one frame: the template tmpl over the lags
+    of seg, its natural lag l0."""
+    m = len(seg) - len(tmpl) + 1
     sq = np.zeros(len(seg) + 1)
     np.cumsum(seg * seg, out=sq[1:])
-    en = sq[overlap : overlap + m] - sq[:m]
-    for scale, want in [(1.0, l0), (0.1, None), (10.0, None)]:
-        tmpl = scale * seg[l0 : l0 + overlap]
-        te = float(np.dot(tmpl, tmpl))
-        assert stretch._certified(seg, tmpl, te, sq, en, l0, np.empty(m)) == want
+    en = sq[len(tmpl) : len(tmpl) + m] - sq[:m]
+    return stretch._certified(seg, tmpl, float(np.dot(tmpl, tmpl)), sq, en, l0, np.empty(m))
 
 
 def test_out_is_filled_and_returned(click):
