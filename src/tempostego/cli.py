@@ -307,9 +307,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StegoError, ValueError, OSError) as exc:
-        # OSError: the CLI's own file calls; the library raises IoError
-        name = "IoError" if isinstance(exc, OSError) else type(exc).__name__
+    except (StegoError, ValueError, OSError, MemoryError) as exc:
+        # OSError: the CLI's own file calls; the library raises IoError.
+        # MemoryError: an allocation numpy could not make, which it raises
+        # as a private subclass
+        name = ("IoError" if isinstance(exc, OSError)
+                else "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__)
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
 

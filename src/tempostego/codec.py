@@ -84,7 +84,7 @@ from .plan import (
     plan_slices,
 )
 from .stretch import frame_count, frame_starts, starts_fit, stretch_tempo, stretched_length
-from .tempo import SETTINGS, TempoCandidates, estimate_tempo
+from .tempo import MIN_RMS_DBFS, TempoCandidates, estimate_tempo
 
 # Decisions with confidence below this are flagged in report warnings,
 # and a quarter-rate one below it is measured again at full rate.
@@ -95,18 +95,17 @@ LOW_CONFIDENCE = 0.5
 # after sorting, within this fraction of its full-rate twin.
 _RATES_AGREE = 0.002
 
-# Reference silence scan: any 2 s window under the RMS gate disqualifies
-# the reference slice. 2 s is long enough that the gaps of a sparse 40 BPM
-# pulse never trip it, short enough to catch a few seconds of lead-in
-# silence hiding inside an otherwise loud slice.
+# Reference silence scan: any 2 s window under the tempo estimator's RMS
+# gate (MIN_RMS_DBFS) disqualifies the reference slice, so a reference
+# that passes the scan is one the estimator will measure. 2 s is long
+# enough that the gaps of a sparse 40 BPM pulse never trip it, short
+# enough to catch a few seconds of lead-in silence hiding inside an
+# otherwise loud slice.
 _SILENCE_WIN_S = 2.0
 _SILENCE_HOP_S = 1.0
-# The scan's RMS gate is the tempo estimator's, so a reference that passes
-# the scan is one the estimator will measure.
-_SILENCE_GATE_DBFS = SETTINGS.min_rms_dbfs
 
-# The reference slice is scaled to this RMS before it is judged: with the
-# gate above, a 2 s window over 25 dB below the slice's RMS is silence.
+# The reference slice is scaled to this RMS before it is judged: with
+# MIN_RMS_DBFS, a 2 s window over 25 dB below the slice's RMS is silence.
 _NORM_TARGET_DBFS = -20.0
 
 _UNMEASURED = (LowEnergy, NoPeriodicity, TooShort)  # a window's tempo cannot be measured
@@ -164,7 +163,7 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     """The factor that scales the reference slice x to _NORM_TARGET_DBFS
     RMS, found from x / peak so no finite sample overflows. Raises
     ReferenceSilent if x is empty or all zeros, or if any 2 s of x scaled
-    is under the scan gate."""
+    is under MIN_RMS_DBFS."""
     peak = max(x.max(initial=0.0), -x.min(initial=0.0))
     with np.errstate(divide="ignore", invalid="ignore"):  # an all-zero or empty x
         q = x / peak
@@ -173,7 +172,7 @@ def _reference_factor(x: np.ndarray, sr: int) -> float:
     win = min(len(x), int(round(_SILENCE_WIN_S * sr)))
     hop = max(1, int(round(_SILENCE_HOP_S * sr)))
     if not math.isfinite(factor) or any(
-        rms_dbfs(PcmBuffer(samples=x[i : i + win] * factor, sample_rate=sr)) < _SILENCE_GATE_DBFS
+        rms_dbfs(PcmBuffer(samples=x[i : i + win] * factor, sample_rate=sr)) < MIN_RMS_DBFS
         for i in range(0, len(x) - win + 1, hop)
     ):
         raise ReferenceSilent("the reference slice contains silence")

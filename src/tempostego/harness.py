@@ -14,6 +14,7 @@ margins against the expected bits.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -79,7 +80,11 @@ def _silent_track(bpm: float, duration_s: float, sample_rate: int) -> np.ndarray
         raise ValueError("duration must be finite and at least 1 s")
     if sample_rate < 8000:
         raise ValueError("sample rate must be at least 8 kHz")
-    return np.zeros(int(round(duration_s * sample_rate)))
+    try:
+        n = int(round(duration_s * sample_rate))
+    except OverflowError:  # a length past the float range, or a rate no float holds
+        raise ValueError(f"duration {duration_s:g} s is too long at {sample_rate} Hz") from None
+    return np.zeros(n)
 
 
 # A four-bar loop of (bass root, pad chord), in semitones above A1 (55 Hz):
@@ -217,7 +222,8 @@ class ResampleRoundTrip:
     rate: int
 
     def __post_init__(self) -> None:
-        if not 4000 <= self.rate < math.inf:
+        # an int past the largest float is no finite float rate either
+        if not 4000 <= self.rate <= sys.float_info.max:
             raise ValueError("intermediate rate must be finite and at least 4 kHz")
 
     def apply(self, x: np.ndarray, sample_rate: int) -> np.ndarray:

@@ -71,22 +71,27 @@ def _hann(win: int) -> np.ndarray:
     return w
 
 
-# The estimator's fixed values, read through SETTINGS. They stay a record
-# because perfbench/spans.py imports TempoConfig and builds one to read the
-# STFT geometry, and a property test swaps in one with another geometry.
-# stft_window and stft_hop count input samples at either rate: a frame
-# spans 2048 of them and starts 512 after the one before.
+# The BPM band a tempo is searched in: the slowest and fastest carriers,
+# each moved by the largest tempo offset.
+BPM_MIN = 60.0 * (1.0 - MAX_DELTA)
+BPM_MAX = 200.0 * (1.0 + MAX_DELTA)
+# The onset STFT's geometry in input samples at either rate: a frame spans
+# STFT_WINDOW of them and starts STFT_HOP after the one before.
+STFT_WINDOW = 2048
+STFT_HOP = 512
+# Candidates returned at most.
+K_MAX = 5
+# A buffer whose RMS is under this level has no tempo to measure.
+MIN_RMS_DBFS = -45.0
+
+
+# The STFT geometry as a record, for perfbench/spans.py, which builds
+# TempoConfig() to count envelope frames. Library code reads the
+# constants above.
 @dataclass(frozen=True)
 class TempoConfig:
-    bpm_min: float = 60.0 * (1.0 - MAX_DELTA)
-    bpm_max: float = 200.0 * (1.0 + MAX_DELTA)
-    stft_window: int = 2048
-    stft_hop: int = 512
-    k_max: int = 5
-    min_rms_dbfs: float = -45.0
-
-
-SETTINGS = TempoConfig()
+    stft_window: int = STFT_WINDOW
+    stft_hop: int = STFT_HOP
 
 
 @dataclass(frozen=True)
@@ -109,14 +114,14 @@ def stft_frames(
     x: np.ndarray, start: int = 0, stop: int | None = None, *, quarter_rate: bool = False
 ) -> np.ndarray:
     """The onset STFT's frames start..stop-1 of x (every frame by
-    default), before the window: frame i spans stft_window samples from
-    i * stft_hop. A read-only view of them in x; with quarter_rate, of
+    default), before the window: frame i spans STFT_WINDOW samples from
+    i * STFT_HOP. A read-only view of them in x; with quarter_rate, of
     every DECIMATION-th sample in a copy of their span of x low-passed by
     _LOWPASS (centred, so a tone keeps its phase). The span takes its
     filter's halo from x, so only x's own ends meet zeros, and any range
     of frames gets the samples it would get in one filtering of all x."""
-    win = SETTINGS.stft_window
-    hop = SETTINGS.stft_hop
+    win = STFT_WINDOW
+    hop = STFT_HOP
     if stop is None:
         stop = (x.shape[0] - win) // hop + 1
     a = start * hop
@@ -154,10 +159,10 @@ def onset_envelope(buf: PcmBuffer, *, quarter_rate: bool = False) -> tuple[np.nd
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
     x = float_range(buf, 0, len(buf))
-    if rms_dbfs(PcmBuffer(samples=x, sample_rate=buf.sample_rate)) < SETTINGS.min_rms_dbfs:
-        raise LowEnergy(f"signal below {SETTINGS.min_rms_dbfs} dBFS gate")
-    win = SETTINGS.stft_window
-    hop = SETTINGS.stft_hop
+    if rms_dbfs(PcmBuffer(samples=x, sample_rate=buf.sample_rate)) < MIN_RMS_DBFS:
+        raise LowEnergy(f"signal below {MIN_RMS_DBFS} dBFS gate")
+    win = STFT_WINDOW
+    hop = STFT_HOP
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
     flux = np.empty((len(x) - win) // hop)
@@ -180,11 +185,11 @@ def estimate_tempo(buf: PcmBuffer, *, quarter_rate: bool = False) -> TempoCandid
     """Measure tempo candidates for a buffer of at least 9 s.
 
     Autocorrelation of the onset envelope (unbiased normalization) is
-    scanned for local maxima in the BPM band of SETTINGS. Each peak is
+    scanned for local maxima in the band BPM_MIN..BPM_MAX. Each peak is
     refined by parabolic interpolation; peaks that do not clear
     PEAK_MARGIN over the band's median are dropped. Survivors are ranked
     by interpolated peak height weighted by the octave preference, and the
-    top k_max become candidates with strengths normalized to sum 1.
+    top K_MAX become candidates with strengths normalized to sum 1.
     quarter_rate selects onset_envelope's quarter-rate STFT.
 
     Raises TooShort (< 9 s), LowEnergy (below the RMS gate), or
@@ -207,8 +212,8 @@ def estimate_tempo(buf: PcmBuffer, *, quarter_rate: bool = False) -> TempoCandid
         raise NoPeriodicity("onset envelope carries no energy")
     r = acu / acu[0]
 
-    lag_min = max(1, int(np.floor(60.0 * frame_rate / SETTINGS.bpm_max)))
-    lag_max = min(n - 2, int(np.ceil(60.0 * frame_rate / SETTINGS.bpm_min)))
+    lag_min = max(1, int(np.floor(60.0 * frame_rate / BPM_MAX)))
+    lag_max = min(n - 2, int(np.ceil(60.0 * frame_rate / BPM_MIN)))
     if lag_max <= lag_min:
         raise NoPeriodicity("buffer too short for the BPM band")
     base = float(np.median(r[lag_min : lag_max + 1]))
@@ -222,16 +227,16 @@ def estimate_tempo(buf: PcmBuffer, *, quarter_rate: bool = False) -> TempoCandid
         d = 0.0 if denom == 0.0 else float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
         vertex = b - 0.25 * (a - c) * d
         bpm = 60.0 * frame_rate / (p + d)
-        if not (SETTINGS.bpm_min <= bpm <= SETTINGS.bpm_max):
+        if not (BPM_MIN <= bpm <= BPM_MAX):
             continue
         if vertex <= 0.0 or vertex - base <= PEAK_MARGIN:
             continue
-        scored.append((bpm, vertex * (bpm / SETTINGS.bpm_max) ** OCTAVE_EXP))
+        scored.append((bpm, vertex * (bpm / BPM_MAX) ** OCTAVE_EXP))
 
     if not scored:
         raise NoPeriodicity("no autocorrelation peak clears the baseline margin")
     scored.sort(key=lambda t: -t[1])
-    top = scored[: SETTINGS.k_max]
+    top = scored[:K_MAX]
     total = sum(s for _, s in top)
     entries = tuple((bpm, s / total) for bpm, s in top)
     return TempoCandidates(entries=entries, analysis_window_s=buf.duration_s)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tempostego import concat, generate_click_track, read_wav, split_on_silence, write_wav
+from tempostego import concat, generate_click_track, harness, read_wav, split_on_silence, write_wav
 from tempostego.audio import PcmBuffer
 from tempostego.cli import _params_from, _parse_perturb, build_parser, main
 from tempostego.codec import BoundaryMode, StegoParams
@@ -171,6 +171,45 @@ def test_non_finite_duration_reports_value_error(tmp_path, capsys, duration):
                "--out", str(tmp_path / "x.wav")])
     assert rc == 1
     assert "error: ValueError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-carrier", "--bpm", "120", "--duration", "1e308", "--out", "x.wav"],
+    ["make-carrier", "--bpm", "120", "--duration", "40", "--sr", "1" + "0" * 400,
+     "--out", "x.wav"],
+    ["evaluate", "--generate", "120@1e308", "--bits", "1"],
+    ["evaluate", "--generate", "120@40", "--bits", "1", "--perturb", "resample:1" + "0" * 400],
+])
+def test_a_length_or_rate_past_the_float_range_reports_value_error(tmp_path, monkeypatch,
+                                                                   capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: ValueError" in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private allocation error."""
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-carrier", "--bpm", "120", "--duration", "1e9", "--out", "x.wav"],
+    ["evaluate", "--generate", "120@1e12", "--bits", "1"],
+])
+def test_an_allocation_failure_reports_memory_error(tmp_path, monkeypatch, capsys, argv):
+    # the generator is patched: no test asks numpy for such an array
+    def refuse(*args, **kwargs):
+        raise _ArrayMemoryError("Unable to allocate 321. TiB")
+
+    monkeypatch.setattr(harness, "generate_click_track", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: MemoryError: Unable to allocate 321. TiB" in out.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("spec", ["gain:nan", "gain:inf", "noise:nan", "noise:-inf",

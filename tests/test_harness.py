@@ -134,6 +134,17 @@ def test_a_club_breakdown_erases_exactly_the_slices_it_covers():
     assert len(report.per_slice) == 21
 
 
+@pytest.mark.parametrize("generate", [generate_click_track, generate_club_track])
+@pytest.mark.parametrize("duration_s, sample_rate, named", [
+    pytest.param(1e308, SR, "duration 1e+308 s is too long at 44100 Hz", id="1e308s"),
+    pytest.param(40.0, 10**400, f"duration 40 s is too long at {10**400} Hz", id="rate-10**400"),
+])
+def test_a_generator_refuses_a_length_past_the_float_range(generate, duration_s, sample_rate,
+                                                           named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        generate(120, duration_s, sample_rate)
+
+
 SNR_PAST_INF = "noise SNR must be a number of dB above -inf"
 RATE_TOO_LOW = "intermediate rate must be finite and at least 4 kHz"
 
@@ -146,6 +157,8 @@ RATE_TOO_LOW = "intermediate rate must be finite and at least 4 kHz"
     (Noise, "snr_db", 20.0, -7000.0,
      "noise SNR -7000 dB puts the noise level past the float range"),
     *[(ResampleRoundTrip, "rate", 22050, v, RATE_TOO_LOW) for v in (3999, math.inf, math.nan)],
+    # an int no float holds: apply would divide it past the float range
+    pytest.param(ResampleRoundTrip, "rate", 22050, 10**400, RATE_TOO_LOW, id="rate-10**400"),
 ])
 def test_a_perturbation_checks_its_parameters_when_made(kind, field, valid, bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -841,17 +841,15 @@ def test_stretch_length_law_and_first_frame(sr, frames, ratio, seed, silent):
         assert not out.any()
 
 
-def oracle_onset_envelope(buf, config, quarter_rate):
-    """The one-shot STFT the blocked envelope must reproduce; at the
-    quarter rate, of the samples filtered once, every 4th sample of each
-    frame kept."""
+def oracle_onset_envelope(buf, win, hop, quarter_rate):
+    """The one-shot STFT the blocked envelope must reproduce, with frames
+    of win samples hop apart; at the quarter rate, of the samples
+    filtered once, every 4th sample of each frame kept."""
     if buf.duration_s < 1.0:
         raise TooShort(f"onset envelope needs at least 1 s, got {buf.duration_s:.2f} s")
-    if rms_dbfs(buf) < config.min_rms_dbfs:
-        raise LowEnergy(f"signal below {config.min_rms_dbfs} dBFS gate")
+    if rms_dbfs(buf) < tempo.MIN_RMS_DBFS:
+        raise LowEnergy(f"signal below {tempo.MIN_RMS_DBFS} dBFS gate")
     x = buf.samples
-    win = config.stft_window
-    hop = config.stft_hop
     if len(x) < win + hop:
         raise TooShort("buffer shorter than two STFT frames")
     if quarter_rate:
@@ -947,7 +945,6 @@ STFT_GEOMETRIES = ((2048, 512), (1024, 256), (512, 512), (1000, 333))
 def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragged, seed,
                                               quarter_rate):
     win, hop = geometry
-    config = tempo.TempoConfig(stft_window=win, stft_hop=hop)
     block = tempo.BLOCK_FRAMES
     # frames for the 1 s the envelope needs, plus one for offset -1
     need = math.ceil((sr - win) / hop) + 2
@@ -956,12 +953,13 @@ def test_onset_envelope_matches_one_shot_stft(sr, geometry, blocks, offset, ragg
     x = np.random.default_rng(seed).standard_normal(n) * 0.3
     x[n // 3 : n // 2] = 0.0  # frames of silence give zero spectra and zero flux
     buf = PcmBuffer(samples=x, sample_rate=sr)
-    want_env, want_rate = oracle_onset_envelope(buf, config, quarter_rate)
+    want_env, want_rate = oracle_onset_envelope(buf, win, hop, quarter_rate)
     assert want_env.shape == (n_frames - 1,)
     for workers in (1, 3):
         with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
             mp.setattr(tempo, "shared_pool", lambda: pool)
-            mp.setattr(tempo, "SETTINGS", config)
+            mp.setattr(tempo, "STFT_WINDOW", win)
+            mp.setattr(tempo, "STFT_HOP", hop)
             env, rate = onset_envelope(buf, quarter_rate=quarter_rate)
         assert rate == want_rate
         assert np.array_equal(env, want_env)

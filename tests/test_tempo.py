@@ -1,6 +1,8 @@
+import importlib.util
 import multiprocessing
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,33 @@ from tempostego import (
     onset_envelope,
     stretch_tempo,
 )
-from tempostego.tempo import DECIMATION, SETTINGS, stft_frames
+from tempostego.tempo import (BPM_MAX, BPM_MIN, DECIMATION, K_MAX, STFT_HOP, STFT_WINDOW,
+                              stft_frames)
 
 SR = 44100
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("sr", [8000, SR])
+@pytest.mark.parametrize("quarter_rate", [False, True])
+def test_perfbench_counts_the_frames_of_the_onset_envelope(sr, quarter_rate):
+    # the benchmark's tempo.onset_envelope.frames comes from perfbench's
+    # TempoConfig(), not from the constants onset_envelope reads; each
+    # envelope value differences two frames
+    onset_info = _perfbench_spans()._onset_info
+    rng = np.random.default_rng(1)
+    for n in (sr + STFT_WINDOW, sr + STFT_WINDOW + STFT_HOP - 1, 3 * sr + 1000, 10 * sr - 1):
+        buf = PcmBuffer(samples=rng.uniform(-0.5, 0.5, n), sample_rate=sr)
+        result = onset_envelope(buf, quarter_rate=quarter_rate)
+        info = onset_info((buf,), {"quarter_rate": quarter_rate}, result)
+        assert info["frames"] == len(result[0]) + 1
 
 
 def test_silence_is_low_energy():
@@ -58,8 +84,8 @@ def test_single_click_localized_in_envelope():
     env, frame_rate = onset_envelope(PcmBuffer(samples=x, sample_rate=SR))
     peak = int(np.argmax(env))
     # envelope index i differences frames i and i+1; convert to center time
-    peak_time = ((peak + 1) * SETTINGS.stft_hop + SETTINGS.stft_window / 2) / SR
-    assert abs(peak_time - 2.0) <= 2 * SETTINGS.stft_hop / SR + SETTINGS.stft_window / SR
+    peak_time = ((peak + 1) * STFT_HOP + STFT_WINDOW / 2) / SR
+    assert abs(peak_time - 2.0) <= 2 * STFT_HOP / SR + STFT_WINDOW / SR
 
 
 @pytest.mark.parametrize("freq", [SR // 4, SR // 2, 441, 2205])
@@ -75,7 +101,7 @@ def test_stft_frames_low_pass_a_tone_by_the_filter_gain(freq, phase):
     x = np.cos(2 * np.pi * (np.arange(2 * SR) * freq % SR) / SR + phase)
     gain = (np.sin(q * np.pi * freq / SR) / (q * np.sin(np.pi * freq / SR))) ** 2
     frames = stft_frames(x, quarter_rate=True)
-    win, hop = SETTINGS.stft_window, SETTINGS.stft_hop
+    win, hop = STFT_WINDOW, STFT_HOP
     assert frames.shape == ((len(x) - win) // hop + 1, win // q)
     want = np.stack([x[s : s + win : q] for s in range(0, len(x) - win + 1, hop)]) * gain
     assert np.max(np.abs(frames[1:-1] - want[1:-1])) <= 1e-12
@@ -110,12 +136,12 @@ def test_stretched_track_reads_shifted_tempo(click):
 def test_candidate_set_invariants(click):
     for bpm in (90, 132):
         cands = estimate_tempo(click(bpm, 12.0))
-        assert 1 <= len(cands.entries) <= SETTINGS.k_max
+        assert 1 <= len(cands.entries) <= K_MAX
         strengths = [s for _, s in cands.entries]
         assert all(s >= 0 for s in strengths)
         assert sum(strengths) == pytest.approx(1.0)
         assert strengths == sorted(strengths, reverse=True)
-        assert all(SETTINGS.bpm_min <= b <= SETTINGS.bpm_max for b, _ in cands.entries)
+        assert all(BPM_MIN <= b <= BPM_MAX for b, _ in cands.entries)
         assert cands.analysis_window_s == pytest.approx(12.0)
 
 
